@@ -25,20 +25,22 @@ from .caputo_l1 import truncation_study
 from .graded_time import build_graded_mesh, gronwall_step_condition, recommended_grading
 from .kirchhoff_solver import apriori_bound_report, solve_all
 from .mms_harness import (
-    ConvergenceReport,
     ReportRow,
     coupled_ms,
+    coupled_n,
     get_case,
     observed_order,
     run_single_case,
     trajectory_rows,
 )
-from .fem_space import build_spatial_mesh
+from .fem_space import QUADRATURE_RULES, build_spatial_mesh
 
 COMMANDS = ("solve", "temporal-study", "spatial-study", "caputo-check", "bound-report")
 CSV_HEADER = "alpha,N,Ms,r,error,oc,seconds,cg_iters"
 TRAJECTORY_HEADER = "n,t_n,h1_error,l2_error,bound_quantity"
 DEFAULT_N_CAP = 4096
+# spatial dimension of each built-in example, which fixes its quadrature rules
+EXAMPLE_DIMENSIONS = {"ex1": 1, "ex2": 2}
 
 
 class ConfigError(ValueError):
@@ -133,7 +135,7 @@ def parse_config(source):
         raise ConfigError("command is required (one of " + ", ".join(COMMANDS) + ")")
     if cfg.command not in COMMANDS:
         raise ConfigError(f"command must be one of {', '.join(COMMANDS)}, got {cfg.command!r}")
-    if cfg.example not in ("ex1", "ex2"):
+    if cfg.example not in EXAMPLE_DIMENSIONS:
         raise ConfigError(f"example must be ex1 or ex2, got {cfg.example!r}")
     for a in cfg.alpha:
         if not 1 < a < 2:
@@ -146,8 +148,12 @@ def parse_config(source):
             raise ConfigError(f"Ms entries must be >= 2, got {ms}")
     if cfg.r is not None and not cfg.r >= 1:
         raise ConfigError(f"r must satisfy r >= 1, got {cfg.r}")
-    if not 1 <= cfg.quadrature <= 7:
-        raise ConfigError(f"quadrature must lie in 1..7, got {cfg.quadrature}")
+    rules = sorted(QUADRATURE_RULES[EXAMPLE_DIMENSIONS[cfg.example]])
+    if cfg.quadrature not in rules:
+        raise ConfigError(
+            f"quadrature for {cfg.example} must be one of "
+            f"{', '.join(map(str, rules))}, got {cfg.quadrature}"
+        )
     if not cfg.tol > 0:
         raise ConfigError(f"tol must be positive, got {cfg.tol}")
     if cfg.threads < 1:
@@ -158,6 +164,8 @@ def parse_config(source):
         raise ConfigError(f"sigma must be positive, got {cfg.sigma}")
     if cfg.timing not in ("fixed", "wall"):
         raise ConfigError(f"timing must be fixed or wall, got {cfg.timing!r}")
+    if cfg.output and not os.path.isdir(os.path.dirname(cfg.output) or "."):
+        raise ConfigError(f"output directory of {cfg.output!r} does not exist")
 
     if cfg.command in ("temporal-study", "spatial-study", "bound-report", "solve"):
         if not cfg.alpha:
@@ -279,7 +287,7 @@ def _cmd_spatial(cfg):
         beta = 0.5 * alpha
         out = []
         for Ms in ms_sorted:
-            n = max(2, 2 * int(round(0.5 * float(Ms) ** (2.0 / (2.0 - beta)))))
+            n = coupled_n(Ms, beta)
             capped = n > DEFAULT_N_CAP
             out.append((min(n, DEFAULT_N_CAP), Ms, capped))
         return out

@@ -1,5 +1,11 @@
 """Piecewise-linear finite elements on intervals and the unit square.
 
+Every element is a simplex: a 2-vertex interval in 1D, a 3-vertex triangle
+in 2D.  Assembly, projections and error norms run one code path for both
+dimensions, on the element measures and scaled P1 basis gradients each
+mesh computes once, and on quadrature points each mesh builds once per
+rule.
+
 Meshes carry homogeneous Dirichlet conditions by elimination: assembled
 matrices and load vectors live on the interior unknowns only.  The 2D mesh
 is the structured triangulation of the unit square obtained by cutting each
@@ -10,13 +16,126 @@ it are taken through the stiffness matrix.
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
 
 
+def _read_only(*arrays):
+    """Mark arrays read-only and return them as a tuple."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def _minor(m, i, j):
+    return np.delete(np.delete(m, i, axis=-2), j, axis=-1)
+
+
+def _det(m):
+    """Determinants of a stack of small square matrices by cofactor expansion.
+
+    Exact for 1 x 1 and the closed form a*d - b*c for 2 x 2; np.linalg.det
+    is not exact even for 1 x 1.
+    """
+    if m.shape[-1] == 0:
+        return np.ones(m.shape[:-2])
+    return sum((-1) ** j * m[..., 0, j] * _det(_minor(m, 0, j)) for j in range(m.shape[-1]))
+
+
+def _gauss_rule(npoints):
+    nodes, weights = np.polynomial.legendre.leggauss(npoints)
+    # reference element [0, 1] in barycentric form
+    lam = 0.5 * (nodes + 1.0)
+    return np.column_stack([1.0 - lam, lam]), 0.5 * weights
+
+
+# {dimension: {points per element: (barycentric points (nq, d+1), weights)}};
+# the weights sum to 1 and are scaled by the element measure.
+QUADRATURE_RULES = {
+    1: {npoints: _gauss_rule(npoints) for npoints in range(1, 8)},
+    2: {
+        1: (np.array([[1.0, 1.0, 1.0]]) / 3.0, np.array([1.0])),
+        3: (
+            np.array(
+                [
+                    [2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
+                    [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
+                    [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0],
+                ]
+            ),
+            np.array([1.0, 1.0, 1.0]) / 3.0,
+        ),
+        4: (
+            np.array(
+                [
+                    [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
+                    [0.6, 0.2, 0.2],
+                    [0.2, 0.6, 0.2],
+                    [0.2, 0.2, 0.6],
+                ]
+            ),
+            np.array([-27.0, 25.0, 25.0, 25.0]) / 48.0,
+        ),
+        6: (
+            np.array(
+                [
+                    [0.816847572980459, 0.091576213509771, 0.091576213509771],
+                    [0.091576213509771, 0.816847572980459, 0.091576213509771],
+                    [0.091576213509771, 0.091576213509771, 0.816847572980459],
+                    [0.108103018168070, 0.445948490915965, 0.445948490915965],
+                    [0.445948490915965, 0.108103018168070, 0.445948490915965],
+                    [0.445948490915965, 0.445948490915965, 0.108103018168070],
+                ]
+            ),
+            np.array(
+                [
+                    0.109951743655322,
+                    0.109951743655322,
+                    0.109951743655322,
+                    0.223381589678011,
+                    0.223381589678011,
+                    0.223381589678011,
+                ]
+            ),
+        ),
+        7: (
+            np.array(
+                [
+                    [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
+                    [0.797426985353087, 0.101286507323456, 0.101286507323456],
+                    [0.101286507323456, 0.797426985353087, 0.101286507323456],
+                    [0.101286507323456, 0.101286507323456, 0.797426985353087],
+                    [0.059715871789770, 0.470142064105115, 0.470142064105115],
+                    [0.470142064105115, 0.059715871789770, 0.470142064105115],
+                    [0.470142064105115, 0.470142064105115, 0.059715871789770],
+                ]
+            ),
+            np.array(
+                [
+                    0.225,
+                    0.125939180544827,
+                    0.125939180544827,
+                    0.125939180544827,
+                    0.132394152788506,
+                    0.132394152788506,
+                    0.132394152788506,
+                ]
+            ),
+        ),
+    },
+}
+_read_only(
+    *(arr for rules in QUADRATURE_RULES.values() for rule in rules.values() for arr in rule)
+)
+
+
 class SpatialMesh:
-    """Conforming P1 mesh with Dirichlet boundary flags.
+    """Conforming P1 simplex mesh with Dirichlet boundary flags.
+
+    The element geometry is computed on construction and the quadrature
+    points on first use of each rule; every cached array is read-only.
 
     Attributes
     ----------
@@ -39,6 +158,17 @@ class SpatialMesh:
         Descriptor, ("interval", a, b) or ("unit_square",).
     subdivisions : int
         Ms, the per-direction element count.
+    measure : ndarray
+        Element lengths or areas, shape (n_elements,).
+    scaled_gradients : ndarray
+        P1 basis gradients times dimension! * measure, shape
+        (n_elements, dimension + 1, dimension): the gradient of the basis
+        function of node elements[e, s] is scaled_gradients[e, s] /
+        (dimension! * measure[e]).  They are (-1, 1) in 1D and the opposite
+        edges turned by 90 degrees in 2D.  Dividing by the measure once per
+        use, as the closed-form element matrices do, keeps the 1D matrices
+        and loads exact to the last bit; the 1D solves amplify a one-ulp
+        change in the stiffness into the sixth digit of printed orders.
     """
 
     def __init__(self, dimension, vertices, elements, boundary, domain, subdivisions):
@@ -50,19 +180,59 @@ class SpatialMesh:
         self.num_interior = int(self.interior_nodes.size)
         self.domain = domain
         self.subdivisions = int(subdivisions)
-        if dimension == 1:
-            self.h = float(np.max(np.diff(vertices)))
-        else:
-            p = vertices[elements]
-            e01 = p[:, 1] - p[:, 0]
-            e12 = p[:, 2] - p[:, 1]
-            e20 = p[:, 0] - p[:, 2]
-            lengths = [np.hypot(e[:, 0], e[:, 1]) for e in (e01, e12, e20)]
-            self.h = float(max(l.max() for l in lengths))
-        for arr in (vertices, elements, boundary, self.interior_nodes):
-            arr.flags.writeable = False
-        self._mass = {}
-        self._stiffness = {}
+        d = self.dimension
+        p = self._element_vertices()
+        # rows of the Jacobian are the edges leaving vertex 0; column k of
+        # adj(J) / det(J) is the gradient of barycentric coordinate k + 1
+        jac = p[:, 1:] - p[:, :1]
+        det = _det(jac)
+        self.measure = np.abs(det) / math.factorial(d)
+        adj_t = np.array(
+            [[(-1) ** (k + i) * _det(_minor(jac, k, i)) for i in range(d)] for k in range(d)]
+        )
+        scaled = np.moveaxis(adj_t, -1, 0) * np.sign(det)[:, None, None]
+        self.scaled_gradients = np.concatenate(
+            [-scaled.sum(axis=1, keepdims=True), scaled], axis=1
+        )
+        self.h = float(
+            max(
+                np.linalg.norm(p[:, i] - p[:, j], axis=1).max()
+                for i, j in combinations(range(d + 1), 2)
+            )
+        )
+        _read_only(vertices, elements, boundary, self.interior_nodes)
+        _read_only(self.measure, self.scaled_gradients)
+        self._quadrature = {}
+        self._matrices = {}
+
+    def _element_vertices(self):
+        """Vertex coordinates per element, shape (n_elements, dimension + 1, dimension)."""
+        return self.vertices.reshape(self.vertices.shape[0], -1)[self.elements]
+
+    def quadrature(self, npoints):
+        """Cached rule with npoints points per element.
+
+        Returns (lam, xq, wq): the barycentric points lam of shape
+        (nq, dimension + 1) from QUADRATURE_RULES, the physical points xq
+        of shape (dimension, n_elements, nq), one coordinate array per
+        axis so that g(*xq) evaluates a callable at every point, and the
+        weights wq of shape (n_elements, nq).
+        """
+        if npoints not in self._quadrature:
+            rules = QUADRATURE_RULES[self.dimension]
+            if npoints not in rules:
+                raise ValueError(
+                    f"no {npoints}-point rule on {self.dimension}D elements; "
+                    f"available: {sorted(rules)}"
+                )
+            lam, w = rules[npoints]
+            # x = p_0 + sum over s >= 1 of lam_s (p_s - p_0)
+            p = self._element_vertices()
+            xq = np.einsum("esd,qs->deq", p[:, 1:] - p[:, :1], lam[:, 1:])
+            xq += p[:, 0].T[:, :, None]
+            wq = self.measure[:, None] * w[None, :]
+            self._quadrature[npoints] = _read_only(lam, xq, wq)
+        return self._quadrature[npoints]
 
 
 def build_mesh_1d(a, b, subdivisions):
@@ -116,45 +286,17 @@ def build_spatial_mesh(domain, subdivisions):
     raise ValueError(f"unknown domain descriptor {domain!r}")
 
 
-def _triangle_geometry(mesh):
-    """Per-triangle gradients and areas.
-
-    Returns (b, c, area) where the P1 basis gradients on element e are
-    (b[e, s], c[e, s]) / (2 * area[e]).
-    """
-    p = mesh.vertices[mesh.elements]
-    x = p[:, :, 0]
-    y = p[:, :, 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    det = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
-        y[:, 1] - y[:, 0]
-    )
-    return b, c, 0.5 * det
-
-
 def _assemble_matrix(mesh, which):
     n_nodes = mesh.vertices.shape[0]
     el = mesh.elements
-    if mesh.dimension == 1:
-        h = mesh.vertices[el[:, 1]] - mesh.vertices[el[:, 0]]
-        if which == "mass":
-            local = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-            vals = h[:, None, None] * local
-        else:
-            local = np.array([[1.0, -1.0], [-1.0, 1.0]])
-            vals = local / h[:, None, None]
-        nv = 2
+    nv = mesh.dimension + 1
+    if which == "mass":
+        local = (np.ones((nv, nv)) + np.eye(nv)) / (nv * (nv + 1))
+        vals = mesh.measure[:, None, None] * local
     else:
-        b, c, area = _triangle_geometry(mesh)
-        if which == "mass":
-            local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-            vals = area[:, None, None] * local
-        else:
-            vals = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
-                4.0 * area[:, None, None]
-            )
-        nv = 3
+        g = mesh.scaled_gradients
+        scale = math.factorial(mesh.dimension) ** 2 * mesh.measure
+        vals = (g @ g.transpose(0, 2, 1)) / scale[:, None, None]
     rows = np.repeat(el, nv, axis=1).ravel()
     cols = np.tile(el, (1, nv)).ravel()
     full = sp.coo_matrix(
@@ -165,17 +307,16 @@ def _assemble_matrix(mesh, which):
 
 
 def _get_matrix(mesh, which, interior_only):
-    cache = mesh._mass if which == "mass" else mesh._stiffness
-    if interior_only not in cache:
-        if interior_only:
-            full = _get_matrix(mesh, which, False)
-            idx = mesh.interior_nodes
-            restricted = full[idx, :][:, idx].tocsr()
-            restricted.sort_indices()
-            cache[True] = restricted
-        else:
-            cache[False] = _assemble_matrix(mesh, which)
-    return cache[interior_only]
+    # only the interior matrices are cached; the full ones are rebuilt on
+    # request, since no time step needs them
+    if not interior_only:
+        return _assemble_matrix(mesh, which)
+    if which not in mesh._matrices:
+        idx = mesh.interior_nodes
+        restricted = _assemble_matrix(mesh, which)[idx, :][:, idx].tocsr()
+        restricted.sort_indices()
+        mesh._matrices[which] = restricted
+    return mesh._matrices[which]
 
 
 def assemble_mass(mesh, interior_only=True):
@@ -188,165 +329,37 @@ def assemble_stiffness(mesh, interior_only=True):
     return _get_matrix(mesh, "stiffness", interior_only)
 
 
-_TRI_RULES = {
-    1: (np.array([[1.0, 1.0, 1.0]]) / 3.0, np.array([1.0])),
-    3: (
-        np.array(
-            [
-                [2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
-                [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
-                [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0],
-            ]
-        ),
-        np.array([1.0, 1.0, 1.0]) / 3.0,
-    ),
-    4: (
-        np.array(
-            [
-                [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
-                [0.6, 0.2, 0.2],
-                [0.2, 0.6, 0.2],
-                [0.2, 0.2, 0.6],
-            ]
-        ),
-        np.array([-27.0, 25.0, 25.0, 25.0]) / 48.0,
-    ),
-    6: (
-        np.array(
-            [
-                [0.816847572980459, 0.091576213509771, 0.091576213509771],
-                [0.091576213509771, 0.816847572980459, 0.091576213509771],
-                [0.091576213509771, 0.091576213509771, 0.816847572980459],
-                [0.108103018168070, 0.445948490915965, 0.445948490915965],
-                [0.445948490915965, 0.108103018168070, 0.445948490915965],
-                [0.445948490915965, 0.445948490915965, 0.108103018168070],
-            ]
-        ),
-        np.array(
-            [
-                0.109951743655322,
-                0.109951743655322,
-                0.109951743655322,
-                0.223381589678011,
-                0.223381589678011,
-                0.223381589678011,
-            ]
-        ),
-    ),
-    7: (
-        np.array(
-            [
-                [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
-                [0.797426985353087, 0.101286507323456, 0.101286507323456],
-                [0.101286507323456, 0.797426985353087, 0.101286507323456],
-                [0.101286507323456, 0.101286507323456, 0.797426985353087],
-                [0.059715871789770, 0.470142064105115, 0.470142064105115],
-                [0.470142064105115, 0.059715871789770, 0.470142064105115],
-                [0.470142064105115, 0.470142064105115, 0.059715871789770],
-            ]
-        ),
-        np.array(
-            [
-                0.225,
-                0.125939180544827,
-                0.125939180544827,
-                0.125939180544827,
-                0.132394152788506,
-                0.132394152788506,
-                0.132394152788506,
-            ]
-        ),
-    ),
-}
-
-_MAX_QUAD = 7
+def _interior_sum(mesh, local):
+    """Add per-element vertex values, shape (n_elements, dimension + 1), into
+    the nodes and keep the interior unknowns."""
+    vec = np.bincount(mesh.elements.ravel(), local.ravel(), mesh.vertices.shape[0])
+    return vec[mesh.interior_nodes]
 
 
-def _gauss_rule_1d(npoints):
-    if not 1 <= npoints <= _MAX_QUAD:
-        raise ValueError(f"1D quadrature supports 1..{_MAX_QUAD} points, got {npoints}")
-    nodes, weights = np.polynomial.legendre.leggauss(int(npoints))
-    # reference element [0, 1] in barycentric form
-    lam = 0.5 * (nodes + 1.0)
-    return lam, 0.5 * weights
+def assemble_load(mesh, g, quad_order=3):
+    """Load vector (g, phi_i) on the interior unknowns by per-element quadrature.
 
-
-def _tri_rule(npoints):
-    if npoints not in _TRI_RULES:
-        raise ValueError(
-            f"no {npoints}-point triangle rule; available: {sorted(_TRI_RULES)}"
-        )
-    return _TRI_RULES[npoints]
-
-
-def _quad_points_1d(mesh, quad_order):
-    lam, w = _gauss_rule_1d(quad_order)
-    el = mesh.elements
-    x0 = mesh.vertices[el[:, 0]]
-    x1 = mesh.vertices[el[:, 1]]
-    h = x1 - x0
-    xq = x0[:, None] + h[:, None] * lam[None, :]
-    wq = h[:, None] * w[None, :]
-    return xq, wq, lam
-
-
-def _quad_points_2d(mesh, quad_order):
-    lam, w = _tri_rule(quad_order)
-    p = mesh.vertices[mesh.elements]
-    xq = np.einsum("qs,esd->eqd", lam, p)
-    _, _, area = _triangle_geometry(mesh)
-    wq = area[:, None] * w[None, :]
-    return xq, wq, lam
-
-
-def assemble_load(mesh, g, quad_order=3, interior_only=True):
-    """Load vector (g, phi_i) by per-element Gauss quadrature.
-
-    In 1D the callable receives an array of coordinates; in 2D it receives
-    two arrays (x, y).  quad_order counts quadrature points per element.
+    The callable receives one coordinate array per dimension, g(x) in 1D
+    and g(x, y) in 2D.  quad_order counts quadrature points per element.
     """
-    n_nodes = mesh.vertices.shape[0]
-    vec = np.zeros(n_nodes)
-    el = mesh.elements
-    if mesh.dimension == 1:
-        xq, wq, lam = _quad_points_1d(mesh, quad_order)
-        gq = g(xq)
-        shapes = np.stack([1.0 - lam, lam])  # (2, nq)
-        for s in range(2):
-            np.add.at(vec, el[:, s], np.sum(wq * gq * shapes[s][None, :], axis=1))
-    else:
-        xq, wq, lam = _quad_points_2d(mesh, quad_order)
-        gq = g(xq[:, :, 0], xq[:, :, 1])
-        for s in range(3):
-            np.add.at(vec, el[:, s], np.sum(wq * gq * lam[None, :, s], axis=1))
-    if interior_only:
-        return vec[mesh.interior_nodes]
-    return vec
+    lam, xq, wq = mesh.quadrature(quad_order)
+    weighted = wq * g(*xq)
+    # summed point by point rather than by a matmul, which may fuse the
+    # multiply-adds and so move the 1D loads by an ulp
+    return _interior_sum(mesh, np.sum(weighted[:, None, :] * lam.T, axis=2))
 
 
-def assemble_grad_load(mesh, grad, quad_order=3, interior_only=True):
-    """Vector (grad g, grad phi_i); grad returns g' in 1D, (gx, gy) in 2D."""
-    n_nodes = mesh.vertices.shape[0]
-    vec = np.zeros(n_nodes)
-    el = mesh.elements
-    if mesh.dimension == 1:
-        xq, wq, _ = _quad_points_1d(mesh, quad_order)
-        h = mesh.vertices[el[:, 1]] - mesh.vertices[el[:, 0]]
-        gq = grad(xq)
-        integral = np.sum(wq * gq, axis=1)
-        np.add.at(vec, el[:, 0], -integral / h)
-        np.add.at(vec, el[:, 1], integral / h)
-    else:
-        b, c, area = _triangle_geometry(mesh)
-        xq, wq, _ = _quad_points_2d(mesh, quad_order)
-        gx, gy = grad(xq[:, :, 0], xq[:, :, 1])
-        ix = np.sum(wq * gx, axis=1)
-        iy = np.sum(wq * gy, axis=1)
-        for s in range(3):
-            np.add.at(vec, el[:, s], (ix * b[:, s] + iy * c[:, s]) / (2.0 * area))
-    if interior_only:
-        return vec[mesh.interior_nodes]
-    return vec
+def assemble_grad_load(mesh, grad, quad_order=3):
+    """Vector (grad g, grad phi_i) on the interior unknowns.
+
+    grad receives one coordinate array per dimension and returns g' in 1D,
+    (gx, gy) in 2D.
+    """
+    _, xq, wq = mesh.quadrature(quad_order)
+    integral = np.sum(wq * np.reshape(grad(*xq), xq.shape), axis=2)
+    scale = math.factorial(mesh.dimension) * mesh.measure
+    local = np.einsum("esk,ke->es", mesh.scaled_gradients, integral) / scale[:, None]
+    return _interior_sum(mesh, local)
 
 
 @dataclass(frozen=True)
@@ -448,48 +461,30 @@ def l2_norm(u):
 
 
 def _element_gradients(u):
-    z = u.nodal_values()
+    """Gradient of a P1 function on every element, shape (n_elements, dimension)."""
     mesh = u.mesh
-    el = mesh.elements
-    if mesh.dimension == 1:
-        h = mesh.vertices[el[:, 1]] - mesh.vertices[el[:, 0]]
-        return (z[el[:, 1]] - z[el[:, 0]]) / h
-    b, c, area = _triangle_geometry(mesh)
-    zs = z[el]
-    gx = np.sum(zs * b, axis=1) / (2.0 * area)
-    gy = np.sum(zs * c, axis=1) / (2.0 * area)
-    return gx, gy
+    zs = u.nodal_values()[mesh.elements]
+    scale = math.factorial(mesh.dimension) * mesh.measure
+    return np.einsum("es,esk->ek", zs, mesh.scaled_gradients) / scale[:, None]
 
 
 def h1_seminorm_error(u, exact_grad, quad_order=3):
-    """H1 seminorm of u minus a function given by its gradient."""
-    mesh = u.mesh
-    if mesh.dimension == 1:
-        gh = _element_gradients(u)
-        xq, wq, _ = _quad_points_1d(mesh, quad_order)
-        diff = gh[:, None] - exact_grad(xq)
-        total = np.sum(wq * diff**2)
-    else:
-        gx, gy = _element_gradients(u)
-        xq, wq, _ = _quad_points_2d(mesh, quad_order)
-        ex, ey = exact_grad(xq[:, :, 0], xq[:, :, 1])
-        total = np.sum(wq * ((gx[:, None] - ex) ** 2 + (gy[:, None] - ey) ** 2))
+    """H1 seminorm of u minus a function given by its gradient.
+
+    exact_grad receives one coordinate array per dimension and returns the
+    derivative in 1D, the pair of partial derivatives in 2D.
+    """
+    _, xq, wq = u.mesh.quadrature(quad_order)
+    diff = _element_gradients(u).T[:, :, None] - np.reshape(exact_grad(*xq), xq.shape)
+    total = np.sum(wq * np.sum(diff**2, axis=0))
     return math.sqrt(max(total, 0.0))
 
 
 def l2_error(u, exact, quad_order=3):
-    """L2 norm of u minus a pointwise-evaluable function."""
-    mesh = u.mesh
-    z = u.nodal_values()
-    el = mesh.elements
-    if mesh.dimension == 1:
-        xq, wq, lam = _quad_points_1d(mesh, quad_order)
-        uh = z[el[:, 0]][:, None] * (1.0 - lam)[None, :] + z[el[:, 1]][:, None] * lam[None, :]
-        diff = uh - exact(xq)
-        total = np.sum(wq * diff**2)
-    else:
-        xq, wq, lam = _quad_points_2d(mesh, quad_order)
-        uh = np.einsum("es,qs->eq", z[el], lam)
-        diff = uh - exact(xq[:, :, 0], xq[:, :, 1])
-        total = np.sum(wq * diff**2)
+    """L2 norm of u minus a pointwise-evaluable function of one coordinate
+    array per dimension."""
+    lam, xq, wq = u.mesh.quadrature(quad_order)
+    uh = np.sum(u.nodal_values()[u.mesh.elements][:, None, :] * lam, axis=2)
+    diff = uh - exact(*xq)
+    total = np.sum(wq * diff**2)
     return math.sqrt(max(total, 0.0))

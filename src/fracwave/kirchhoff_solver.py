@@ -58,8 +58,6 @@ class ProblemSpec:
         Initial velocity, its gradient, and its Laplacian; None means zero.
         A nonzero u1 needs grad_u1 or lap_u1 for the stationary forcing
         term t * a(.) * (Lap u1, phi).
-    lipschitz : float or None
-        Declared Lipschitz constant of a, informational.
     """
 
     alpha: float
@@ -74,7 +72,6 @@ class ProblemSpec:
     u1: object = None
     grad_u1: object = None
     lap_u1: object = None
-    lipschitz: float = None
 
     def __post_init__(self):
         if not 1 < self.alpha < 2:
@@ -130,12 +127,6 @@ class SolverState:
 
     def recovered_fn(self, n):
         return FeFunction(self.recovered(n), self.smesh)
-
-
-def _space_only(f, t, dimension):
-    if dimension == 1:
-        return lambda x: f(x, t)
-    return lambda x, y: f(x, y, t)
 
 
 def initialize(spec, tmesh, smesh, quad_order=3, tol=1e-12):
@@ -233,9 +224,7 @@ def step(state, n):
     g_hist = weights @ state.v[:n]
     h_hist = weights @ state.ubar[:n]
 
-    fn = assemble_load(
-        state.smesh, _space_only(spec.f, tn, state.smesh.dimension), state.quad_order
-    )
+    fn = assemble_load(state.smesh, lambda *x: spec.f(*x, tn), state.quad_order)
     rhs = (fn + tn * kap * state.lap_u1_load) / d1
     rhs -= (state.mass @ g_hist) / d1
     rhs -= state.mass @ h_hist

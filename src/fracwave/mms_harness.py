@@ -13,7 +13,7 @@ N ~ Ms**(2/(2-beta)).
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class ManufacturedCase:
     a: object
     m1: float
     m2: float
-    lipschitz: float
     u: object
     grad_u: object
     lap_u: object
@@ -56,7 +55,6 @@ class ManufacturedCase:
             m1=self.m1,
             m2=self.m2,
             f=self.f,
-            lipschitz=self.lipschitz,
         )
 
 
@@ -107,7 +105,6 @@ def example1_case(alpha):
         a=a,
         m1=2.0,
         m2=4.0,
-        lipschitz=1.0,
         u=u,
         grad_u=grad_u,
         lap_u=lap_u,
@@ -162,7 +159,6 @@ def example2_case(alpha):
         a=a,
         m1=2.0,
         m2=4.0,
-        lipschitz=1.0,
         u=u,
         grad_u=grad_u,
         lap_u=lap_u,
@@ -198,11 +194,6 @@ class ReportRow:
     capped: bool = False
 
 
-@dataclass
-class ConvergenceReport:
-    rows: list = field(default_factory=list)
-
-
 def round_even(x):
     """Nearest even integer, at least 2."""
     return max(2, 2 * int(round(0.5 * x)))
@@ -230,14 +221,10 @@ def run_single_case(case, N, Ms, r=None, quad_order=3, tol=1e-12):
     tmesh = build_graded_mesh(case.T, N, r)
     smesh = build_spatial_mesh(case.domain, Ms)
     state = solve_all(case.problem_spec(), tmesh, smesh, quad_order, tol)
-    dim = smesh.dimension
     worst = 0.0
     for n in range(1, tmesh.N + 1):
         tn = tmesh.t[n]
-        if dim == 1:
-            exact_grad = lambda x: case.grad_u(x, tn)
-        else:
-            exact_grad = lambda x, y: case.grad_u(x, y, tn)
+        exact_grad = lambda *x: case.grad_u(*x, tn)
         err = h1_seminorm_error(state.recovered_fn(n), exact_grad, quad_order)
         if err > worst:
             worst = err
@@ -279,14 +266,17 @@ def _attach_orders(rows, keys):
 
 
 def temporal_study(case, n_list, r=None, quad_order=3, tol=1e-12):
-    """Convergence in N with the coupled spatial resolution Ms ~ N**(2-beta)."""
+    """Convergence in N with the coupled spatial resolution Ms ~ N**(2-beta).
+
+    Returns one ReportRow per entry of n_list, with orders attached.
+    """
     beta = 0.5 * case.alpha
     rows = [
         run_single_case(case, N, coupled_ms(N, beta), r, quad_order, tol)
         for N in n_list
     ]
     _attach_orders(rows, [row.N for row in rows])
-    return ConvergenceReport(rows)
+    return rows
 
 
 def spatial_study(case, ms_list, r=None, n_cap=4096, quad_order=3, tol=1e-12):
@@ -294,7 +284,8 @@ def spatial_study(case, ms_list, r=None, n_cap=4096, quad_order=3, tol=1e-12):
 
     Pairings whose coupled N exceeds n_cap run at n_cap instead and are
     flagged; the cap keeps the finest spatial levels affordable once the
-    temporal error is far below the spatial one.
+    temporal error is far below the spatial one.  Returns one ReportRow per
+    entry of ms_list, with orders attached.
     """
     beta = 0.5 * case.alpha
     rows = []
@@ -307,7 +298,7 @@ def spatial_study(case, ms_list, r=None, n_cap=4096, quad_order=3, tol=1e-12):
         row.capped = capped
         rows.append(row)
     _attach_orders(rows, [row.Ms for row in rows])
-    return ConvergenceReport(rows)
+    return rows
 
 
 def trajectory_rows(case, state, quad_order=3):
@@ -316,16 +307,11 @@ def trajectory_rows(case, state, quad_order=3):
     Yields (n, t_n, h1_error, l2_error, bound_quantity) for n = 0..N.
     """
     bound = apriori_bound_report(state)
-    dim = state.smesh.dimension
     out = []
     for n in range(state.n_done + 1):
         tn = state.tmesh.t[n]
         fn = state.recovered_fn(n)
-        if dim == 1:
-            h1 = h1_seminorm_error(fn, lambda x: case.grad_u(x, tn), quad_order)
-            l2 = l2_error(fn, lambda x: case.u(x, tn), quad_order)
-        else:
-            h1 = h1_seminorm_error(fn, lambda x, y: case.grad_u(x, y, tn), quad_order)
-            l2 = l2_error(fn, lambda x, y: case.u(x, y, tn), quad_order)
+        h1 = h1_seminorm_error(fn, lambda *x: case.grad_u(*x, tn), quad_order)
+        l2 = l2_error(fn, lambda *x: case.u(*x, tn), quad_order)
         out.append((n, tn, h1, l2, bound[n]))
     return out

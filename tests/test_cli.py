@@ -34,6 +34,7 @@ def test_parse_requires_command():
         ("command=spatial-study alpha=1.5 Ms=1,8", "Ms"),
         ("command=temporal-study alpha=1.5 N=8,16 r=0.5", "r"),
         ("command=temporal-study alpha=1.5 N=8,16 quadrature=9", "quadrature"),
+        ("command=temporal-study example=ex2 alpha=1.5 N=8,16 quadrature=2", "quadrature"),
         ("command=temporal-study alpha=1.5 N=8,16 tol=0", "tol"),
         ("command=temporal-study alpha=1.5 N=8,16 threads=0", "threads"),
         ("command=caputo-check beta=1.5 sigma=1 N=8,16", "beta"),
@@ -187,12 +188,22 @@ def test_main_reports_config_errors(capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_main_reports_runtime_failure(tmp_path, capsys):
-    # quadrature=2 has no triangle rule, so a 2D run fails cleanly
+def test_parse_rejects_missing_output_directory(tmp_path):
+    with pytest.raises(ConfigError, match="output"):
+        parse_config(f"command=solve alpha=1.5 N=4 output={tmp_path / 'nodir' / 'x.csv'}")
+
+
+def test_main_reports_runtime_failure(tmp_path, capsys, monkeypatch):
+    import fracwave.cli as cli_module
+
+    def failing_case(*args, **kwargs):
+        raise RuntimeError("CG did not converge")
+
+    monkeypatch.setattr(cli_module, "run_single_case", failing_case)
     out = tmp_path / "nope.csv"
     code = main([
-        "command=temporal-study", "example=ex2", "alpha=1.5", "N=4,8",
-        "quadrature=2", f"output={out}",
+        "command=temporal-study", "example=ex2", "alpha=1.5", "N=4,8", f"output={out}",
     ])
     assert code == 1
     assert "error" in capsys.readouterr().err
+    assert not out.exists()

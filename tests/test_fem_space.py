@@ -59,6 +59,16 @@ def test_mass_and_stiffness_rows_1d():
     np.testing.assert_allclose(np.diag(stiff, 1), -1 / h, rtol=1e-14)
 
 
+def test_stiffness_1d_entries_are_exact_reciprocals():
+    # the 1D solves at large Ms turn a one-ulp change in these entries into
+    # a change in the sixth digit of the printed orders
+    mesh = build_spatial_mesh(("interval", 0.0, math.pi), 8192)
+    h = np.diff(mesh.vertices)
+    stiff = assemble_stiffness(mesh)
+    np.testing.assert_array_equal(stiff.diagonal(1), -1.0 / h[1:-1])
+    np.testing.assert_array_equal(stiff.diagonal(), 1.0 / h[:-1] + 1.0 / h[1:])
+
+
 def test_stiffness_diagonal_2d_coarse():
     # brute-force integration over the 8 incident triangles gives exactly 4
     mesh = build_spatial_mesh(("unit_square",), 2)
@@ -67,6 +77,19 @@ def test_stiffness_diagonal_2d_coarse():
     assert stiff[0, 0] == pytest.approx(4.0, rel=1e-14)
     mass = assemble_mass(mesh).toarray()
     assert mass[0, 0] == pytest.approx(0.125, rel=1e-14)
+
+
+def test_stiffness_2d_is_five_point_laplacian():
+    # on the fixed-diagonal triangulation the diagonal couplings cancel,
+    # leaving the (4, -1, -1, -1, -1) stencil on the interior grid
+    import scipy.sparse as sp
+
+    ms = 8
+    mesh = build_spatial_mesh(("unit_square",), ms)
+    t = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(ms - 1, ms - 1))
+    eye = sp.identity(ms - 1)
+    five_point = (sp.kron(eye, t) + sp.kron(t, eye)).toarray()
+    np.testing.assert_allclose(assemble_stiffness(mesh).toarray(), five_point, rtol=0, atol=1e-13)
 
 
 def test_mass_total_is_domain_area():
@@ -131,6 +154,27 @@ def test_tri_rule_rejects_unavailable_order():
     square = build_spatial_mesh(("unit_square",), 2)
     with pytest.raises(ValueError):
         assemble_load(square, lambda x, y: x, quad_order=2)
+
+
+@pytest.mark.parametrize("domain", [("interval", 0.0, 1.0), ("unit_square",)])
+def test_quadrature_is_built_once_per_rule(domain):
+    mesh = build_spatial_mesh(domain, 4)
+    first = mesh.quadrature(3)
+    g = lambda *x: np.ones_like(x[0])
+    assemble_load(mesh, g)
+    l2_error(FeFunction(np.zeros(mesh.num_interior), mesh), g)
+    again = mesh.quadrature(3)
+    assert all(a is b for a, b in zip(first, again))
+    assert mesh.quadrature(1)[1] is not first[1]
+
+
+@pytest.mark.parametrize("domain", [("interval", 0.0, 1.0), ("unit_square",)])
+def test_cached_geometry_and_quadrature_are_read_only(domain):
+    mesh = build_spatial_mesh(domain, 4)
+    for arr in (mesh.measure, mesh.scaled_gradients, *mesh.quadrature(3)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_l2_projection_idempotent_on_p1():

@@ -148,20 +148,20 @@ def test_errors_shrink_under_coupled_refinement():
 
 def test_temporal_study_attaches_orders():
     case = example1_case(1.5)
-    report = temporal_study(case, [8, 16])
-    assert len(report.rows) == 2
-    assert report.rows[0].oc is not None
-    assert report.rows[1].oc is None
-    assert 0.6 < report.rows[0].oc < 1.9
+    rows = temporal_study(case, [8, 16])
+    assert len(rows) == 2
+    assert rows[0].oc is not None
+    assert rows[1].oc is None
+    assert 0.6 < rows[0].oc < 1.9
 
 
 def test_spatial_study_respects_cap():
     case = example1_case(1.5)
-    report = spatial_study(case, [4, 8], n_cap=16)
-    assert [row.Ms for row in report.rows] == [4, 8]
-    assert report.rows[1].capped
-    assert report.rows[1].N == 16
-    assert not report.rows[0].capped
+    rows = spatial_study(case, [4, 8], n_cap=16)
+    assert [row.Ms for row in rows] == [4, 8]
+    assert rows[1].capped
+    assert rows[1].N == 16
+    assert not rows[0].capped
 
 
 def test_trajectory_rows_cover_all_levels():
