@@ -41,6 +41,8 @@ TRAJECTORY_HEADER = "n,t_n,h1_error,l2_error,bound_quantity"
 DEFAULT_N_CAP = 4096
 # spatial dimension of each built-in example, which fixes its quadrature rules
 EXAMPLE_DIMENSIONS = {"ex1": 1, "ex2": 2}
+# the key each study refines, whose rows the observed orders compare
+REFINED_KEYS = {"temporal-study": "N", "spatial-study": "Ms", "caputo-check": "N"}
 
 
 class ConfigError(ValueError):
@@ -188,6 +190,20 @@ def parse_config(source):
             raise ConfigError("caputo-check needs beta and sigma")
         if len(cfg.N) < 2:
             raise ConfigError("caputo-check needs N with at least two entries")
+        if cfg.sigma < cfg.beta:
+            raise ConfigError(
+                f"caputo-check needs sigma >= beta, got sigma={cfg.sigma:g} < beta={cfg.beta:g}"
+            )
+    # the orders compare neighbouring rows, so the refined key must double
+    refined = REFINED_KEYS.get(cfg.command)
+    if refined is not None:
+        values = sorted(getattr(cfg, refined))
+        for a, b in zip(values, values[1:]):
+            if b != 2 * a:
+                raise ConfigError(
+                    f"{refined} entries must be distinct and double when sorted, "
+                    f"got {a} then {b}"
+                )
     return cfg
 
 
@@ -260,7 +276,7 @@ def _grouped_rows(cfg, keys_of):
     out = []
     for i in range(0, len(rows), per_alpha):
         group = rows[i : i + per_alpha]
-        key_attr = "N" if cfg.command == "temporal-study" else "Ms"
+        key_attr = REFINED_KEYS[cfg.command]
         ocs = observed_order([(getattr(r_, key_attr), r_.error) for r_ in group])
         for row, oc in zip(group[:-1], ocs):
             row.oc = oc

@@ -11,7 +11,9 @@ matrices and load vectors live on the interior unknowns only.  The 2D mesh
 is the structured triangulation of the unit square obtained by cutting each
 cell of an Ms x Ms grid along the same diagonal, giving 2*Ms**2 right
 triangles.  The discrete Laplacian is never formed; inner products against
-it are taken through the stiffness matrix.
+it are taken through the stiffness matrix.  On that grid the stiffness is
+the 5-point Laplacian, which the orthonormal sine transform (DST-I)
+diagonalizes; SpatialMesh.preconditioner uses it to precondition CG.
 """
 
 import math
@@ -42,6 +44,25 @@ def _det(m):
     if m.shape[-1] == 0:
         return np.ones(m.shape[:-2])
     return sum((-1) ** j * m[..., 0, j] * _det(_minor(m, 0, j)) for j in range(m.shape[-1]))
+
+
+def dst1(x):
+    """Orthonormal DST-I along the last axis, its own inverse.
+
+    Entry k of the result, k = 1..n, is sqrt(2 / (n + 1)) times the sum over
+    j = 1..n of x_j sin(pi j k / (n + 1)).  Computed as the imaginary part of
+    the real FFT of the odd extension (0, x, 0, -reversed x).
+    """
+    n = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (2 * n + 2,))
+    ext[..., 1 : n + 1] = x
+    ext[..., n + 2 :] = -x[..., ::-1]
+    return np.fft.rfft(ext, axis=-1).imag[..., 1 : n + 1] * -math.sqrt(0.5 / (n + 1))
+
+
+def _dst2(grid):
+    """Orthonormal DST-I along both axes of a 2D array."""
+    return dst1(dst1(grid).T).T
 
 
 def _gauss_rule(npoints):
@@ -204,6 +225,11 @@ class SpatialMesh:
         _read_only(self.measure, self.scaled_gradients)
         self._quadrature = {}
         self._matrices = {}
+        # cos(k pi / Ms), k = 1..Ms-1: the DST-I symbols of the square's grid
+        self._grid_cos = None
+        if domain[0] == "unit_square":
+            k = np.arange(1, self.subdivisions)
+            (self._grid_cos,) = _read_only(np.cos(k * math.pi / self.subdivisions))
 
     def _element_vertices(self):
         """Vertex coordinates per element, shape (n_elements, dimension + 1, dimension)."""
@@ -233,6 +259,30 @@ class SpatialMesh:
             wq = self.measure[:, None] * w[None, :]
             self._quadrature[npoints] = _read_only(lam, xq, wq)
         return self._quadrature[npoints]
+
+    def preconditioner(self, a, b):
+        """Approximate inverse of a * M + b * A for spd_solve, or None.
+
+        On the unit square's grid it applies (a * Mhat + b * Lhat)^(-1) by
+        a DST-I along both axes of the row-major (Ms-1) x (Ms-1) interior
+        grid.  Lhat is the stiffness itself (the 5-point Laplacian), with
+        symbols (2 - 2 c_i) + (2 - 2 c_j), c_k = cos(k pi / Ms).  Mhat is
+        the consistent mass stencil with its NE/SW coupling spread evenly
+        over both diagonals, symbols h^2/12 (6 + 2 c_i + 2 c_j + 2 c_i c_j)
+        with h = 1 / Ms; its stencil sums to h^2, as the consistent one
+        does.  Interval meshes get None, which spd_solve takes as Jacobi.
+        """
+        c = self._grid_cos
+        if c is None:
+            return None
+        ci, cj = c[:, None], c[None, :]
+        mass = (6.0 + 2.0 * ci + 2.0 * cj + 2.0 * ci * cj) / (12.0 * self.subdivisions**2)
+        inverse = 1.0 / (a * mass + b * (4.0 - 2.0 * ci - 2.0 * cj))
+
+        def apply(r):
+            return _dst2(_dst2(r.reshape(inverse.shape)) * inverse).ravel()
+
+        return apply
 
 
 def build_mesh_1d(a, b, subdivisions):
@@ -384,19 +434,27 @@ class FeFunction:
         return z
 
 
-def spd_solve(matrix, rhs, tol=1e-12, x0=None, max_iter=None):
-    """Jacobi-preconditioned conjugate gradients for SPD systems.
+def spd_solve(matrix, rhs, tol=1e-12, x0=None, max_iter=None, precond=None):
+    """Preconditioned conjugate gradients for SPD systems.
 
-    Iterates until ||rhs - A x|| <= tol * ||rhs||.  Deterministic: fixed
-    iteration order, no randomization.  Returns (x, iterations) and raises
-    RuntimeError with the final residual if max_iter is exhausted.
+    precond maps a residual to its preconditioned vector (an SPD
+    approximate inverse, such as SpatialMesh.preconditioner); None means
+    Jacobi, the inverse diagonal of the matrix.  Iterates until
+    ||rhs - A x|| <= tol * ||rhs||.  Deterministic: fixed iteration order,
+    no randomization.  Returns (x, iterations) and raises RuntimeError with
+    the final residual if max_iter is exhausted.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
         return np.zeros(n), 0
-    dinv = 1.0 / matrix.diagonal()
+    if precond is None:
+        dinv = 1.0 / matrix.diagonal()
+
+        def precond(r):
+            return dinv * r
+
     if x0 is None:
         x = np.zeros(n)
         r = rhs.copy()
@@ -409,7 +467,7 @@ def spd_solve(matrix, rhs, tol=1e-12, x0=None, max_iter=None):
     res = np.linalg.norm(r)
     if res <= target:
         return x, 0
-    z = dinv * r
+    z = precond(r)
     p = z.copy()
     rz = r @ z
     for it in range(1, max_iter + 1):
@@ -420,7 +478,7 @@ def spd_solve(matrix, rhs, tol=1e-12, x0=None, max_iter=None):
         res = np.linalg.norm(r)
         if res <= target:
             return x, it
-        z = dinv * r
+        z = precond(r)
         rz_new = r @ z
         p = z + (rz_new / rz) * p
         rz = rz_new

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .caputo_l1 import l1_row
 from .fem_space import (
@@ -139,6 +140,13 @@ def initialize(spec, tmesh, smesh, quad_order=3, tol=1e-12):
     """
     mass = assemble_mass(smesh)
     stiffness = assemble_stiffness(smesh)
+    # both come from the same element connectivity, the stiffness keeping
+    # its zero entries, so step forms every level's system on this pattern
+    if not (
+        np.array_equal(mass.indptr, stiffness.indptr)
+        and np.array_equal(mass.indices, stiffness.indices)
+    ):
+        raise RuntimeError("mass and stiffness matrices have different sparsity patterns")
     m = smesh.num_interior
     n_levels = tmesh.N + 1
 
@@ -194,7 +202,10 @@ def step(state, n):
     where G and H are the L1 history combinations of v and ubar, E is the
     load of Lap u1, and kappa is the coefficient frozen at the two-level
     extrapolant of the recovered displacement.  The velocity update
-    v^n = d_{n,1} x + H never touches an inverse mass matrix.
+    v^n = d_{n,1} x + H never touches an inverse mass matrix.  CG uses the
+    mesh's preconditioner where it has one (the DST-I on the unit square)
+    and Jacobi otherwise.  A non-finite right-hand side raises ValueError
+    before the solve.
     """
     if n != state.n_done + 1:
         raise ValueError(f"levels must advance in order; expected {state.n_done + 1}, got {n}")
@@ -228,9 +239,16 @@ def step(state, n):
     rhs = (fn + tn * kap * state.lap_u1_load) / d1
     rhs -= (state.mass @ g_hist) / d1
     rhs -= state.mass @ h_hist
+    if not np.isfinite(rhs).all():
+        raise ValueError(f"non-finite load or right-hand side at level {n}")
 
-    system = d1 * state.mass + (kap / d1) * state.stiffness
-    x, iters = spd_solve(system, rhs, state.tol, x0=state.ubar[n - 1])
+    mass = state.mass
+    system = sp.csr_matrix(
+        (d1 * mass.data + (kap / d1) * state.stiffness.data, mass.indices, mass.indptr),
+        shape=mass.shape,
+    )
+    precond = state.smesh.preconditioner(d1, kap / d1)
+    x, iters = spd_solve(system, rhs, state.tol, x0=state.ubar[n - 1], precond=precond)
 
     state.ubar[n] = x
     state.v[n] = d1 * x + h_hist

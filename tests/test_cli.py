@@ -207,3 +207,34 @@ def test_main_reports_runtime_failure(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "command=temporal-study example=ex1 alpha=1.5 N=4,6",
+        "command=temporal-study example=ex1 alpha=1.5 N=8,8",
+        "command=spatial-study example=ex1 alpha=1.5 Ms=8,12",
+        "command=spatial-study example=ex1 alpha=1.5 Ms=16,16",
+        "command=caputo-check beta=0.7 sigma=0.7 N=32,48",
+    ],
+)
+def test_bad_refinement_list_fails_before_any_solve(line, tmp_path, capsys, monkeypatch):
+    import fracwave.cli as cli_module
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a case was solved")
+
+    monkeypatch.setattr(cli_module, "run_single_case", must_not_run)
+    monkeypatch.setattr(cli_module, "truncation_study", must_not_run)
+    out = tmp_path / "report.csv"
+    assert main(line.split() + [f"output={out}"]) == 2
+    assert "must be distinct and double" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_caputo_check_sigma_below_beta_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "rates.csv"
+    assert main(["command=caputo-check", "beta=0.7", "sigma=0.3", "N=8,16", f"output={out}"]) == 2
+    assert "sigma >= beta" in capsys.readouterr().err
+    assert not out.exists()

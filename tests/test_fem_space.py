@@ -12,6 +12,7 @@ from fracwave.fem_space import (
     assemble_mass,
     assemble_stiffness,
     build_spatial_mesh,
+    dst1,
     grad_norm_sq,
     h1_seminorm_error,
     l2_error,
@@ -393,6 +394,70 @@ def test_spd_solve_reports_iteration_breach():
     rhs = np.ones(mesh.num_interior)
     with pytest.raises(RuntimeError):
         spd_solve(a, rhs, max_iter=2)
+
+
+def test_dst1_is_an_orthonormal_involution_equal_to_the_sine_matrix():
+    n = 31
+    k = np.arange(1, n + 1)
+    sine = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+    eye = np.eye(n)
+    transform = dst1(eye)
+    np.testing.assert_allclose(transform, sine, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(dst1(transform), eye, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(transform @ transform.T, eye, rtol=0, atol=1e-14)
+
+
+def _grid_operators(ms):
+    """5-point Laplacian and the diagonal-symmetrised mass stencil on the
+    (ms-1)^2 interior grid, built as Kronecker sums without any transform."""
+    import scipy.sparse as sp
+
+    n = ms - 1
+    eye = sp.identity(n)
+    shift = sp.diags([np.ones(n - 1), np.ones(n - 1)], [-1, 1])
+    tri = 2.0 * eye - shift
+    lap = sp.kron(eye, tri) + sp.kron(tri, eye)
+    mass = (6.0 * sp.identity(n * n) + sp.kron(eye, shift) + sp.kron(shift, eye)
+            + 0.5 * sp.kron(shift, shift)) / (12.0 * ms**2)
+    return mass.tocsr(), lap.tocsr()
+
+
+@pytest.mark.parametrize("ms", [8, 32])
+def test_preconditioner_inverts_its_grid_operator(ms):
+    mesh = build_spatial_mesh(("unit_square",), ms)
+    mass_hat, lap_hat = _grid_operators(ms)
+    # the stencils it diagonalizes: the stiffness itself, and a mass whose
+    # rows away from the boundary sum to h^2 as the consistent mass rows do
+    np.testing.assert_allclose(lap_hat.toarray(), assemble_stiffness(mesh).toarray(), atol=1e-13)
+    i, j = np.divmod(np.arange(mesh.num_interior), ms - 1)
+    deep = (i > 0) & (i < ms - 2) & (j > 0) & (j < ms - 2)
+    for mass in (mass_hat, assemble_mass(mesh)):
+        np.testing.assert_allclose(np.asarray(mass.sum(axis=1)).ravel()[deep], ms**-2.0, rtol=1e-13)
+    x = np.random.default_rng(3).standard_normal(mesh.num_interior)
+    for a, b in [(6.0, 0.2), (1e4, 1e-4), (0.0, 1.0)]:
+        apply = mesh.preconditioner(a, b)
+        np.testing.assert_allclose(apply((a * mass_hat + b * lap_hat) @ x), x, rtol=0, atol=1e-11)
+
+
+def test_interval_mesh_has_no_preconditioner():
+    assert build_spatial_mesh(("interval", 0.0, 1.0), 16).preconditioner(1.0, 1.0) is None
+
+
+@pytest.mark.parametrize("ms", [32, 76])
+@pytest.mark.parametrize("d1", [6.0, 112.0, 1e4])
+def test_dst_pcg_agrees_with_jacobi_pcg(ms, d1):
+    mesh = build_spatial_mesh(("unit_square",), ms)
+    kap = 1.3
+    system = d1 * assemble_mass(mesh) + (kap / d1) * assemble_stiffness(mesh)
+    rng = np.random.default_rng(int(d1) + ms)
+    x_true = np.sin(0.01 * np.arange(mesh.num_interior))
+    x_true += 0.01 * rng.standard_normal(mesh.num_interior)
+    rhs = system @ x_true
+    x0 = x_true + 0.1 * rng.standard_normal(mesh.num_interior)
+    x_jacobi, _ = spd_solve(system, rhs, x0=x0)
+    x_dst, iters = spd_solve(system, rhs, x0=x0, precond=mesh.preconditioner(d1, kap / d1))
+    assert np.linalg.norm(x_dst - x_jacobi) <= 1e-9 * np.linalg.norm(x_jacobi)
+    assert 1 <= iters <= 20
 
 
 def test_fe_function_shape_guard():

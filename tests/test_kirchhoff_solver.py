@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracwave.fem_space import build_spatial_mesh
+from fracwave.fem_space import build_spatial_mesh, spd_solve
 from fracwave.graded_time import build_graded_mesh
 from fracwave.kirchhoff_solver import (
     ProblemSpec,
@@ -14,7 +14,7 @@ from fracwave.kirchhoff_solver import (
     solve_all,
     step,
 )
-from fracwave.mms_harness import example1_case
+from fracwave.mms_harness import example1_case, example2_case
 
 
 def constant_coefficient_spec(f, u0=None, grad_u0=None, u1=None, grad_u1=None):
@@ -177,6 +177,53 @@ def test_system_matrix_positive_definite_spot_check():
     for _ in range(5):
         x = rng.standard_normal(smesh.num_interior)
         assert x @ (system @ x) > 0
+
+
+@pytest.mark.parametrize(
+    "case, ms", [(example1_case(1.5), 8192), (example2_case(1.5), 32)], ids=["1d", "2d"]
+)
+def test_step_system_is_the_mass_stiffness_sum_bit_for_bit(case, ms, monkeypatch):
+    import fracwave.kirchhoff_solver as ks
+    from fracwave.caputo_l1 import l1_row
+
+    seen = []
+
+    def spy(matrix, rhs, tol, x0=None, precond=None):
+        seen.append((matrix.data.copy(), matrix.indices, matrix.indptr, precond))
+        return spd_solve(matrix, rhs, tol, x0=x0, precond=precond)
+
+    monkeypatch.setattr(ks, "spd_solve", spy)
+    tmesh = build_graded_mesh(case.T, 4, 2.0)
+    smesh = build_spatial_mesh(case.domain, ms)
+    state = solve_all(case.problem_spec(), tmesh, smesh)
+    assert len(seen) == 3
+    for n, (data, indices, indptr, precond) in zip(range(2, 5), seen):
+        d1 = l1_row(tmesh, case.alpha / 2, n).d[0]
+        expected = d1 * state.mass + (state.kappa[n] / d1) * state.stiffness
+        assert expected.nnz == data.size
+        np.testing.assert_array_equal(indptr, expected.indptr)
+        np.testing.assert_array_equal(indices, expected.indices)
+        np.testing.assert_array_equal(data, expected.data)
+        # every level reuses the mass matrix's pattern arrays
+        assert np.shares_memory(indices, state.mass.indices)
+        assert np.shares_memory(indptr, state.mass.indptr)
+        assert (precond is None) == (smesh.dimension == 1)
+
+
+def test_non_finite_forcing_stops_before_the_solve(monkeypatch):
+    import fracwave.kirchhoff_solver as ks
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("CG ran on a non-finite right-hand side")
+
+    monkeypatch.setattr(ks, "spd_solve", no_solve)
+    case = example2_case(1.5)
+    spec = case.problem_spec()
+    spec.f = lambda x, y, t: np.full_like(x, np.nan)
+    tmesh = build_graded_mesh(case.T, 4, 2.0)
+    smesh = build_spatial_mesh(case.domain, 8)
+    with pytest.raises(ValueError, match="non-finite load or right-hand side at level 2"):
+        solve_all(spec, tmesh, smesh)
 
 
 def test_smallest_run_is_finite():
