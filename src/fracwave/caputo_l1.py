@@ -50,17 +50,34 @@ def _check_beta(beta):
         raise ValueError(f"fractional order beta must lie in (0, 1), got {beta}")
 
 
+def l1_rows(mesh, beta, lo, hi):
+    """L1 coefficients of the levels lo..hi-1, indexed by history level.
+
+    Returns D of shape (hi - lo, hi - 1) with D[i, j] = d_{m, m-j} for the
+    level m = lo + i and j < m, and D[i, j] = 0 for j >= m.  Each power
+    (t_m - t_j)**(1-beta) is computed once and shared by the two
+    coefficients it enters.
+    """
+    _check_beta(beta)
+    if not 1 <= lo < hi <= mesh.N + 1:
+        raise ValueError(f"levels must satisfy 1 <= lo < hi <= N+1={mesh.N + 1}, got [{lo}, {hi})")
+    t = mesh.t
+    # max(., 0) sends 0 ** (1-beta) = 0 at j = m and zeroes the entries past it
+    p = t[lo:hi, None] - t[None, :hi]
+    np.maximum(p, 0.0, out=p)
+    p **= 1.0 - beta
+    d = p[:, :-1] - p[:, 1:]
+    del p
+    d /= math.gamma(2.0 - beta) * mesh.tau[: hi - 1]
+    return d
+
+
 def l1_row(mesh, beta, n):
     """Coefficients d_{n,k}, k = 1..n, of the L1 formula at level n."""
     _check_beta(beta)
     if n < 1 or n > mesh.N:
         raise ValueError(f"level must satisfy 1 <= n <= N={mesh.N}, got {n}")
-    t = mesh.t
-    tn = t[n]
-    ks = np.arange(1, n + 1)
-    left = (tn - t[n - ks]) ** (1.0 - beta)
-    right = (tn - t[n - ks + 1]) ** (1.0 - beta)
-    d = (left - right) / (math.gamma(2.0 - beta) * mesh.tau[n - ks])
+    d = l1_rows(mesh, beta, n, n + 1)[0, ::-1]
     d.flags.writeable = False
     return L1Row(int(n), float(beta), d)
 
@@ -95,7 +112,8 @@ def discrete_caputo(row, history):
 
 def _l1_table(mesh, beta, n):
     """All rows d_{i,.} for i = 1..n as a list of arrays."""
-    return [l1_row(mesh, beta, i).d for i in range(1, n + 1)]
+    d = l1_rows(mesh, beta, 1, n + 1)
+    return [d[i, i::-1] for i in range(n)]
 
 
 def complementary_kernels(mesh, beta, n, _table=None):

@@ -142,6 +142,8 @@ def parse_config(source):
     for a in cfg.alpha:
         if not 1 < a < 2:
             raise ConfigError(f"alpha entries must lie in (1, 2), got {a}")
+    if len(set(cfg.alpha)) != len(cfg.alpha):
+        raise ConfigError(f"alpha entries must be distinct, got {cfg.alpha}")
     for n in cfg.N:
         if n < 2:
             raise ConfigError(f"N entries must be >= 2, got {n}")
@@ -257,9 +259,10 @@ def _study_task(args):
 
 
 def _run_tasks(tasks, threads):
-    if threads == 1:
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [_study_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_study_task, tasks))
 
 
@@ -321,14 +324,13 @@ def _cmd_spatial(cfg):
 
 def _cmd_caputo_check(cfg):
     r = cfg.r if cfg.r is not None else recommended_grading(cfg.beta)
-    start = time.perf_counter()
-    table = truncation_study(cfg.beta, cfg.sigma, sorted(cfg.N), r)
-    elapsed = time.perf_counter() - start
-    rows = [
-        ReportRow(alpha=2.0 * cfg.beta, N=N, Ms=0, r=r, error=err, seconds=elapsed)
-        for N, err in table
-    ]
-    ocs = observed_order(table)
+    rows = []
+    for N in sorted(cfg.N):
+        start = time.perf_counter()
+        ((_, err),) = truncation_study(cfg.beta, cfg.sigma, [N], r)
+        elapsed = time.perf_counter() - start
+        rows.append(ReportRow(alpha=2.0 * cfg.beta, N=N, Ms=0, r=r, error=err, seconds=elapsed))
+    ocs = observed_order([(row.N, row.error) for row in rows])
     for row, oc in zip(rows[:-1], ocs):
         row.oc = oc
     _print_table(rows, value_label="wt_error")

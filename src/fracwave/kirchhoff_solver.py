@@ -10,7 +10,12 @@ ubar = u - t * u1 and its fractional velocity v = caputo^beta ubar.  Each
 time level solves one SPD linear system: the nonlocal coefficient is frozen
 at a two-level extrapolant of the recovered solution, so no nonlinear
 iteration is needed.  Histories of ubar and v are kept densely because the
-L1 operator couples every previous level.
+L1 operator couples every previous level.  Their L1 sums are split after
+Hairer, Lubich & Schlichte (1985): the far part, over the levels before a
+block of _BLOCK levels, is one GEMM per history for the whole block when
+its first level is stepped, and is parked in the block's own unsolved
+rows; each level adds the near part, the at most _BLOCK - 1 levels of its
+block before it.
 """
 
 import math
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .caputo_l1 import l1_row
+from .caputo_l1 import l1_row, l1_rows
 from .fem_space import (
     FeFunction,
     assemble_grad_load,
@@ -31,6 +36,9 @@ from .fem_space import (
     spd_solve,
 )
 from .graded_time import extrapolation_weights
+
+# levels whose far L1 history sums share one GEMM
+_BLOCK = 16
 
 
 @dataclass
@@ -96,9 +104,11 @@ class SolverState:
     """Mutable per-run state: meshes, matrices, and dense level histories.
 
     ubar[n] and v[n] hold the interior coefficients of the shifted
-    displacement and the fractional velocity at level n; levels above
-    n_done are unset.  kappa[n] records the frozen coefficient used at
-    level n (levels 0 and 1 come from initialization and have none).
+    displacement and the fractional velocity at level n.  Levels above
+    n_done are not solutions: the rows of the current block of levels
+    hold their far L1 history sums, later rows are zero.  kappa[n] records
+    the frozen coefficient used at level n (levels 0 and 1 come from
+    initialization and have none).
     """
 
     spec: ProblemSpec
@@ -191,6 +201,43 @@ def initialize(spec, tmesh, smesh, quad_order=3, tol=1e-12):
     )
 
 
+def _far_sums(state, lo):
+    """Write the far history sums of the block of levels lo..hi-1.
+
+    The L1 weights of every level m in the block on the history levels
+    j < lo are built at once, and one GEMM per history puts their sums
+    into rows lo..hi-1 of v and ubar, which are unset until solved.
+    """
+    hi = min(lo + _BLOCK, state.tmesh.N + 1)
+    d = l1_rows(state.tmesh, state.spec.beta, lo, hi)
+    weights = np.empty((hi - lo, lo))
+    weights[:, 0] = -d[:, 0]
+    np.subtract(d[:, : lo - 1], d[:, 1:lo], out=weights[:, 1:])
+    del d
+    np.matmul(weights, state.v[:lo], out=state.v[lo:hi])
+    np.matmul(weights, state.ubar[:lo], out=state.ubar[lo:hi])
+
+
+def _history_sums(state, n):
+    """d_{n,1} and the L1 history sums G = sum_j w_j v^j, H = sum_j w_j ubar^j.
+
+    The weights w_j, j < n, are those of the L1 formula at level n with its
+    newest term d_{n,1} w^n taken out.  Levels 2, 2 + _BLOCK, ... open a
+    block and write its far sums (j below the block) into the unset rows;
+    level n adds the near part, j from the block start to n - 1, from its
+    own L1 row.
+    """
+    lo = n - (n - 2) % _BLOCK
+    if n == lo:
+        _far_sums(state, lo)
+    # in history order, row[j] = d_{n,n-j}; w_j = row[j-1] - row[j] for j >= 1
+    row = l1_row(state.tmesh, state.spec.beta, n).d[::-1]
+    near = row[lo - 1 : n - 1] - row[lo:n]
+    g_hist = state.v[n] + near @ state.v[lo:n]
+    h_hist = state.ubar[n] + near @ state.ubar[lo:n]
+    return row[n - 1], g_hist, h_hist
+
+
 def step(state, n):
     """Advance one level, 2 <= n <= N; levels through n - 1 must be done.
 
@@ -199,7 +246,8 @@ def step(state, n):
         (d_{n,1} B + (kappa / d_{n,1}) A) x =
             (F^n + t_n kappa E) / d_{n,1} - (B G) / d_{n,1} - B H,
 
-    where G and H are the L1 history combinations of v and ubar, E is the
+    where G and H are the L1 history combinations of v and ubar (far part
+    per block of levels, near part per level; see _history_sums), E is the
     load of Lap u1, and kappa is the coefficient frozen at the two-level
     extrapolant of the recovered displacement.  The velocity update
     v^n = d_{n,1} x + H never touches an inverse mass matrix.  CG uses the
@@ -226,14 +274,7 @@ def step(state, n):
             f"range [{spec.m1}, {spec.m2}] at level {n}"
         )
 
-    d = l1_row(tmesh, spec.beta, n).d
-    d1 = d[0]
-    weights = np.empty(n)
-    weights[0] = -d[n - 1]
-    if n > 1:
-        weights[1:] = np.diff(d)[::-1]
-    g_hist = weights @ state.v[:n]
-    h_hist = weights @ state.ubar[:n]
+    d1, g_hist, h_hist = _history_sums(state, n)
 
     fn = assemble_load(state.smesh, lambda *x: spec.f(*x, tn), state.quad_order)
     rhs = (fn + tn * kap * state.lap_u1_load) / d1

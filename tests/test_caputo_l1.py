@@ -14,6 +14,7 @@ from fracwave.caputo_l1 import (
     exact_caputo_power,
     kernel_triangle,
     l1_row,
+    l1_rows,
     mittag_leffler,
     truncation_study,
 )
@@ -45,6 +46,45 @@ def test_l1_row_positive_and_decreasing(r):
         d = l1_row(mesh, 0.6, n).d
         assert np.all(d > 0)
         assert np.all(np.diff(d) < 0) or n == 1
+
+
+@pytest.mark.parametrize("N", [15, 16, 17, 37])
+def test_l1_rows_block_equals_l1_row_bit_for_bit(N):
+    beta = 0.7
+    mesh = build_graded_mesh(1.0, N, recommended_grading(beta))
+    # the blocks of 16 levels the solver opens at 2, 18, 34, ..., and
+    # blocks that straddle those boundaries
+    starts = list(range(2, N + 1, 16)) + list(range(1, N + 1, 16)) + [N - 1, N]
+    for lo in sorted(set(s for s in starts if 1 <= s <= N)):
+        hi = min(lo + 16, N + 1)
+        d = l1_rows(mesh, beta, lo, hi)
+        assert d.shape == (hi - lo, hi - 1)
+        for i, m in enumerate(range(lo, hi)):
+            np.testing.assert_array_equal(d[i, :m][::-1], l1_row(mesh, beta, m).d)
+            assert not d[i, m:].any()
+
+
+def test_l1_rows_match_the_two_power_formula():
+    beta = 0.45
+    mesh = build_graded_mesh(2.0, 37, 2.5)
+    d = l1_rows(mesh, beta, 5, 21)
+    g = math.gamma(2.0 - beta)
+    for i, n in enumerate(range(5, 21)):
+        ks = np.arange(1, n + 1)
+        left = (mesh.t[n] - mesh.t[n - ks]) ** (1.0 - beta)
+        right = (mesh.t[n] - mesh.t[n - ks + 1]) ** (1.0 - beta)
+        np.testing.assert_allclose(
+            d[i, :n][::-1], (left - right) / (g * mesh.tau[n - ks]), rtol=1e-14, atol=0
+        )
+
+
+def test_l1_rows_rejects_bad_ranges():
+    mesh = uniform_mesh(1.0, 8)
+    for lo, hi in [(0, 3), (3, 3), (5, 10)]:
+        with pytest.raises(ValueError, match="levels must satisfy"):
+            l1_rows(mesh, 0.5, lo, hi)
+    with pytest.raises(ValueError, match="beta"):
+        l1_rows(mesh, 1.0, 1, 3)
 
 
 def test_discrete_caputo_constant_is_zero():

@@ -238,3 +238,62 @@ def test_caputo_check_sigma_below_beta_is_a_config_error(tmp_path, capsys):
     assert main(["command=caputo-check", "beta=0.7", "sigma=0.3", "N=8,16", f"output={out}"]) == 2
     assert "sigma >= beta" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "threads, tasks, cpus, pool_size",
+    [(64, 3, 8, 3), (64, 3, 2, 2), (2, 3, 8, 2), (64, 1, 8, None), (64, 3, None, None), (1, 3, 8, None)],
+)
+def test_pool_is_bounded_by_tasks_and_cpus(threads, tasks, cpus, pool_size, monkeypatch):
+    import fracwave.cli as cli_module
+
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli_module, "_study_task", lambda task: -task)
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: cpus)
+    assert cli_module._run_tasks(list(range(tasks)), threads) == [-t for t in range(tasks)]
+    assert sizes == ([] if pool_size is None else [pool_size])
+
+
+def test_duplicate_alpha_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    import fracwave.cli as cli_module
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a case was solved")
+
+    monkeypatch.setattr(cli_module, "run_single_case", must_not_run)
+    out = tmp_path / "report.csv"
+    line = ["command=temporal-study", "example=ex1", "alpha=1.5,1.5", "N=4,8", f"output={out}"]
+    assert main(line) == 2
+    assert "alpha entries must be distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_caputo_check_times_each_row_on_its_own(tmp_path, monkeypatch):
+    from types import SimpleNamespace
+
+    import fracwave.cli as cli_module
+
+    ticks = iter([0.0, 1.0, 10.0, 12.0, 100.0, 103.0])
+    monkeypatch.setattr(cli_module, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    out = tmp_path / "caputo.csv"
+    cfg = parse_config(f"command=caputo-check beta=0.7 sigma=0.7 N=8,16,32 timing=wall output={out}")
+    assert run(cfg) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[6] for row in rows] == ["1.000", "2.000", "3.000"]

@@ -1,12 +1,15 @@
 """Time-stepping engine for the order-reduced Kirchhoff system."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import fracwave.kirchhoff_solver as ks
+from fracwave.caputo_l1 import l1_row
 from fracwave.fem_space import build_spatial_mesh, spd_solve
-from fracwave.graded_time import build_graded_mesh
+from fracwave.graded_time import build_graded_mesh, recommended_grading
 from fracwave.kirchhoff_solver import (
     ProblemSpec,
     apriori_bound_report,
@@ -14,7 +17,16 @@ from fracwave.kirchhoff_solver import (
     solve_all,
     step,
 )
-from fracwave.mms_harness import example1_case, example2_case
+from fracwave.mms_harness import example1_case, example2_case, run_single_case
+
+
+def direct_history_sums(state, n):
+    """The unblocked reference: one full L1 row contracted with each history."""
+    d = l1_row(state.tmesh, state.spec.beta, n).d
+    weights = np.empty(n)
+    weights[0] = -d[n - 1]
+    weights[1:] = np.diff(d)[::-1]
+    return d[0], weights @ state.v[:n], weights @ state.ubar[:n]
 
 
 def constant_coefficient_spec(f, u0=None, grad_u0=None, u1=None, grad_u1=None):
@@ -246,3 +258,76 @@ def test_bound_report_finite_and_nonnegative():
     assert np.all(np.isfinite(bound))
     assert np.all(bound >= 0.0)
     assert bound.max() > 0.0
+
+
+def test_blocked_history_sums_match_the_direct_contraction():
+    # a random history fed level by level, as step writes it; 37 levels
+    # open blocks at 2, 18 and 34
+    rng = np.random.default_rng(7)
+    beta = 0.8
+    tmesh = build_graded_mesh(1.0, 37, recommended_grading(beta))
+    v_true = rng.standard_normal((38, 5))
+    u_true = rng.standard_normal((38, 5))
+    state = SimpleNamespace(
+        tmesh=tmesh, spec=SimpleNamespace(beta=beta), v=np.zeros((38, 5)), ubar=np.zeros((38, 5))
+    )
+    state.v[:2] = v_true[:2]
+    state.ubar[:2] = u_true[:2]
+    truth = SimpleNamespace(tmesh=tmesh, spec=state.spec, v=v_true, ubar=u_true)
+    for n in range(2, 38):
+        d1, g_hist, h_hist = ks._history_sums(state, n)
+        d1_ref, g_ref, h_ref = direct_history_sums(truth, n)
+        assert d1 == d1_ref
+        for got, ref in ((g_hist, g_ref), (h_hist, h_ref)):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+        state.v[n] = v_true[n]
+        state.ubar[n] = u_true[n]
+
+
+@pytest.mark.parametrize(
+    "example, alpha, N, Ms", [(example1_case, 1.8, 546, 32), (example2_case, 1.5, 16, 32)],
+    ids=["1d", "2d"],
+)
+def test_blocked_solve_matches_the_direct_contraction(example, alpha, N, Ms, monkeypatch):
+    case = example(alpha)
+    blocked = run_single_case(case, N, Ms)
+    monkeypatch.setattr(ks, "_history_sums", direct_history_sums)
+    direct = run_single_case(case, N, Ms)
+    assert blocked.error == pytest.approx(direct.error, rel=1e-12)
+
+
+def test_partial_run_history_matches_the_direct_contraction(monkeypatch):
+    case = example1_case(1.6)
+    spec = case.problem_spec()
+    tmesh = build_graded_mesh(case.T, 40, recommended_grading(0.8))
+    smesh = build_spatial_mesh(case.domain, 16)
+    states = []
+    for history_sums in (ks._history_sums, direct_history_sums):
+        monkeypatch.setattr(ks, "_history_sums", history_sums)
+        state = initialize(spec, tmesh, smesh)
+        for n in range(2, 21):
+            step(state, n)
+        states.append(state)
+    blocked, direct = states
+    for name in ("ubar", "v"):
+        got, ref = getattr(blocked, name), getattr(direct, name)
+        np.testing.assert_allclose(got[:21], ref[:21], rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        # rows 21..33 of the open block hold far sums; the rows past it are untouched
+        assert not got[34:].any()
+    # the far sums of level 21 are its direct sums without the near levels 18..20
+    d = l1_row(tmesh, spec.beta, 21).d
+    far = np.concatenate(([-d[20]], np.diff(d)[::-1][:17]))
+    np.testing.assert_allclose(blocked.v[21], far @ direct.v[:18], rtol=1e-12, atol=1e-15)
+
+
+def test_step_order_is_enforced_across_blocks():
+    spec = constant_coefficient_spec(lambda x, t: np.ones_like(x))
+    tmesh = build_graded_mesh(1.0, 20, 1.5)
+    state = initialize(spec, tmesh, build_spatial_mesh(spec.domain, 4))
+    for n in range(2, 18):
+        step(state, n)
+    for bad in (17, 19, 2):
+        with pytest.raises(ValueError, match="levels must advance in order"):
+            step(state, bad)
+    step(state, 18)
+    assert state.n_done == 18
