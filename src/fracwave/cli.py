@@ -43,6 +43,18 @@ DEFAULT_N_CAP = 4096
 EXAMPLE_DIMENSIONS = {"ex1": 1, "ex2": 2}
 # the key each study refines, whose rows the observed orders compare
 REFINED_KEYS = {"temporal-study": "N", "spatial-study": "Ms", "caputo-check": "N"}
+# the problem keys each command reads; any other problem key is a
+# configuration error rather than silently dropped
+_SOLVER_KEYS = {"example", "alpha", "r", "quadrature", "tol"}
+COMMAND_KEYS = {
+    "temporal-study": _SOLVER_KEYS | {"N"},
+    "spatial-study": _SOLVER_KEYS | {"Ms"},
+    "bound-report": _SOLVER_KEYS | {"N"},
+    "solve": _SOLVER_KEYS | {"N", "Ms"},
+    "caputo-check": {"beta", "sigma", "N", "r"},
+}
+# keys that control the run rather than the problem, accepted by every command
+RUN_KEYS = {"command", "threads", "output", "timing"}
 
 
 class ConfigError(ValueError):
@@ -137,13 +149,14 @@ def parse_config(source):
         raise ConfigError("command is required (one of " + ", ".join(COMMANDS) + ")")
     if cfg.command not in COMMANDS:
         raise ConfigError(f"command must be one of {', '.join(COMMANDS)}, got {cfg.command!r}")
+    unread = sorted(seen - RUN_KEYS - COMMAND_KEYS[cfg.command])
+    if unread:
+        raise ConfigError(f"{cfg.command} does not read {', '.join(map(repr, unread))}")
     if cfg.example not in EXAMPLE_DIMENSIONS:
         raise ConfigError(f"example must be ex1 or ex2, got {cfg.example!r}")
     for a in cfg.alpha:
         if not 1 < a < 2:
             raise ConfigError(f"alpha entries must lie in (1, 2), got {a}")
-    if len(set(cfg.alpha)) != len(cfg.alpha):
-        raise ConfigError(f"alpha entries must be distinct, got {cfg.alpha}")
     for n in cfg.N:
         if n < 2:
             raise ConfigError(f"N entries must be >= 2, got {n}")
@@ -206,6 +219,11 @@ def parse_config(source):
                     f"{refined} entries must be distinct and double when sorted, "
                     f"got {a} then {b}"
                 )
+    # a repeated entry would solve the same case twice and print its row twice
+    for key in ("alpha", "N", "Ms"):
+        values = getattr(cfg, key)
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{key} entries must be distinct, got {values}")
     return cfg
 
 

@@ -308,17 +308,13 @@ def build_mesh_2d_unit_square(subdivisions):
     xg, yg = np.meshgrid(side, side, indexing="xy")
     vertices = np.column_stack([xg.ravel(), yg.ravel()])
 
-    def g(i, j):
-        return j * (ms + 1) + i
-
-    tris = []
-    for j in range(ms):
-        for i in range(ms):
-            v00, v10 = g(i, j), g(i + 1, j)
-            v01, v11 = g(i, j + 1), g(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    elements = np.asarray(tris, dtype=np.int64)
+    # cell (i, j), numbered j * ms + i, has lower-left node j * (ms + 1) + i
+    # and gives triangles 2 * cell and 2 * cell + 1
+    j, i = np.divmod(np.arange(ms * ms, dtype=np.int64), ms)
+    v00 = j * (ms + 1) + i
+    v10, v01 = v00 + 1, v00 + ms + 1
+    v11 = v01 + 1
+    elements = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
     boundary = np.zeros((ms + 1) ** 2, dtype=bool)
     idx = np.arange((ms + 1) ** 2)
     i_coord = idx % (ms + 1)
@@ -379,9 +375,39 @@ def assemble_stiffness(mesh, interior_only=True):
     return _get_matrix(mesh, "stiffness", interior_only)
 
 
-def _interior_sum(mesh, local):
-    """Add per-element vertex values, shape (n_elements, dimension + 1), into
-    the nodes and keep the interior unknowns."""
+def _dot(columns, coefs):
+    """Sum over j of columns[j] * coefs[j], one 1D multiply and add at a time.
+
+    The products are added in order j = 0, 1, ..., as np.sum adds a
+    contiguous axis of up to 7 terms, and none is fused into a multiply-add
+    as a matmul may do.  So the result equals the broadcast product reduced
+    by np.sum bit for bit, and the 1D loads, whose last bits the 1D solves
+    amplify into printed digits, do not move.
+    """
+    terms = zip(columns, coefs)
+    column, coef = next(terms)
+    acc = column * coef
+    for column, coef in terms:
+        acc += column * coef
+    return acc
+
+
+def _axes(values, shape):
+    """The per-axis arrays of a vector-valued callable's result.
+
+    A tuple or list is used as given; an array is viewed with shape
+    (dimension, n_elements, nq).  Stacking a tuple would copy every value.
+    """
+    return values if isinstance(values, (tuple, list)) else np.reshape(values, shape)
+
+
+def _interior_sum(mesh, columns):
+    """Add per-element vertex values, one array of shape (n_elements,) per
+    vertex, into the nodes and keep the interior unknowns."""
+    local = np.empty(mesh.elements.shape)
+    for s, column in enumerate(columns):
+        local[:, s] = column
+    # bincount adds element by element, in the order of elements.ravel()
     vec = np.bincount(mesh.elements.ravel(), local.ravel(), mesh.vertices.shape[0])
     return vec[mesh.interior_nodes]
 
@@ -393,10 +419,8 @@ def assemble_load(mesh, g, quad_order=3):
     and g(x, y) in 2D.  quad_order counts quadrature points per element.
     """
     lam, xq, wq = mesh.quadrature(quad_order)
-    weighted = wq * g(*xq)
-    # summed point by point rather than by a matmul, which may fuse the
-    # multiply-adds and so move the 1D loads by an ulp
-    return _interior_sum(mesh, np.sum(weighted[:, None, :] * lam.T, axis=2))
+    weighted = (wq * g(*xq)).T
+    return _interior_sum(mesh, (_dot(weighted, lam_s) for lam_s in lam.T))
 
 
 def assemble_grad_load(mesh, grad, quad_order=3):
@@ -406,10 +430,10 @@ def assemble_grad_load(mesh, grad, quad_order=3):
     (gx, gy) in 2D.
     """
     _, xq, wq = mesh.quadrature(quad_order)
-    integral = np.sum(wq * np.reshape(grad(*xq), xq.shape), axis=2)
+    integral = [_dot(wq.T, comp.T) for comp in _axes(grad(*xq), xq.shape)]
     scale = math.factorial(mesh.dimension) * mesh.measure
-    local = np.einsum("esk,ke->es", mesh.scaled_gradients, integral) / scale[:, None]
-    return _interior_sum(mesh, local)
+    gradients = mesh.scaled_gradients.transpose(1, 2, 0)
+    return _interior_sum(mesh, (_dot(g_s, integral) / scale for g_s in gradients))
 
 
 @dataclass(frozen=True)
@@ -519,11 +543,12 @@ def l2_norm(u):
 
 
 def _element_gradients(u):
-    """Gradient of a P1 function on every element, shape (n_elements, dimension)."""
+    """Gradient of a P1 function on every element, one array of shape
+    (n_elements,) per axis."""
     mesh = u.mesh
-    zs = u.nodal_values()[mesh.elements]
+    zs = u.nodal_values()[mesh.elements].T
     scale = math.factorial(mesh.dimension) * mesh.measure
-    return np.einsum("es,esk->ek", zs, mesh.scaled_gradients) / scale[:, None]
+    return [_dot(zs, g_k) / scale for g_k in mesh.scaled_gradients.transpose(2, 1, 0)]
 
 
 def h1_seminorm_error(u, exact_grad, quad_order=3):
@@ -533,8 +558,9 @@ def h1_seminorm_error(u, exact_grad, quad_order=3):
     derivative in 1D, the pair of partial derivatives in 2D.
     """
     _, xq, wq = u.mesh.quadrature(quad_order)
-    diff = _element_gradients(u).T[:, :, None] - np.reshape(exact_grad(*xq), xq.shape)
-    total = np.sum(wq * np.sum(diff**2, axis=0))
+    axes = zip(_element_gradients(u), _axes(exact_grad(*xq), xq.shape))
+    diffs = [grad_k[:, None] - exact_k for grad_k, exact_k in axes]
+    total = np.sum(wq * _dot(diffs, diffs))
     return math.sqrt(max(total, 0.0))
 
 
@@ -542,7 +568,10 @@ def l2_error(u, exact, quad_order=3):
     """L2 norm of u minus a pointwise-evaluable function of one coordinate
     array per dimension."""
     lam, xq, wq = u.mesh.quadrature(quad_order)
-    uh = np.sum(u.nodal_values()[u.mesh.elements][:, None, :] * lam, axis=2)
+    zs = u.nodal_values()[u.mesh.elements].T
+    uh = np.empty(wq.shape)
+    for q, lam_q in enumerate(lam):
+        uh[:, q] = _dot(zs, lam_q)
     diff = uh - exact(*xq)
     total = np.sum(wq * diff**2)
     return math.sqrt(max(total, 0.0))

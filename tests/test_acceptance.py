@@ -408,6 +408,23 @@ def test_criterion_5_property_suites(tmp_path):
     _verdict(5, "property suites", failures)
 
 
+@pytest.mark.parametrize("alpha", [1.02, 1.98])
+def test_alpha_robustness_near_both_ends_of_the_range(alpha, tmp_path):
+    # the scheme's stability and temporal order hold uniformly as alpha
+    # approaches 1 or 2
+    n_list = "N=16,32,64,128"
+    bound_csv, study_csv = tmp_path / "bound.csv", tmp_path / "study.csv"
+    for command, out in (("bound-report", bound_csv), ("temporal-study", study_csv)):
+        cfg = parse_config(f"command={command} example=ex1 alpha={alpha} {n_list} output={out}")
+        assert run(cfg) == 0
+    bounds = [row["error"] for row in _read_rows(bound_csv)]
+    assert all(b1 <= 1.01 * b0 for b0, b1 in zip(bounds, bounds[1:])), bounds
+    rows = _read_rows(study_csv)
+    errors = [row["error"] for row in rows]
+    assert all(e1 < e0 for e0, e1 in zip(errors, errors[1:])), errors
+    assert abs(rows[-2]["oc"] - (2.0 - 0.5 * alpha)) <= 0.1, rows[-2]
+
+
 def test_criterion_6_deterministic_reruns(temporal_1d_runs):
     first, second = temporal_1d_runs["paths"]
     failures = []

@@ -297,3 +297,43 @@ def test_caputo_check_times_each_row_on_its_own(tmp_path, monkeypatch):
     assert run(cfg) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [row[6] for row in rows] == ["1.000", "2.000", "3.000"]
+
+
+def test_bound_report_repeated_n_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    import fracwave.cli as cli_module
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a case was solved")
+
+    monkeypatch.setattr(cli_module, "solve_all", must_not_run)
+    out = tmp_path / "bound.csv"
+    line = ["command=bound-report", "example=ex1", "alpha=1.5", "N=8,8", f"output={out}"]
+    assert main(line) == 2
+    assert "N entries must be distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line,key",
+    [
+        ("command=temporal-study example=ex1 alpha=1.5 N=8,16 Ms=64,128", "Ms"),
+        ("command=spatial-study example=ex1 alpha=1.5 Ms=8,16 N=4", "N"),
+        ("command=temporal-study example=ex1 alpha=1.5 N=8,16 beta=0.5", "beta"),
+        ("command=bound-report example=ex1 alpha=1.5 N=8,16 Ms=8", "Ms"),
+        ("command=solve example=ex1 alpha=1.5 N=8 sigma=0.7", "sigma"),
+        ("command=caputo-check example=ex2 beta=0.7 sigma=0.7 N=8,16", "example"),
+        ("command=caputo-check beta=0.7 sigma=0.7 N=8,16 alpha=1.4", "alpha"),
+    ],
+)
+def test_unread_problem_key_fails_before_any_solve(line, key, tmp_path, capsys, monkeypatch):
+    import fracwave.cli as cli_module
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a case was solved")
+
+    for name in ("run_single_case", "solve_all", "truncation_study"):
+        monkeypatch.setattr(cli_module, name, must_not_run)
+    out = tmp_path / "report.csv"
+    assert main(line.split() + [f"output={out}"]) == 2
+    assert f"does not read '{key}'" in capsys.readouterr().err
+    assert not out.exists()

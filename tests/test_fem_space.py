@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracwave.fem_space import (
+    QUADRATURE_RULES,
     FeFunction,
     assemble_grad_load,
     assemble_load,
@@ -21,6 +22,7 @@ from fracwave.fem_space import (
     ritz_projection,
     spd_solve,
 )
+from fracwave.mms_harness import example1_case, example2_case
 
 
 def test_interval_mesh_nodes():
@@ -38,6 +40,28 @@ def test_unit_square_mesh_counts():
     fine = build_spatial_mesh(("unit_square",), 5)
     assert fine.elements.shape[0] == 2 * 25
     assert fine.num_interior == 16
+
+
+def _cell_loop_elements(ms):
+    """Triangles of the unit square mesh built cell by cell."""
+    tris = []
+    for j in range(ms):
+        for i in range(ms):
+            v00, v10 = j * (ms + 1) + i, j * (ms + 1) + i + 1
+            v01, v11 = (j + 1) * (ms + 1) + i, (j + 1) * (ms + 1) + i + 1
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return np.asarray(tris, dtype=np.int64)
+
+
+@pytest.mark.parametrize("ms", [2, 3, 8, 182])
+def test_unit_square_elements_match_the_cell_loop(ms):
+    mesh = build_spatial_mesh(("unit_square",), ms)
+    assert mesh.elements.dtype == np.int64
+    assert np.array_equal(mesh.elements, _cell_loop_elements(ms))
+    p = mesh.vertices[mesh.elements]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    assert (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] > 0).all()
 
 
 def test_mesh_rejects_degenerate():
@@ -339,6 +363,72 @@ def test_grad_load_matches_integration_by_parts():
     lhs = assemble_grad_load(mesh, np.cos)
     rhs = assemble_load(mesh, np.sin, quad_order=5)
     np.testing.assert_allclose(lhs, rhs, atol=1e-6)
+
+
+def _reference_interior_sum(mesh, local):
+    vec = np.bincount(mesh.elements.ravel(), local.ravel(), mesh.vertices.shape[0])
+    return vec[mesh.interior_nodes]
+
+
+def _reference_load(mesh, g, q):
+    lam, xq, wq = mesh.quadrature(q)
+    weighted = wq * g(*xq)
+    return _reference_interior_sum(mesh, np.sum(weighted[:, None, :] * lam.T, axis=2))
+
+
+def _reference_grad_load(mesh, grad, q):
+    _, xq, wq = mesh.quadrature(q)
+    integral = np.sum(wq * np.reshape(grad(*xq), xq.shape), axis=2)
+    scale = math.factorial(mesh.dimension) * mesh.measure
+    local = np.einsum("esk,ke->es", mesh.scaled_gradients, integral) / scale[:, None]
+    return _reference_interior_sum(mesh, local)
+
+
+def _reference_h1_error(u, exact_grad, q):
+    mesh = u.mesh
+    _, xq, wq = mesh.quadrature(q)
+    zs = u.nodal_values()[mesh.elements]
+    scale = math.factorial(mesh.dimension) * mesh.measure
+    grads = np.einsum("es,esk->ek", zs, mesh.scaled_gradients) / scale[:, None]
+    diff = grads.T[:, :, None] - np.reshape(exact_grad(*xq), xq.shape)
+    return math.sqrt(max(np.sum(wq * np.sum(diff**2, axis=0)), 0.0))
+
+
+def _reference_l2_error(u, exact, q):
+    lam, xq, wq = u.mesh.quadrature(q)
+    uh = np.sum(u.nodal_values()[u.mesh.elements][:, None, :] * lam, axis=2)
+    diff = uh - exact(*xq)
+    return math.sqrt(max(np.sum(wq * diff**2), 0.0))
+
+
+@pytest.mark.parametrize(
+    "domain,ms",
+    [
+        (("interval", 0.0, math.pi), 37),
+        (("interval", 0.0, math.pi), 8192),
+        (("unit_square",), 32),
+        (("unit_square",), 76),
+    ],
+)
+def test_quadrature_kernels_equal_the_broadcast_formulation_bit_for_bit(domain, ms):
+    # the broadcast product, np.sum over the short axis, np.reshape of the
+    # gradient tuple and bincount, as the kernels were first written
+    mesh = build_spatial_mesh(domain, ms)
+    case = example1_case(1.5) if mesh.dimension == 1 else example2_case(1.5)
+    u = FeFunction(np.random.default_rng(ms).standard_normal(mesh.num_interior), mesh)
+    for t in (0.3, 1.0):
+        f = lambda *x: case.f(*x, t)
+        grad = lambda *x: case.grad_u(*x, t)
+        stacked_grad = lambda *x: np.array(case.grad_u(*x, t))
+        exact = lambda *x: case.u(*x, t)
+        for q in QUADRATURE_RULES[mesh.dimension]:
+            assert np.array_equal(assemble_load(mesh, f, q), _reference_load(mesh, f, q))
+            for g in (grad, stacked_grad):
+                assert np.array_equal(
+                    assemble_grad_load(mesh, g, q), _reference_grad_load(mesh, g, q)
+                )
+                assert h1_seminorm_error(u, g, q) == _reference_h1_error(u, g, q)
+            assert l2_error(u, exact, q) == _reference_l2_error(u, exact, q)
 
 
 def test_spd_solve_identity():
