@@ -181,6 +181,8 @@ def parse_config(source):
         raise ConfigError(f"sigma must be positive, got {cfg.sigma}")
     if cfg.timing not in ("fixed", "wall"):
         raise ConfigError(f"timing must be fixed or wall, got {cfg.timing!r}")
+    if cfg.output and os.path.isdir(cfg.output):
+        raise ConfigError(f"output {cfg.output!r} is a directory")
     if cfg.output and not os.path.isdir(os.path.dirname(cfg.output) or "."):
         raise ConfigError(f"output directory of {cfg.output!r} does not exist")
 
@@ -438,7 +440,7 @@ def run(cfg):
         _write_output(path, text)
         print(f"wrote {path}")
         return 0
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

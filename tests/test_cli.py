@@ -193,6 +193,29 @@ def test_parse_rejects_missing_output_directory(tmp_path):
         parse_config(f"command=solve alpha=1.5 N=4 output={tmp_path / 'nodir' / 'x.csv'}")
 
 
+def test_output_naming_a_directory_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    import fracwave.cli as cli_module
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a case was solved")
+
+    for name in ("run_single_case", "solve_all", "truncation_study"):
+        monkeypatch.setattr(cli_module, name, must_not_run)
+    line = "command=temporal-study example=ex2 alpha=1.5 N=4,8"
+    assert main(line.split() + [f"output={tmp_path}"]) == 2
+    assert "is a directory" in capsys.readouterr().err
+
+
+def test_run_reports_a_failed_write_as_an_error(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    cfg = parse_config(f"command=caputo-check beta=0.7 sigma=0.7 N=8,16 output={out}")
+    out.mkdir()
+    assert run(cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert "Traceback" not in err
+
+
 def test_main_reports_runtime_failure(tmp_path, capsys, monkeypatch):
     import fracwave.cli as cli_module
 

@@ -250,6 +250,24 @@ def test_ritz_projection_first_order_in_h1():
     assert all(0.9 < rate < 1.1 for rate in rates)
 
 
+@pytest.mark.parametrize("ms", [8, 32])
+def test_2d_projections_with_the_grid_preconditioner_match_jacobi(ms):
+    mesh = build_spatial_mesh(("unit_square",), ms)
+    case = example2_case(1.5)
+    g = lambda *x: case.u(*x, 0.7)
+    grad = lambda *x: case.grad_u(*x, 0.7)
+    pairs = [
+        (l2_projection(mesh, g), assemble_mass(mesh), assemble_load(mesh, g)),
+        (ritz_projection(mesh, grad), assemble_stiffness(mesh), assemble_grad_load(mesh, grad)),
+    ]
+    for proj, matrix, load in pairs:
+        jacobi, _ = spd_solve(matrix, load)
+        assert np.linalg.norm(proj.coeffs - jacobi) <= 1e-10 * np.linalg.norm(jacobi)
+    # the grid preconditioner is the exact inverse of the 5-point stiffness
+    _, iters = spd_solve(pairs[1][1], pairs[1][2], precond=mesh.preconditioner(0.0, 1.0))
+    assert iters == 1
+
+
 def test_grad_norm_single_hat():
     mesh = build_spatial_mesh(("interval", 0.0, 1.0), 2)
     hat = FeFunction(np.array([1.0]), mesh)
@@ -431,6 +449,24 @@ def test_quadrature_kernels_equal_the_broadcast_formulation_bit_for_bit(domain, 
             assert l2_error(u, exact, q) == _reference_l2_error(u, exact, q)
 
 
+@pytest.mark.parametrize(
+    "domain,ms",
+    [
+        (("interval", 0.0, math.pi), 37),
+        (("interval", 0.0, math.pi), 8192),
+        (("unit_square",), 76),
+        (("unit_square",), 182),
+    ],
+)
+def test_quadrature_points_equal_the_einsum_bit_for_bit(domain, ms):
+    mesh = build_spatial_mesh(domain, ms)
+    p = mesh.vertices.reshape(mesh.vertices.shape[0], -1)[mesh.elements]
+    for q, (lam, _) in QUADRATURE_RULES[mesh.dimension].items():
+        expected = np.einsum("esd,qs->deq", p[:, 1:] - p[:, :1], lam[:, 1:])
+        expected += p[:, 0].T[:, :, None]
+        assert np.array_equal(mesh.quadrature(q)[1], expected)
+
+
 def test_spd_solve_identity():
     import scipy.sparse as sp
 
@@ -512,7 +548,7 @@ def _grid_operators(ms):
     return mass.tocsr(), lap.tocsr()
 
 
-@pytest.mark.parametrize("ms", [8, 32])
+@pytest.mark.parametrize("ms", [8, 9, 32])
 def test_preconditioner_inverts_its_grid_operator(ms):
     mesh = build_spatial_mesh(("unit_square",), ms)
     mass_hat, lap_hat = _grid_operators(ms)
@@ -527,6 +563,40 @@ def test_preconditioner_inverts_its_grid_operator(ms):
     for a, b in [(6.0, 0.2), (1e4, 1e-4), (0.0, 1.0)]:
         apply = mesh.preconditioner(a, b)
         np.testing.assert_allclose(apply((a * mass_hat + b * lap_hat) @ x), x, rtol=0, atol=1e-11)
+
+
+def _fft_preconditioner(ms, a, b):
+    """The preconditioner as first written: a DST-I by FFT along each axis."""
+    c = np.cos(np.arange(1, ms) * math.pi / ms)
+    ci, cj = c[:, None], c[None, :]
+    mass = (6.0 + 2.0 * ci + 2.0 * cj + 2.0 * ci * cj) / (12.0 * ms**2)
+    inverse = 1.0 / (a * mass + b * (4.0 - 2.0 * ci - 2.0 * cj))
+
+    def dst2(grid):
+        return dst1(dst1(grid).T).T
+
+    return lambda r: dst2(dst2(r.reshape(inverse.shape)) * inverse).ravel()
+
+
+@pytest.mark.parametrize("ms", [2, 3, 9, 32, 182])
+def test_sine_matrix_preconditioner_equals_the_fft_transform(ms):
+    mesh = build_spatial_mesh(("unit_square",), ms)
+    rng = np.random.default_rng(ms)
+    for a, b in [(6.0, 0.2), (1e4, 1e-4), (1.0, 0.0), (0.0, 1.0)]:
+        r = rng.standard_normal(mesh.num_interior)
+        expected = _fft_preconditioner(ms, a, b)(r)
+        actual = mesh.preconditioner(a, b)(r)
+        assert np.linalg.norm(actual - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("ms", [2, 9, 182, 512])
+def test_sine_matrix_is_read_only_symmetric_and_orthonormal(ms):
+    sine = build_spatial_mesh(("unit_square",), ms)._sine
+    assert sine.shape == (ms - 1, ms - 1)
+    assert not sine.flags.writeable
+    assert np.array_equal(sine, sine.T)
+    np.testing.assert_allclose(sine @ sine, np.eye(ms - 1), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(sine, dst1(np.eye(ms - 1)), rtol=0, atol=1e-14)
 
 
 def test_interval_mesh_has_no_preconditioner():
