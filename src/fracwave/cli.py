@@ -13,13 +13,19 @@ Studies write one CSV row per refinement with the stable header
 and print an aligned table with measured wall times.  The seconds column
 in the CSV is fixed at 0.000 unless timing=wall is requested, so default
 serial runs are byte-reproducible.  FRACWAVE_THREADS overrides threads=.
+
+Every command runs one pipeline: _plan lists its (alpha, N, Ms, r, capped)
+tasks, _run_tasks runs each through _study_task (in a process pool when
+threads= allows), and run attaches the orders and formats the rows.
 """
 
+import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .caputo_l1 import truncation_study
 from .graded_time import build_graded_mesh, gronwall_step_condition, recommended_grading
@@ -38,11 +44,15 @@ from .fem_space import QUADRATURE_RULES, build_spatial_mesh
 COMMANDS = ("solve", "temporal-study", "spatial-study", "caputo-check", "bound-report")
 CSV_HEADER = "alpha,N,Ms,r,error,oc,seconds,cg_iters"
 TRAJECTORY_HEADER = "n,t_n,h1_error,l2_error,bound_quantity"
+# spatial studies run no finer in time than this; the cap keeps the finest
+# spatial levels affordable once the temporal error is far below the spatial one
 DEFAULT_N_CAP = 4096
 # spatial dimension of each built-in example, which fixes its quadrature rules
 EXAMPLE_DIMENSIONS = {"ex1": 1, "ex2": 2}
 # the key each study refines, whose rows the observed orders compare
 REFINED_KEYS = {"temporal-study": "N", "spatial-study": "Ms", "caputo-check": "N"}
+# the label of the error column in the printed table, where it is not an error
+VALUE_LABELS = {"caputo-check": "wt_error", "bound-report": "bound"}
 # the problem keys each command reads; any other problem key is a
 # configuration error rather than silently dropped
 _SOLVER_KEYS = {"example", "alpha", "r", "quadrature", "tol"}
@@ -80,9 +90,12 @@ class RunConfig:
 
 def _parse_float(key, text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"{key} expects a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} expects a finite number, got {text!r}")
+    return value
 
 
 def _parse_int(key, text):
@@ -270,12 +283,65 @@ def _write_output(path, text):
         fh.write(text)
 
 
+def _plan(cfg):
+    """The (alpha, N, Ms, r, capped) tasks of a command, alpha-major.
+
+    Temporal studies, bound reports and solve couple Ms ~ N**(2-beta)
+    unless solve is given Ms; spatial studies couple N ~ Ms**(2/(2-beta))
+    and cap it at DEFAULT_N_CAP, flagging the capped tasks.  caputo-check
+    runs at alpha = 2*beta on no spatial mesh.  r defaults to the
+    recommended grading of each alpha.
+    """
+    if cfg.command == "caputo-check":
+        r = cfg.r if cfg.r is not None else recommended_grading(cfg.beta)
+        return [(2.0 * cfg.beta, N, 0, r, False) for N in sorted(cfg.N)]
+    tasks = []
+    for alpha in sorted(cfg.alpha):
+        beta = 0.5 * alpha
+        r = cfg.r if cfg.r is not None else recommended_grading(beta)
+        if cfg.command == "spatial-study":
+            for Ms in sorted(cfg.Ms):
+                N = coupled_n(Ms, beta)
+                tasks.append((alpha, min(N, DEFAULT_N_CAP), Ms, r, N > DEFAULT_N_CAP))
+        else:
+            for N in sorted(cfg.N):
+                Ms = cfg.Ms[0] if cfg.Ms else coupled_ms(N, beta)
+                tasks.append((alpha, N, Ms, r, False))
+    return tasks
+
+
 def _study_task(args):
-    example, alpha, N, Ms, r, quad, tol, capped = args
-    case = get_case(example, alpha)
-    row = run_single_case(case, N, Ms, r, quad_order=quad, tol=tol)
-    row.capped = capped
-    return row
+    """Run one planned task of cfg.command.
+
+    Returns (row, step_ok, levels): step_ok is the step condition of the
+    time mesh for bound-report and solve, levels the trajectory rows for
+    solve; both are None where the command does not report them.
+    """
+    cfg, (alpha, N, Ms, r, capped) = args
+    if cfg.command == "caputo-check":
+        start = time.perf_counter()
+        ((_, err),) = truncation_study(cfg.beta, cfg.sigma, [N], r)
+        elapsed = time.perf_counter() - start
+        return ReportRow(alpha, N, Ms, r, err, seconds=elapsed), None, None
+    case = get_case(cfg.example, alpha)
+    if cfg.command in REFINED_KEYS:
+        row = run_single_case(case, N, Ms, r, quad_order=cfg.quadrature, tol=cfg.tol)
+        row.capped = capped
+        return row, None, None
+    start = time.perf_counter()
+    tmesh = build_graded_mesh(case.T, N, r)
+    smesh = build_spatial_mesh(case.domain, Ms)
+    state = solve_all(case.problem_spec(), tmesh, smesh, cfg.quadrature, cfg.tol)
+    elapsed = time.perf_counter() - start
+    if cfg.command == "solve":
+        levels = trajectory_rows(case, state, cfg.quadrature)
+        error = max(h1 for _, _, h1, _, _ in levels)
+    else:
+        levels, error = None, float(apriori_bound_report(state).max())
+    row = ReportRow(
+        alpha, N, Ms, r, error, seconds=elapsed, cg_iters=max(state.cg_iters, default=0)
+    )
+    return row, gronwall_step_condition(tmesh, 0.5 * alpha, 1.0), levels
 
 
 def _run_tasks(tasks, threads):
@@ -286,155 +352,51 @@ def _run_tasks(tasks, threads):
         return list(pool.map(_study_task, tasks))
 
 
-def _grouped_rows(cfg, keys_of):
-    """Run one study task per (alpha, refinement) and attach orders per alpha."""
-    tasks = []
-    for alpha in sorted(cfg.alpha):
-        for N, Ms, capped in keys_of(alpha):
-            tasks.append(
-                (cfg.example, alpha, N, Ms, cfg.r, cfg.quadrature, cfg.tol, capped)
-            )
-    rows = _run_tasks(tasks, cfg.threads)
-    per_alpha = len(rows) // len(cfg.alpha)
-    out = []
-    for i in range(0, len(rows), per_alpha):
-        group = rows[i : i + per_alpha]
-        key_attr = REFINED_KEYS[cfg.command]
-        ocs = observed_order([(getattr(r_, key_attr), r_.error) for r_ in group])
-        for row, oc in zip(group[:-1], ocs):
+def _attach_orders(rows, key):
+    """Fill oc from the errors along key, per alpha, on alpha-major rows;
+    the finest row of each alpha keeps None."""
+    for _, group in groupby(rows, key=lambda row: row.alpha):
+        group = list(group)
+        ocs = observed_order([(getattr(row, key), row.error) for row in group])
+        for row, oc in zip(group, ocs):
             row.oc = oc
-        out.extend(group)
-    return out
-
-
-def _cmd_temporal(cfg):
-    n_sorted = sorted(cfg.N)
-
-    def keys_of(alpha):
-        beta = 0.5 * alpha
-        return [(N, coupled_ms(N, beta), False) for N in n_sorted]
-
-    rows = _grouped_rows(cfg, keys_of)
-    _print_table(rows)
-    return rows
-
-
-def _cmd_spatial(cfg):
-    ms_sorted = sorted(cfg.Ms)
-
-    def keys_of(alpha):
-        beta = 0.5 * alpha
-        out = []
-        for Ms in ms_sorted:
-            n = coupled_n(Ms, beta)
-            capped = n > DEFAULT_N_CAP
-            out.append((min(n, DEFAULT_N_CAP), Ms, capped))
-        return out
-
-    rows = _grouped_rows(cfg, keys_of)
-    _print_table(rows)
-    for row in rows:
-        if row.capped:
-            print(
-                f"note: alpha={row.alpha:g} Ms={row.Ms} coupled N exceeded "
-                f"{DEFAULT_N_CAP} and was capped"
-            )
-    return rows
-
-
-def _cmd_caputo_check(cfg):
-    r = cfg.r if cfg.r is not None else recommended_grading(cfg.beta)
-    rows = []
-    for N in sorted(cfg.N):
-        start = time.perf_counter()
-        ((_, err),) = truncation_study(cfg.beta, cfg.sigma, [N], r)
-        elapsed = time.perf_counter() - start
-        rows.append(ReportRow(alpha=2.0 * cfg.beta, N=N, Ms=0, r=r, error=err, seconds=elapsed))
-    ocs = observed_order([(row.N, row.error) for row in rows])
-    for row, oc in zip(rows[:-1], ocs):
-        row.oc = oc
-    _print_table(rows, value_label="wt_error")
-    print(f"weighted truncation orders for beta={cfg.beta:g}, sigma={cfg.sigma:g}")
-    return rows
-
-
-def _cmd_bound_report(cfg):
-    rows = []
-    for alpha in sorted(cfg.alpha):
-        case = get_case(cfg.example, alpha)
-        beta = 0.5 * alpha
-        r = cfg.r if cfg.r is not None else recommended_grading(beta)
-        for N in sorted(cfg.N):
-            Ms = coupled_ms(N, beta)
-            start = time.perf_counter()
-            tmesh = build_graded_mesh(case.T, N, r)
-            smesh = build_spatial_mesh(case.domain, Ms)
-            state = solve_all(
-                case.problem_spec(), tmesh, smesh, cfg.quadrature, cfg.tol
-            )
-            bound = float(apriori_bound_report(state).max())
-            elapsed = time.perf_counter() - start
-            ok = gronwall_step_condition(tmesh, beta, 1.0)
-            rows.append(
-                ReportRow(
-                    alpha=alpha,
-                    N=N,
-                    Ms=Ms,
-                    r=r,
-                    error=bound,
-                    seconds=elapsed,
-                    cg_iters=max(state.cg_iters, default=0),
-                )
-            )
-            print(
-                f"alpha={alpha:g} N={N}: max bound quantity {bound:.6e}, "
-                f"step condition (lam=1) {'holds' if ok else 'violated'}"
-            )
-    _print_table(rows, value_label="bound")
-    return rows
-
-
-def _cmd_solve(cfg):
-    alpha = cfg.alpha[0]
-    beta = 0.5 * alpha
-    N = cfg.N[0]
-    Ms = cfg.Ms[0] if cfg.Ms else coupled_ms(N, beta)
-    r = cfg.r if cfg.r is not None else recommended_grading(beta)
-    case = get_case(cfg.example, alpha)
-    tmesh = build_graded_mesh(case.T, N, r)
-    smesh = build_spatial_mesh(case.domain, Ms)
-    start = time.perf_counter()
-    state = solve_all(case.problem_spec(), tmesh, smesh, cfg.quadrature, cfg.tol)
-    elapsed = time.perf_counter() - start
-    levels = trajectory_rows(case, state, cfg.quadrature)
-    lines = [TRAJECTORY_HEADER]
-    for n, tn, h1, l2, bound in levels:
-        lines.append(f"{n},{tn:.10g},{h1:.6E},{l2:.6E},{bound:.6E}")
-    text = "\n".join(lines) + "\n"
-    worst = max(h1 for _, _, h1, _, _ in levels)
-    ok = gronwall_step_condition(tmesh, beta, 1.0)
-    print(
-        f"alpha={alpha:g} N={N} Ms={Ms}: max H1 error {_fmt_error(worst)}, "
-        f"{elapsed:.3f} s, step condition (lam=1) {'holds' if ok else 'violated'}"
-    )
-    return text
 
 
 def run(cfg):
     """Execute a parsed configuration; returns the process exit status."""
     try:
+        results = _run_tasks([(cfg, task) for task in _plan(cfg)], cfg.threads)
+        rows = [row for row, _, _ in results]
         if cfg.command == "solve":
-            text = _cmd_solve(cfg)
+            ((row, ok, levels),) = results
+            print(
+                f"alpha={row.alpha:g} N={row.N} Ms={row.Ms}: max H1 error "
+                f"{_fmt_error(row.error)}, {row.seconds:.3f} s, "
+                f"step condition (lam=1) {'holds' if ok else 'violated'}"
+            )
+            lines = [TRAJECTORY_HEADER]
+            for n, tn, h1, l2, bound in levels:
+                lines.append(f"{n},{tn:.10g},{h1:.6E},{l2:.6E},{bound:.6E}")
+            text = "\n".join(lines) + "\n"
             path = cfg.output or "trajectory.csv"
         else:
-            if cfg.command == "temporal-study":
-                rows = _cmd_temporal(cfg)
-            elif cfg.command == "spatial-study":
-                rows = _cmd_spatial(cfg)
-            elif cfg.command == "caputo-check":
-                rows = _cmd_caputo_check(cfg)
+            if cfg.command == "bound-report":
+                for row, ok, _ in results:
+                    print(
+                        f"alpha={row.alpha:g} N={row.N}: max bound quantity "
+                        f"{row.error:.6e}, step condition (lam=1) {'holds' if ok else 'violated'}"
+                    )
             else:
-                rows = _cmd_bound_report(cfg)
+                _attach_orders(rows, REFINED_KEYS[cfg.command])
+            _print_table(rows, VALUE_LABELS.get(cfg.command, "error"))
+            for row in rows:
+                if row.capped:
+                    print(
+                        f"note: alpha={row.alpha:g} Ms={row.Ms} coupled N exceeded "
+                        f"{DEFAULT_N_CAP} and was capped"
+                    )
+            if cfg.command == "caputo-check":
+                print(f"weighted truncation orders for beta={cfg.beta:g}, sigma={cfg.sigma:g}")
             text = _csv_lines(rows, cfg.timing)
             path = cfg.output or "report.csv"
         _write_output(path, text)

@@ -1,4 +1,4 @@
-"""Manufactured solutions and convergence studies.
+"""Manufactured solutions, mesh couplings and single-case runs.
 
 Both built-in cases share the temporal factor g(t) = t**3 + t**alpha, whose
 Caputo derivative of order alpha is known in closed form, and the nonlocal
@@ -7,8 +7,10 @@ so the recovered and shifted trajectories coincide and the forcing is the
 only data.  Errors are measured in the H1 seminorm at every level and
 reduced with max, matching the L-infinity-in-time estimate the scheme
 satisfies.  Refinement couples the meshes so one error component cannot
-mask the other: temporal studies set Ms ~ N**(2-beta), spatial studies set
-N ~ Ms**(2/(2-beta)).
+mask the other: temporal studies set Ms ~ N**(2-beta) (coupled_ms),
+spatial studies set N ~ Ms**(2/(2-beta)) (coupled_n).  The study driver
+itself, which plans the refinements, runs them through run_single_case
+and attaches the observed orders, is fracwave.cli.
 """
 
 import math
@@ -257,48 +259,6 @@ def observed_order(pairs):
         if not e > 0:
             raise ValueError(f"errors must be positive, got {e}")
     return [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
-
-
-def _attach_orders(rows, keys):
-    ocs = observed_order([(k, row.error) for k, row in zip(keys, rows)])
-    for row, oc in zip(rows[:-1], ocs):
-        row.oc = oc
-
-
-def temporal_study(case, n_list, r=None, quad_order=3, tol=1e-12):
-    """Convergence in N with the coupled spatial resolution Ms ~ N**(2-beta).
-
-    Returns one ReportRow per entry of n_list, with orders attached.
-    """
-    beta = 0.5 * case.alpha
-    rows = [
-        run_single_case(case, N, coupled_ms(N, beta), r, quad_order, tol)
-        for N in n_list
-    ]
-    _attach_orders(rows, [row.N for row in rows])
-    return rows
-
-
-def spatial_study(case, ms_list, r=None, n_cap=4096, quad_order=3, tol=1e-12):
-    """Convergence in Ms with the coupled temporal resolution N ~ Ms**(2/(2-beta)).
-
-    Pairings whose coupled N exceeds n_cap run at n_cap instead and are
-    flagged; the cap keeps the finest spatial levels affordable once the
-    temporal error is far below the spatial one.  Returns one ReportRow per
-    entry of ms_list, with orders attached.
-    """
-    beta = 0.5 * case.alpha
-    rows = []
-    for Ms in ms_list:
-        N = coupled_n(Ms, beta)
-        capped = N > n_cap
-        if capped:
-            N = n_cap
-        row = run_single_case(case, N, Ms, r, quad_order, tol)
-        row.capped = capped
-        rows.append(row)
-    _attach_orders(rows, [row.Ms for row in rows])
-    return rows
 
 
 def trajectory_rows(case, state, quad_order=3):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from fracwave import coupled_ms
 from fracwave.cli import (
     CSV_HEADER,
     TRAJECTORY_HEADER,
@@ -10,6 +11,25 @@ from fracwave.cli import (
     parse_config,
     run,
 )
+
+
+def _recording_pool(sizes):
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size in sizes, runs in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    return RecordingPool
 
 
 def test_parse_full_study_line():
@@ -41,6 +61,9 @@ def test_parse_requires_command():
         ("command=temporal-study alpha=1.5 N=8,16 timing=cpu", "timing"),
         ("command=fit alpha=1.5 N=8,16", "command"),
         ("command=temporal-study example=ex9 alpha=1.5 N=8,16", "ex"),
+        ("command=temporal-study alpha=1.5 N=8,16 tol=inf", "tol"),
+        ("command=temporal-study alpha=1.5 N=8,16 r=inf", "r"),
+        ("command=caputo-check beta=0.7 sigma=inf N=8,16", "sigma"),
     ],
 )
 def test_parse_rejects_and_names_offender(line, key):
@@ -103,8 +126,29 @@ def test_temporal_study_csv_shape(tmp_path):
     assert "E" in first[4]
     assert len(first[5].split(".")[1]) == 6
     assert first[6] == "0.000"
+    assert 0.6 < float(first[5]) < 1.9
     last = lines[2].split(",")
     assert last[5] == ""  # no order on the finest level
+
+
+def test_plan_couples_caps_and_orders_the_tasks(monkeypatch):
+    import fracwave.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "DEFAULT_N_CAP", 16)
+    # coupled_n(4, 0.75) = 10, coupled_n(8, 0.75) = 28 > 16
+    spatial = cli_module._plan(parse_config("command=spatial-study alpha=1.5 Ms=8,4"))
+    assert spatial == [(1.5, 10, 4, 5.0 / 3.0, False), (1.5, 16, 8, 5.0 / 3.0, True)]
+    temporal = cli_module._plan(parse_config("command=temporal-study alpha=1.8,1.4 N=16,8 r=2"))
+    assert temporal == [
+        (1.4, 8, coupled_ms(8, 0.7), 2.0, False),
+        (1.4, 16, coupled_ms(16, 0.7), 2.0, False),
+        (1.8, 8, coupled_ms(8, 0.9), 2.0, False),
+        (1.8, 16, coupled_ms(16, 0.9), 2.0, False),
+    ]
+    solve = cli_module._plan(parse_config("command=solve alpha=1.5 N=8"))
+    assert solve == [(1.5, 8, coupled_ms(8, 0.75), 5.0 / 3.0, False)]
+    solve = cli_module._plan(parse_config("command=solve alpha=1.5 N=8 Ms=6"))
+    assert solve == [(1.5, 8, 6, 5.0 / 3.0, False)]
 
 
 def test_serial_reruns_are_byte_identical(tmp_path):
@@ -160,6 +204,21 @@ def test_bound_report_runs(tmp_path, capsys):
     bounds = [float(line.split(",")[4]) for line in lines[1:]]
     assert all(b > 0 for b in bounds)
     assert "step condition" in capsys.readouterr().out
+
+
+def test_threaded_bound_report_uses_the_pool_and_matches_serial(tmp_path, monkeypatch):
+    import fracwave.cli as cli_module
+
+    serial = tmp_path / "serial.csv"
+    threaded = tmp_path / "threaded.csv"
+    base = "command=bound-report example=ex1 alpha=1.4,1.8 N=8,16"
+    assert run(parse_config(f"{base} output={serial}")) == 0
+    sizes = []
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", _recording_pool(sizes))
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 8)
+    assert run(parse_config(f"{base} threads=2 output={threaded}")) == 0
+    assert sizes == [2]
+    assert serial.read_bytes() == threaded.read_bytes()
 
 
 def test_spatial_study_prints_cap_note(tmp_path, capsys, monkeypatch):
@@ -271,23 +330,7 @@ def test_pool_is_bounded_by_tasks_and_cpus(threads, tasks, cpus, pool_size, monk
     import fracwave.cli as cli_module
 
     sizes = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", _recording_pool(sizes))
     monkeypatch.setattr(cli_module, "_study_task", lambda task: -task)
     monkeypatch.setattr(cli_module.os, "cpu_count", lambda: cpus)
     assert cli_module._run_tasks(list(range(tasks)), threads) == [-t for t in range(tasks)]

@@ -1,4 +1,4 @@
-"""Manufactured cases, parameter couplings, and convergence studies."""
+"""Manufactured cases, parameter couplings, single-case runs and the package exports."""
 
 import math
 
@@ -15,8 +15,6 @@ from fracwave.mms_harness import (
     observed_order,
     round_even,
     run_single_case,
-    spatial_study,
-    temporal_study,
     trajectory_rows,
 )
 
@@ -146,24 +144,6 @@ def test_errors_shrink_under_coupled_refinement():
     assert fine.error < coarse.error
 
 
-def test_temporal_study_attaches_orders():
-    case = example1_case(1.5)
-    rows = temporal_study(case, [8, 16])
-    assert len(rows) == 2
-    assert rows[0].oc is not None
-    assert rows[1].oc is None
-    assert 0.6 < rows[0].oc < 1.9
-
-
-def test_spatial_study_respects_cap():
-    case = example1_case(1.5)
-    rows = spatial_study(case, [4, 8], n_cap=16)
-    assert [row.Ms for row in rows] == [4, 8]
-    assert rows[1].capped
-    assert rows[1].N == 16
-    assert not rows[0].capped
-
-
 def test_trajectory_rows_cover_all_levels():
     from fracwave.fem_space import build_spatial_mesh
     from fracwave.graded_time import build_graded_mesh
@@ -181,3 +161,10 @@ def test_trajectory_rows_cover_all_levels():
     assert h1_0 <= 1e-12 and l2_0 <= 1e-12 and bound0 <= 1e-12
     for n, tn, h1, l2, bound in rows[1:]:
         assert math.isfinite(h1) and math.isfinite(l2) and math.isfinite(bound)
+
+
+def test_every_exported_name_resolves():
+    import fracwave
+
+    missing = [name for name in fracwave.__all__ if not hasattr(fracwave, name)]
+    assert missing == []
