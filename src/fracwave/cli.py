@@ -12,7 +12,7 @@ Studies write one CSV row per refinement with the stable header
 
 and print an aligned table with measured wall times.  The seconds column
 in the CSV is fixed at 0.000 unless timing=wall is requested, so default
-serial runs are byte-reproducible.  FRACWAVE_THREADS overrides threads=.
+serial runs are byte-reproducible.
 
 Every command runs one pipeline: _plan lists its (alpha, N, Ms, r, capped)
 tasks, _run_tasks runs each through _study_task (in a process pool when
@@ -154,10 +154,6 @@ def parse_config(source):
         else:
             raise ConfigError(f"unknown key {key!r}")
 
-    env_threads = os.environ.get("FRACWAVE_THREADS")
-    if env_threads is not None:
-        cfg.threads = _parse_int("FRACWAVE_THREADS", env_threads)
-
     if cfg.command is None:
         raise ConfigError("command is required (one of " + ", ".join(COMMANDS) + ")")
     if cfg.command not in COMMANDS:
@@ -184,8 +180,10 @@ def parse_config(source):
             f"quadrature for {cfg.example} must be one of "
             f"{', '.join(map(str, rules))}, got {cfg.quadrature}"
         )
-    if not cfg.tol > 0:
-        raise ConfigError(f"tol must be positive, got {cfg.tol}")
+    # double-precision CG cannot bring a relative residual below rounding
+    # level; a smaller tol only runs it on until it breaks down
+    if not cfg.tol >= sys.float_info.epsilon:
+        raise ConfigError(f"tol must be at least {sys.float_info.epsilon:.3g}, got {cfg.tol}")
     if cfg.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
     if cfg.beta is not None and not 0 < cfg.beta < 1:

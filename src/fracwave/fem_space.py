@@ -19,7 +19,6 @@ mesh's cached sine matrix, to precondition CG.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -169,8 +168,6 @@ class SpatialMesh:
         Global indices of the unknowns, in ascending order.
     num_interior : int
         Number of unknowns.
-    h : float
-        Largest element diameter.
     domain : tuple
         Descriptor, ("interval", a, b) or ("unit_square",).
     subdivisions : int
@@ -211,12 +208,6 @@ class SpatialMesh:
         scaled = np.moveaxis(adj_t, -1, 0) * np.sign(det)[:, None, None]
         self.scaled_gradients = np.concatenate(
             [-scaled.sum(axis=1, keepdims=True), scaled], axis=1
-        )
-        self.h = float(
-            max(
-                np.linalg.norm(p[:, i] - p[:, j], axis=1).max()
-                for i, j in combinations(range(d + 1), 2)
-            )
         )
         _read_only(vertices, elements, boundary, self.interior_nodes)
         _read_only(self.measure, self.scaled_gradients)
@@ -349,6 +340,7 @@ def build_spatial_mesh(domain, subdivisions):
 
 
 def _assemble_matrix(mesh, which):
+    """Mass or stiffness matrix over all nodes, boundary ones included."""
     n_nodes = mesh.vertices.shape[0]
     el = mesh.elements
     nv = mesh.dimension + 1
@@ -368,11 +360,8 @@ def _assemble_matrix(mesh, which):
     return full
 
 
-def _get_matrix(mesh, which, interior_only):
-    # only the interior matrices are cached; the full ones are rebuilt on
-    # request, since no time step needs them
-    if not interior_only:
-        return _assemble_matrix(mesh, which)
+def _get_matrix(mesh, which):
+    """The matrix restricted to the interior unknowns, cached on the mesh."""
     if which not in mesh._matrices:
         idx = mesh.interior_nodes
         restricted = _assemble_matrix(mesh, which)[idx, :][:, idx].tocsr()
@@ -381,14 +370,14 @@ def _get_matrix(mesh, which, interior_only):
     return mesh._matrices[which]
 
 
-def assemble_mass(mesh, interior_only=True):
-    """Mass matrix in CSR form, by default restricted to interior unknowns."""
-    return _get_matrix(mesh, "mass", interior_only)
+def assemble_mass(mesh):
+    """Mass matrix in CSR form on the interior unknowns."""
+    return _get_matrix(mesh, "mass")
 
 
-def assemble_stiffness(mesh, interior_only=True):
-    """Stiffness matrix in CSR form, by default restricted to interior unknowns."""
-    return _get_matrix(mesh, "stiffness", interior_only)
+def assemble_stiffness(mesh):
+    """Stiffness matrix in CSR form on the interior unknowns."""
+    return _get_matrix(mesh, "stiffness")
 
 
 def _dot(columns, coefs):
@@ -482,7 +471,8 @@ def spd_solve(matrix, rhs, tol=1e-12, x0=None, max_iter=None, precond=None):
     Jacobi, the inverse diagonal of the matrix.  Iterates until
     ||rhs - A x|| <= tol * ||rhs||.  Deterministic: fixed iteration order,
     no randomization.  Returns (x, iterations) and raises RuntimeError with
-    the final residual if max_iter is exhausted.
+    the final residual if max_iter is exhausted, or naming the iteration at
+    a breakdown, where the curvature p @ A p is not positive and finite.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
@@ -512,7 +502,13 @@ def spd_solve(matrix, rhs, tol=1e-12, x0=None, max_iter=None, precond=None):
     rz = r @ z
     for it in range(1, max_iter + 1):
         ap = matrix @ p
-        alpha = rz / (p @ ap)
+        curvature = p @ ap
+        if not 0.0 < curvature < math.inf:
+            raise RuntimeError(
+                f"CG broke down at iteration {it}: curvature p @ A p = {curvature:.3e} "
+                "is not positive and finite"
+            )
+        alpha = rz / curvature
         x += alpha * p
         r -= alpha * ap
         res = np.linalg.norm(r)

@@ -63,10 +63,10 @@ class ProblemSpec:
         Initial displacement and its gradient; None means zero.  The
         gradient is required whenever u0 is nonzero, because the initial
         datum enters through its Ritz projection.
-    u1, grad_u1, lap_u1 : callable or None
-        Initial velocity, its gradient, and its Laplacian; None means zero.
-        A nonzero u1 needs grad_u1 or lap_u1 for the stationary forcing
-        term t * a(.) * (Lap u1, phi).
+    u1, grad_u1 : callable or None
+        Initial velocity and its gradient; None means zero.  A nonzero u1
+        needs grad_u1 for the stationary forcing term t * a(.) * (Lap u1, phi),
+        which is loaded as -t * a(.) * (grad u1, grad phi).
     """
 
     alpha: float
@@ -80,7 +80,6 @@ class ProblemSpec:
     grad_u0: object = None
     u1: object = None
     grad_u1: object = None
-    lap_u1: object = None
 
     def __post_init__(self):
         if not 1 < self.alpha < 2:
@@ -91,8 +90,8 @@ class ProblemSpec:
             raise ValueError(f"coefficient bounds need 0 < m1 <= m2, got ({self.m1}, {self.m2})")
         if self.u0 is not None and self.grad_u0 is None:
             raise ValueError("a nonzero u0 needs grad_u0 for its Ritz projection")
-        if self.u1 is not None and self.grad_u1 is None and self.lap_u1 is None:
-            raise ValueError("a nonzero u1 needs grad_u1 or lap_u1")
+        if self.u1 is not None and self.grad_u1 is None:
+            raise ValueError("a nonzero u1 needs grad_u1")
 
     @property
     def beta(self):
@@ -117,7 +116,7 @@ class SolverState:
     mass: object
     stiffness: object
     phu1: np.ndarray
-    lap_u1_load: np.ndarray
+    lap_load: np.ndarray
     ubar: np.ndarray
     v: np.ndarray
     kappa: np.ndarray
@@ -125,12 +124,6 @@ class SolverState:
     n_done: int = 0
     quad_order: int = 3
     tol: float = 1e-12
-
-    def ubar_fn(self, n):
-        return FeFunction(self.ubar[n], self.smesh)
-
-    def v_fn(self, n):
-        return FeFunction(self.v[n], self.smesh)
 
     def recovered(self, n):
         """Interior coefficients of the recovered displacement at level n."""
@@ -170,10 +163,7 @@ def initialize(spec, tmesh, smesh, quad_order=3, tol=1e-12):
         lap_load = np.zeros(m)
     else:
         phu1 = l2_projection(smesh, spec.u1, quad_order, tol).coeffs
-        if spec.lap_u1 is not None:
-            lap_load = assemble_load(smesh, spec.lap_u1, quad_order)
-        else:
-            lap_load = -assemble_grad_load(smesh, spec.grad_u1, quad_order)
+        lap_load = -assemble_grad_load(smesh, spec.grad_u1, quad_order)
 
     ubar = np.zeros((n_levels, m))
     v = np.zeros((n_levels, m))
@@ -191,7 +181,7 @@ def initialize(spec, tmesh, smesh, quad_order=3, tol=1e-12):
         mass=mass,
         stiffness=stiffness,
         phu1=phu1,
-        lap_u1_load=lap_load,
+        lap_load=lap_load,
         ubar=ubar,
         v=v,
         kappa=kappa,
@@ -277,7 +267,7 @@ def step(state, n):
     d1, g_hist, h_hist = _history_sums(state, n)
 
     fn = assemble_load(state.smesh, lambda *x: spec.f(*x, tn), state.quad_order)
-    rhs = (fn + tn * kap * state.lap_u1_load) / d1
+    rhs = (fn + tn * kap * state.lap_load) / d1
     rhs -= (state.mass @ g_hist) / d1
     rhs -= state.mass @ h_hist
     if not np.isfinite(rhs).all():

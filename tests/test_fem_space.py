@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracwave import fem_space
 from fracwave.fem_space import (
     QUADRATURE_RULES,
     FeFunction,
@@ -119,9 +120,9 @@ def test_stiffness_2d_is_five_point_laplacian():
 
 def test_mass_total_is_domain_area():
     interval = build_spatial_mesh(("interval", 0.0, math.pi), 7)
-    assert assemble_mass(interval, interior_only=False).sum() == pytest.approx(math.pi, rel=1e-13)
+    assert fem_space._assemble_matrix(interval, "mass").sum() == pytest.approx(math.pi, rel=1e-13)
     square = build_spatial_mesh(("unit_square",), 3)
-    assert assemble_mass(square, interior_only=False).sum() == pytest.approx(1.0, rel=1e-13)
+    assert fem_space._assemble_matrix(square, "mass").sum() == pytest.approx(1.0, rel=1e-13)
 
 
 @pytest.mark.parametrize("domain,ms", [(("interval", 0.0, 1.0), 9), (("unit_square",), 4)])
@@ -520,6 +521,18 @@ def test_spd_solve_reports_iteration_breach():
     rhs = np.ones(mesh.num_interior)
     with pytest.raises(RuntimeError):
         spd_solve(a, rhs, max_iter=2)
+
+
+def test_spd_solve_stops_at_breakdown_without_warnings():
+    import warnings
+
+    import scipy.sparse as sp
+
+    # Jacobi gives p = (1, -1) and A p = (1, 1): zero curvature at iteration 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="iteration 1"):
+            spd_solve(sp.diags([1.0, -1.0]).tocsr(), np.array([1.0, 1.0]))
 
 
 def test_dst1_is_an_orthonormal_involution_equal_to_the_sine_matrix():
