@@ -7,21 +7,21 @@ mesh computes once, and on quadrature points each mesh builds once per
 rule.
 
 Meshes carry homogeneous Dirichlet conditions by elimination: assembled
-matrices and load vectors live on the interior unknowns only.  The 2D mesh
-is the structured triangulation of the unit square obtained by cutting each
-cell of an Ms x Ms grid along the same diagonal, giving 2*Ms**2 right
-triangles.  The discrete Laplacian is never formed; inner products against
-it are taken through the stiffness matrix.  On that grid the stiffness is
-the 5-point Laplacian, which the orthonormal sine transform (DST-I)
-diagonalizes; SpatialMesh.preconditioner applies it, as products with the
-mesh's cached sine matrix, to precondition CG.
+matrices, stored by their 3 (1D) or 7 (2D) diagonals, and load vectors live
+on the interior unknowns only.  The 2D mesh is the structured triangulation
+of the unit square obtained by cutting each cell of an Ms x Ms grid along
+the same diagonal, giving 2*Ms**2 right triangles.  The discrete Laplacian
+is never formed; inner products against it are taken through the stiffness
+matrix.  On that grid the stiffness is the 5-point Laplacian, which the
+orthonormal sine transform (DST-I) diagonalizes; SpatialMesh.preconditioner
+applies it, as products with the mesh's cached sine matrix, to precondition
+CG.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def _read_only(*arrays):
@@ -339,44 +339,92 @@ def build_spatial_mesh(domain, subdivisions):
     raise ValueError(f"unknown domain descriptor {domain!r}")
 
 
-def _assemble_matrix(mesh, which):
-    """Mass or stiffness matrix over all nodes, boundary ones included."""
-    n_nodes = mesh.vertices.shape[0]
-    el = mesh.elements
-    nv = mesh.dimension + 1
-    if which == "mass":
-        local = (np.ones((nv, nv)) + np.eye(nv)) / (nv * (nv + 1))
-        vals = mesh.measure[:, None, None] * local
-    else:
-        g = mesh.scaled_gradients
-        scale = math.factorial(mesh.dimension) ** 2 * mesh.measure
-        vals = (g @ g.transpose(0, 2, 1)) / scale[:, None, None]
-    rows = np.repeat(el, nv, axis=1).ravel()
-    cols = np.tile(el, (1, nv)).ravel()
-    full = sp.coo_matrix(
-        (vals.ravel(), (rows, cols)), shape=(n_nodes, n_nodes)
-    ).tocsr()
-    full.sort_indices()
-    return full
+class BandMatrix:
+    """Square matrix stored by its diagonals (DIA storage; Saad 2003, 3.4).
+
+    data[k, i] = A[i, i + offsets[k]] on the sorted offsets, zero outside
+    the pattern.  A product adds the diagonals to zeros in ascending offset
+    order, as a sorted CSR row is added, so the two agree bit for bit; but
+    the padding zeros spread a non-finite x entry to a neighbouring row as
+    0 * inf = nan (step rejects a non-finite right-hand side first).
+    """
+
+    def __init__(self, offsets, data):
+        self.offsets = offsets
+        self.data = data
+        n = data.shape[1]
+        self.shape = (n, n)
+        # per diagonal: offset, entries inside the matrix, slices of x and out
+        self._diagonals = []
+        for k, row in zip(offsets.tolist(), data):
+            lo, hi = max(0, -k), n - max(0, k)
+            self._diagonals.append((k, row[lo:hi], slice(lo + k, hi + k), slice(lo, hi)))
+
+    def __matmul__(self, x):
+        out = np.zeros(self.shape[0])
+        for _, entries, cols, rows in self._diagonals:
+            out[rows] += entries * x[cols]
+        return out
+
+    def __mul__(self, scalar):
+        if np.ndim(scalar) != 0:
+            return NotImplemented
+        return BandMatrix(self.offsets, scalar * self.data)
+
+    __rmul__ = __mul__
+    __array_ufunc__ = None  # numpy operands defer to these methods or fail
+
+    def __add__(self, other):
+        if self.offsets.tolist() != other.offsets.tolist():
+            raise ValueError("band matrices with different diagonals cannot be added")
+        return BandMatrix(self.offsets, self.data + other.data)
+
+    def diagonal(self, k=0):
+        for offset, entries, _, _ in self._diagonals:
+            if offset == k:
+                return entries.copy()
+        return np.zeros(max(self.shape[0] - abs(k), 0))
+
+    def toarray(self):
+        # column j is the product with the unit vector e_j, exactly
+        return np.column_stack([self @ e for e in np.eye(self.shape[0])])
 
 
 def _get_matrix(mesh, which):
-    """The matrix restricted to the interior unknowns, cached on the mesh."""
+    """Mass or stiffness matrix on the interior unknowns, cached on the mesh:
+    the element contributions between interior nodes, summed in element
+    order by one bincount keyed on (diagonal, row)."""
     if which not in mesh._matrices:
-        idx = mesh.interior_nodes
-        restricted = _assemble_matrix(mesh, which)[idx, :][:, idx].tocsr()
-        restricted.sort_indices()
-        mesh._matrices[which] = restricted
+        nv = mesh.dimension + 1
+        if which == "mass":
+            local = (np.ones((nv, nv)) + np.eye(nv)) / (nv * (nv + 1))
+            vals = mesh.measure[:, None, None] * local
+        else:
+            g = mesh.scaled_gradients
+            scale = math.factorial(mesh.dimension) ** 2 * mesh.measure
+            vals = (g @ g.transpose(0, 2, 1)) / scale[:, None, None]
+        # interior index of every element vertex, -1 on the boundary
+        m = mesh.num_interior
+        el = np.where(mesh.boundary, -1, np.cumsum(~mesh.boundary) - 1)[mesh.elements]
+        rows = np.repeat(el, nv, axis=1).ravel()
+        cols = np.tile(el, (1, nv)).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        rows, shift = rows[keep], (cols - rows)[keep] + (m - 1)
+        present = np.bincount(shift, minlength=2 * m - 1) > 0
+        diag = np.cumsum(present) - 1
+        offsets = np.flatnonzero(present) - (m - 1)
+        data = np.bincount(diag[shift] * m + rows, vals.ravel()[keep], offsets.size * m)
+        mesh._matrices[which] = BandMatrix(*_read_only(offsets, data.reshape(offsets.size, m)))
     return mesh._matrices[which]
 
 
 def assemble_mass(mesh):
-    """Mass matrix in CSR form on the interior unknowns."""
+    """Mass matrix as a BandMatrix on the interior unknowns."""
     return _get_matrix(mesh, "mass")
 
 
 def assemble_stiffness(mesh):
-    """Stiffness matrix in CSR form on the interior unknowns."""
+    """Stiffness matrix as a BandMatrix on the interior unknowns."""
     return _get_matrix(mesh, "stiffness")
 
 

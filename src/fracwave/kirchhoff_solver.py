@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .caputo_l1 import l1_row, l1_rows
 from .fem_space import (
@@ -145,10 +144,7 @@ def initialize(spec, tmesh, smesh, quad_order=3, tol=1e-12):
     stiffness = assemble_stiffness(smesh)
     # both come from the same element connectivity, the stiffness keeping
     # its zero entries, so step forms every level's system on this pattern
-    if not (
-        np.array_equal(mass.indptr, stiffness.indptr)
-        and np.array_equal(mass.indices, stiffness.indices)
-    ):
+    if not np.array_equal(mass.offsets, stiffness.offsets):
         raise RuntimeError("mass and stiffness matrices have different sparsity patterns")
     m = smesh.num_interior
     n_levels = tmesh.N + 1
@@ -273,11 +269,7 @@ def step(state, n):
     if not np.isfinite(rhs).all():
         raise ValueError(f"non-finite load or right-hand side at level {n}")
 
-    mass = state.mass
-    system = sp.csr_matrix(
-        (d1 * mass.data + (kap / d1) * state.stiffness.data, mass.indices, mass.indptr),
-        shape=mass.shape,
-    )
+    system = d1 * state.mass + (kap / d1) * state.stiffness
     precond = state.smesh.preconditioner(d1, kap / d1)
     x, iters = spd_solve(system, rhs, state.tol, x0=state.ubar[n - 1], precond=precond)
 

@@ -1,6 +1,13 @@
 """Config parsing, report formats, and end-to-end command runs at toy sizes."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
+
+import fracwave
 
 from fracwave import coupled_ms
 from fracwave.cli import (
@@ -395,3 +402,31 @@ def test_unread_problem_key_fails_before_any_solve(line, key, tmp_path, capsys, 
     assert main(line.split() + [f"output={out}"]) == 2
     assert f"does not read '{key}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from fracwave import cli
+out = sys.argv[1]
+lines = [
+    "command=solve example=ex1 alpha=1.5 N=4 Ms=8",
+    "command=temporal-study example=ex1 alpha=1.5 N=4,8",
+    "command=temporal-study example=ex2 alpha=1.5 N=4,8",
+    "command=spatial-study example=ex2 alpha=1.5 Ms=4,8",
+    "command=bound-report example=ex1 alpha=1.5 N=4,8",
+    "command=caputo-check beta=0.7 sigma=0.7 N=8,16",
+]
+codes = [cli.main(line.split() + [f"output={out}/{i}.csv"]) for i, line in enumerate(lines)]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_library_and_every_command_run_without_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracwave.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * 6, "scipy": []}

@@ -8,7 +8,9 @@ import pytest
 from fracwave import fem_space
 from fracwave.fem_space import (
     QUADRATURE_RULES,
+    BandMatrix,
     FeFunction,
+    SpatialMesh,
     assemble_grad_load,
     assemble_load,
     assemble_mass,
@@ -118,11 +120,23 @@ def test_stiffness_2d_is_five_point_laplacian():
     np.testing.assert_allclose(assemble_stiffness(mesh).toarray(), five_point, rtol=0, atol=1e-13)
 
 
+def _all_node_mesh(mesh):
+    """The same mesh with no Dirichlet nodes, so every node is an unknown."""
+    return SpatialMesh(
+        mesh.dimension,
+        mesh.vertices,
+        mesh.elements,
+        np.zeros_like(mesh.boundary),
+        mesh.domain,
+        mesh.subdivisions,
+    )
+
+
 def test_mass_total_is_domain_area():
-    interval = build_spatial_mesh(("interval", 0.0, math.pi), 7)
-    assert fem_space._assemble_matrix(interval, "mass").sum() == pytest.approx(math.pi, rel=1e-13)
-    square = build_spatial_mesh(("unit_square",), 3)
-    assert fem_space._assemble_matrix(square, "mass").sum() == pytest.approx(1.0, rel=1e-13)
+    interval = _all_node_mesh(build_spatial_mesh(("interval", 0.0, math.pi), 7))
+    assert assemble_mass(interval).toarray().sum() == pytest.approx(math.pi, rel=1e-13)
+    square = _all_node_mesh(build_spatial_mesh(("unit_square",), 3))
+    assert assemble_mass(square).toarray().sum() == pytest.approx(1.0, rel=1e-13)
 
 
 @pytest.mark.parametrize("domain,ms", [(("interval", 0.0, 1.0), 9), (("unit_square",), 4)])
@@ -135,6 +149,121 @@ def test_matrices_symmetric_positive(domain, ms):
         np.linalg.cholesky(dense)
         x = rng.standard_normal(mesh.num_interior)
         assert x @ (matrix @ x) > 0
+
+
+def _scipy_interior_matrix(mesh, which):
+    """The matrix as it was first assembled: all-node COO triplets summed
+    by scipy's CSR conversion, then restricted to the interior rows and
+    columns."""
+    import scipy.sparse as sp
+
+    el = mesh.elements
+    nv = mesh.dimension + 1
+    if which == "mass":
+        local = (np.ones((nv, nv)) + np.eye(nv)) / (nv * (nv + 1))
+        vals = mesh.measure[:, None, None] * local
+    else:
+        g = mesh.scaled_gradients
+        scale = math.factorial(mesh.dimension) ** 2 * mesh.measure
+        vals = (g @ g.transpose(0, 2, 1)) / scale[:, None, None]
+    rows = np.repeat(el, nv, axis=1).ravel()
+    cols = np.tile(el, (1, nv)).ravel()
+    n_nodes = mesh.vertices.shape[0]
+    full = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
+    idx = mesh.interior_nodes
+    restricted = full[idx, :][:, idx].tocsr()
+    restricted.sort_indices()
+    return restricted
+
+
+def _compare_with_csr(band, csr):
+    """Band values at the CSR entries, and the CSR values, after checking
+    that both have the same pattern: the same diagonals, and zeros in every
+    stored band entry the CSR matrix does not have."""
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    offsets = csr.indices - rows
+    np.testing.assert_array_equal(band.offsets, np.unique(offsets))
+    k = np.searchsorted(band.offsets, offsets)
+    outside = np.ones(band.data.shape, dtype=bool)
+    outside[k, rows] = False
+    assert not band.data[outside].any()
+    return band.data[k, rows], csr.data
+
+
+def _band_entries(band):
+    """Rows, columns and values of the stored band entries inside the matrix."""
+    n = band.shape[0]
+    parts = []
+    for k, diag in zip(band.offsets.tolist(), band.data):
+        i = np.arange(max(0, -k), n - max(0, k))
+        parts.append((i, i + k, diag[i]))
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+@pytest.mark.parametrize("ms", [37, 8192])
+def test_interior_matrices_equal_the_scipy_assembly_1d_bit_for_bit(ms):
+    mesh = build_spatial_mesh(("interval", 0.0, math.pi), ms)
+    for which in ("mass", "stiffness"):
+        band = fem_space._get_matrix(mesh, which)
+        assert band.offsets.tolist() == [-1, 0, 1]
+        np.testing.assert_array_equal(*_compare_with_csr(band, _scipy_interior_matrix(mesh, which)))
+
+
+@pytest.mark.parametrize("ms", [8, 32, 76, 182])
+def test_interior_matrices_match_the_scipy_assembly_2d(ms):
+    # summing the six element contributions of a diagonal entry in element
+    # order, not in scipy's sort order, moves a few entries by one ulp
+    mesh = build_spatial_mesh(("unit_square",), ms)
+    for which in ("mass", "stiffness"):
+        band = fem_space._get_matrix(mesh, which)
+        assert band.offsets.tolist() == [-ms, -ms + 1, -1, 0, 1, ms - 1, ms]
+        got, expected = _compare_with_csr(band, _scipy_interior_matrix(mesh, which))
+        np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize(
+    "domain,ms",
+    [(("interval", 0.0, math.pi), 128), (("interval", 0.0, math.pi), 8192),
+     (("unit_square",), 32), (("unit_square",), 182)],
+)
+def test_band_product_equals_the_csr_product_bit_for_bit(domain, ms):
+    import scipy.sparse as sp
+
+    mesh = build_spatial_mesh(domain, ms)
+    x = np.random.default_rng(ms).standard_normal(mesh.num_interior)
+    for band in (assemble_mass(mesh), assemble_stiffness(mesh), 6.0 * assemble_mass(mesh)):
+        rows, cols, vals = _band_entries(band)
+        csr = sp.csr_matrix((vals, (rows, cols)), shape=band.shape)
+        np.testing.assert_array_equal(band @ x, csr @ x)
+
+
+@pytest.mark.parametrize("domain,ms", [(("interval", 0.0, 1.0), 9), (("unit_square",), 6)])
+def test_band_product_matches_the_dense_product(domain, ms):
+    mesh = build_spatial_mesh(domain, ms)
+    x = np.random.default_rng(2).standard_normal(mesh.num_interior)
+    for band in (assemble_mass(mesh), assemble_stiffness(mesh)):
+        dense = band.toarray()
+        bound = 4 * np.finfo(float).eps * (np.abs(dense) @ np.abs(x))
+        assert np.all(np.abs(dense @ x - band @ x) <= bound)
+        for k in range(-ms, ms + 1):
+            np.testing.assert_array_equal(band.diagonal(k), np.diag(dense, k))
+
+
+@pytest.mark.parametrize("domain,ms", [(("interval", 0.0, 1.0), 64), (("unit_square",), 32)])
+def test_band_sum_is_the_sum_of_the_diagonals(domain, ms):
+    mesh = build_spatial_mesh(domain, ms)
+    mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)
+    d1, c = 112.3, 1.3 / 112.3
+    system = d1 * mass + c * stiff
+    assert system.offsets is mass.offsets
+    np.testing.assert_array_equal(system.data, d1 * mass.data + c * stiff.data)
+    with pytest.raises(ValueError, match="different diagonals"):
+        mass + BandMatrix(mass.offsets[:1], mass.data[:1])
+    # only scalars scale a band matrix; an array is not broadcast into it
+    for vector_times in (lambda: mass * np.ones(mesh.num_interior),
+                         lambda: np.ones(mesh.num_interior) * mass):
+        with pytest.raises(TypeError):
+            vector_times()
 
 
 def test_load_constant_1d():
@@ -571,7 +700,8 @@ def test_preconditioner_inverts_its_grid_operator(ms):
     i, j = np.divmod(np.arange(mesh.num_interior), ms - 1)
     deep = (i > 0) & (i < ms - 2) & (j > 0) & (j < ms - 2)
     for mass in (mass_hat, assemble_mass(mesh)):
-        np.testing.assert_allclose(np.asarray(mass.sum(axis=1)).ravel()[deep], ms**-2.0, rtol=1e-13)
+        row_sums = mass @ np.ones(mesh.num_interior)
+        np.testing.assert_allclose(row_sums[deep], ms**-2.0, rtol=1e-13)
     x = np.random.default_rng(3).standard_normal(mesh.num_interior)
     for a, b in [(6.0, 0.2), (1e4, 1e-4), (0.0, 1.0)]:
         apply = mesh.preconditioner(a, b)
