@@ -12,9 +12,8 @@ where the coefficients
 
 come from integrating the kernel against the piecewise-linear interpolant
 of w.  The module also provides the complementary discrete kernels used by
-the stability theory, the two-parameter Mittag-Leffler series restricted
-to E_beta, the closed-form Caputo derivative of power functions, and a
-truncation-error study driver.
+the stability theory, the closed-form Caputo derivative of power
+functions, and a truncation-error study driver.
 """
 
 import math
@@ -161,46 +160,6 @@ def kernel_triangle(mesh, beta, n_max=None):
         for n in range(1, n_max + 1)
     )
     return KernelTriangle(float(beta), rows)
-
-
-_ML_MAX_TERMS = 100000
-_ML_LOG_HUGE = 700.0  # exp() overflow threshold for float64
-
-
-def mittag_leffler(beta, z):
-    """One-parameter Mittag-Leffler function E_beta(z) = sum z**k / Gamma(1 + k beta).
-
-    Series evaluation with term recurrence in log space, early exit once the
-    terms fall below 1e-16 of the accumulated sum.  Intended for the moderate
-    arguments of the stability bounds (|z| up to about 50); arguments whose
-    terms overflow double precision raise OverflowError.
-    """
-    if beta <= 0:
-        raise ValueError(f"Mittag-Leffler order must be positive, got {beta}")
-    z = float(z)
-    if z == 0.0:
-        return 1.0
-    log_az = math.log(abs(z))
-    negative = z < 0.0
-    total = 0.0
-    prev_log = math.inf
-    for k in range(_ML_MAX_TERMS):
-        log_term = k * log_az - math.lgamma(1.0 + k * beta)
-        if log_term > _ML_LOG_HUGE:
-            raise OverflowError(
-                f"Mittag-Leffler series term overflows for beta={beta}, z={z}"
-            )
-        term = math.exp(log_term)
-        if negative and (k % 2 == 1):
-            term = -term
-        total += term
-        # safe to stop only on the decreasing side of the term profile
-        if log_term < prev_log and abs(term) < 1e-16 * max(abs(total), 1e-300):
-            return total
-        prev_log = log_term
-    raise OverflowError(
-        f"Mittag-Leffler series did not settle within {_ML_MAX_TERMS} terms"
-    )
 
 
 def exact_caputo_power(sigma, order, t):

@@ -15,7 +15,9 @@ is never formed; inner products against it are taken through the stiffness
 matrix.  On that grid the stiffness is the 5-point Laplacian, which the
 orthonormal sine transform (DST-I) diagonalizes; SpatialMesh.preconditioner
 applies it, as products with the mesh's cached sine matrix, to precondition
-CG.
+CG.  On the uniform interval the DST-I diagonalizes the mass and stiffness
+exactly, so there the same preconditioner is the exact inverse of every
+system the solver forms.
 """
 
 import math
@@ -181,8 +183,7 @@ class SpatialMesh:
         (dimension! * measure[e]).  They are (-1, 1) in 1D and the opposite
         edges turned by 90 degrees in 2D.  Dividing by the measure once per
         use, as the closed-form element matrices do, keeps the 1D matrices
-        and loads exact to the last bit; the 1D solves amplify a one-ulp
-        change in the stiffness into the sixth digit of printed orders.
+        and loads exact to the last bit.
     """
 
     def __init__(self, dimension, vertices, elements, boundary, domain, subdivisions):
@@ -213,18 +214,23 @@ class SpatialMesh:
         _read_only(self.measure, self.scaled_gradients)
         self._quadrature = {}
         self._matrices = {}
-        # on the square's (Ms-1) x (Ms-1) interior grid: the orthonormal
-        # DST-I matrix and the symbols it gives the mass and Laplacian
-        # stencils (see preconditioner)
-        self._sine = self._mass_symbol = self._lap_symbol = None
-        if domain[0] == "unit_square":
-            ms = self.subdivisions
-            k = np.arange(1, ms)
-            c = np.cos(k * math.pi / ms)
+        # the symbols the orthonormal DST-I gives the mass and stiffness on
+        # the interior grid, with c_k = cos(k pi / Ms) (see preconditioner),
+        # and on the square the (Ms-1) x (Ms-1) sine matrix itself
+        self._sine = self._mass_symbol = self._stiffness_symbol = None
+        ms = self.subdivisions
+        k = np.arange(1, ms)
+        c = np.cos(k * math.pi / ms)
+        if domain[0] == "interval":
+            h = (domain[2] - domain[1]) / ms
+            self._mass_symbol, self._stiffness_symbol = _read_only(
+                h / 6.0 * (4.0 + 2.0 * c), (2.0 - 2.0 * c) / h
+            )
+        elif domain[0] == "unit_square":
             ci, cj = c[:, None], c[None, :]
             # reducing j * k mod 2 Ms first keeps each entry within about
             # one ulp: S @ S - I is 2e-15 at Ms = 182, 8e-15 unreduced
-            self._sine, self._mass_symbol, self._lap_symbol = _read_only(
+            self._sine, self._mass_symbol, self._stiffness_symbol = _read_only(
                 math.sqrt(2.0 / ms) * np.sin(np.pi * (np.outer(k, k) % (2 * ms)) / ms),
                 (6.0 + 2.0 * ci + 2.0 * cj + 2.0 * ci * cj) / (12.0 * ms**2),
                 4.0 - 2.0 * ci - 2.0 * cj,
@@ -262,18 +268,23 @@ class SpatialMesh:
         return self._quadrature[npoints]
 
     def preconditioner(self, a, b):
-        """Approximate inverse of a * M + b * A for spd_solve, or None.
+        """Inverse of a * M + b * A for spd_solve, exact in 1D, or None.
+
+        On the uniform interval the DST-I diagonalizes both matrices
+        (Buzbee, Golub and Nielson 1970): the mass h/6 (1, 4, 1) has symbols
+        h/6 (4 + 2 c_k), the stiffness (1/h) (-1, 2, -1) has (2 - 2 c_k) / h,
+        c_k = cos(k pi / Ms), h = (b - a) / Ms; CG stops after one iteration.
 
         On the unit square's grid it applies (a * Mhat + b * Lhat)^(-1) by
         a DST-I along both axes of the row-major (Ms-1) x (Ms-1) interior
         grid.  Lhat is the stiffness itself (the 5-point Laplacian), with
-        symbols (2 - 2 c_i) + (2 - 2 c_j), c_k = cos(k pi / Ms).  Mhat is
-        the consistent mass stencil with its NE/SW coupling spread evenly
-        over both diagonals, symbols h^2/12 (6 + 2 c_i + 2 c_j + 2 c_i c_j)
-        with h = 1 / Ms; its stencil sums to h^2, as the consistent one
-        does.  Interval meshes get None, which spd_solve takes as Jacobi.
+        symbols (2 - 2 c_i) + (2 - 2 c_j).  Mhat is the consistent mass
+        stencil with its NE/SW coupling spread evenly over both diagonals,
+        symbols h^2/12 (6 + 2 c_i + 2 c_j + 2 c_i c_j) with h = 1 / Ms; its
+        stencil sums to h^2, as the consistent one does.  A mesh on any
+        other domain gets None, which spd_solve takes as Jacobi.
 
-        The transform is the matrix form of fast diagonalization (Lynch,
+        The 2D transform is the matrix form of fast diagonalization (Lynch,
         Rice and Thomas 1964): with S the cached symmetric sine matrix, a
         residual R on the grid maps to S ((S R S) / symbols) S.  Four dense
         products cost O(Ms^3) per apply against O(Ms^2 log Ms) for FFTs
@@ -281,10 +292,12 @@ class SpatialMesh:
         1.3 ms at Ms = 182, the two are about even at Ms = 512, and the
         FFTs win past Ms of about 1000.
         """
+        if self._mass_symbol is None:
+            return None
+        inverse = 1.0 / (a * self._mass_symbol + b * self._stiffness_symbol)
         s = self._sine
         if s is None:
-            return None
-        inverse = 1.0 / (a * self._mass_symbol + b * self._lap_symbol)
+            return lambda r: dst1(dst1(r) * inverse)
 
         def apply(r):
             return (s @ ((s @ r.reshape(s.shape) @ s) * inverse) @ s).ravel()
@@ -391,18 +404,23 @@ class BandMatrix:
 
 
 def _get_matrix(mesh, which):
-    """Mass or stiffness matrix on the interior unknowns, cached on the mesh:
+    """Mass or stiffness matrix on the interior unknowns, cached on the mesh.
+
+    The first call builds both on one pattern, whose offsets they share:
     the element contributions between interior nodes, summed in element
-    order by one bincount keyed on (diagonal, row)."""
-    if which not in mesh._matrices:
+    order by one bincount keyed on (diagonal, row).
+    """
+    if not mesh._matrices:
         nv = mesh.dimension + 1
-        if which == "mass":
-            local = (np.ones((nv, nv)) + np.eye(nv)) / (nv * (nv + 1))
-            vals = mesh.measure[:, None, None] * local
-        else:
-            g = mesh.scaled_gradients
-            scale = math.factorial(mesh.dimension) ** 2 * mesh.measure
-            vals = (g @ g.transpose(0, 2, 1)) / scale[:, None, None]
+        local = (np.ones((nv, nv)) + np.eye(nv)) / (nv * (nv + 1))
+        # g_s . g_t for every vertex pair (s, t), one multiply and add per
+        # axis; in 1D the single product is the matmul's bit for bit
+        g = mesh.scaled_gradients.transpose(2, 0, 1)
+        scale = math.factorial(mesh.dimension) ** 2 * mesh.measure
+        element_values = {
+            "mass": mesh.measure[:, None, None] * local,
+            "stiffness": _dot(g[:, :, :, None], g[:, :, None, :]) / scale[:, None, None],
+        }
         # interior index of every element vertex, -1 on the boundary
         m = mesh.num_interior
         el = np.where(mesh.boundary, -1, np.cumsum(~mesh.boundary) - 1)[mesh.elements]
@@ -412,9 +430,11 @@ def _get_matrix(mesh, which):
         rows, shift = rows[keep], (cols - rows)[keep] + (m - 1)
         present = np.bincount(shift, minlength=2 * m - 1) > 0
         diag = np.cumsum(present) - 1
-        offsets = np.flatnonzero(present) - (m - 1)
-        data = np.bincount(diag[shift] * m + rows, vals.ravel()[keep], offsets.size * m)
-        mesh._matrices[which] = BandMatrix(*_read_only(offsets, data.reshape(offsets.size, m)))
+        (offsets,) = _read_only(np.flatnonzero(present) - (m - 1))
+        key = diag[shift] * m + rows
+        for name, vals in element_values.items():
+            data = np.bincount(key, vals.ravel()[keep], offsets.size * m)
+            mesh._matrices[name] = BandMatrix(offsets, *_read_only(data.reshape(offsets.size, m)))
     return mesh._matrices[which]
 
 
@@ -434,8 +454,7 @@ def _dot(columns, coefs):
     The products are added in order j = 0, 1, ..., as np.sum adds a
     contiguous axis of up to 7 terms, and none is fused into a multiply-add
     as a matmul may do.  So the result equals the broadcast product reduced
-    by np.sum bit for bit, and the 1D loads, whose last bits the 1D solves
-    amplify into printed digits, do not move.
+    by np.sum bit for bit, and the 1D loads do not move.
     """
     terms = zip(columns, coefs)
     column, coef = next(terms)
@@ -619,9 +638,15 @@ def h1_seminorm_error(u, exact_grad, quad_order=3):
     """
     _, xq, wq = u.mesh.quadrature(quad_order)
     axes = zip(_element_gradients(u), _axes(exact_grad(*xq), xq.shape))
-    diffs = [grad_k[:, None] - exact_k for grad_k, exact_k in axes]
-    total = np.sum(wq * _dot(diffs, diffs))
-    return math.sqrt(max(total, 0.0))
+    # the products and sums of _dot(diffs, diffs), formed in place so that
+    # no array beyond one difference per axis is held
+    squares = None
+    for grad_k, exact_k in axes:
+        diff = grad_k[:, None] - exact_k
+        diff *= diff
+        squares = diff if squares is None else np.add(squares, diff, out=squares)
+    squares *= wq
+    return math.sqrt(max(np.sum(squares), 0.0))
 
 
 def l2_error(u, exact, quad_order=3):

@@ -1,4 +1,4 @@
-"""L1 coefficients, complementary kernels, and Mittag-Leffler evaluation.
+"""L1 coefficients, complementary kernels, and exact Caputo derivatives of powers.
 
 Frozen reference numbers come from an mpmath oracle run at 50 digits.
 """
@@ -15,7 +15,6 @@ from fracwave.caputo_l1 import (
     kernel_triangle,
     l1_row,
     l1_rows,
-    mittag_leffler,
     truncation_study,
 )
 from fracwave.graded_time import build_graded_mesh, recommended_grading
@@ -188,31 +187,6 @@ def test_quadratic_form_lower_bound(r):
         lhs = discrete_caputo(rows[n - 1], w) * w[n]
         rhs = 0.5 * discrete_caputo(rows[n - 1], w**2)
         assert lhs >= rhs - 1e-12
-
-
-def test_mittag_leffler_at_zero():
-    for beta in (0.3, 0.75, 1.0, 1.7):
-        assert mittag_leffler(beta, 0.0) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_mittag_leffler_reduces_to_exp():
-    for z in np.linspace(-5.0, 5.0, 21):
-        assert mittag_leffler(1.0, z) == pytest.approx(math.exp(z), rel=1e-10)
-
-
-def test_mittag_leffler_half_order_value():
-    # oracle: 400-term series at 50 digits; equals exp(1) * erfc(-1)
-    assert mittag_leffler(0.5, 1.0) == pytest.approx(5.0089800807622835, rel=1e-10)
-
-
-def test_mittag_leffler_spot_values():
-    assert mittag_leffler(0.7, -1.0) == pytest.approx(0.39961197811559938, rel=1e-10)
-    assert mittag_leffler(2.0, 1.0) == pytest.approx(1.5430806348152438, rel=1e-12)
-
-
-def test_mittag_leffler_overflow_signalled():
-    with pytest.raises(OverflowError):
-        mittag_leffler(1.0, 800.0)
 
 
 def test_exact_caputo_power_values():

@@ -742,8 +742,21 @@ def test_sine_matrix_is_read_only_symmetric_and_orthonormal(ms):
     np.testing.assert_allclose(sine, dst1(np.eye(ms - 1)), rtol=0, atol=1e-14)
 
 
-def test_interval_mesh_has_no_preconditioner():
-    assert build_spatial_mesh(("interval", 0.0, 1.0), 16).preconditioner(1.0, 1.0) is None
+@pytest.mark.parametrize("ms", [8, 8192])
+def test_interval_preconditioner_is_the_exact_inverse(ms):
+    # the DST-I diagonalizes the 1D mass and stiffness, so y = P r solves
+    # (a M + b A) y = r to rounding: the normwise backward error
+    # |r - S y| / (|S| |y| + |r|) in the max norm stays below 1e-12 (the
+    # element lengths of a (0, pi) mesh differ from h by up to 1e-13)
+    mesh = build_spatial_mesh(("interval", 0.0, math.pi), ms)
+    rng = np.random.default_rng(ms)
+    for a, b in [(1.0, 0.0), (0.0, 1.0), (6.0, 0.2), (1e4, 1e-4), (1e-4, 1e4)]:
+        system = a * assemble_mass(mesh) + b * assemble_stiffness(mesh)
+        r = rng.standard_normal(mesh.num_interior)
+        y = mesh.preconditioner(a, b)(r)
+        system_norm = np.abs(system.data).sum(axis=0).max()
+        scale = system_norm * np.abs(y).max() + np.abs(r).max()
+        assert np.abs(r - system @ y).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("ms", [32, 76])
@@ -761,6 +774,25 @@ def test_dst_pcg_agrees_with_jacobi_pcg(ms, d1):
     x_dst, iters = spd_solve(system, rhs, x0=x0, precond=mesh.preconditioner(d1, kap / d1))
     assert np.linalg.norm(x_dst - x_jacobi) <= 1e-9 * np.linalg.norm(x_jacobi)
     assert 1 <= iters <= 20
+
+
+@pytest.mark.parametrize("ms", [37, 8192])
+@pytest.mark.parametrize("d1", [6.0, 112.0, 1e4])
+def test_exact_interval_solve_agrees_with_jacobi_pcg(ms, d1):
+    mesh = build_spatial_mesh(("interval", 0.0, math.pi), ms)
+    kap = 1.3
+    system = d1 * assemble_mass(mesh) + (kap / d1) * assemble_stiffness(mesh)
+    rng = np.random.default_rng(int(d1) + ms)
+    x_true = np.sin(0.01 * np.arange(mesh.num_interior))
+    x_true += 0.01 * rng.standard_normal(mesh.num_interior)
+    rhs = system @ x_true
+    x0 = x_true + 0.1 * rng.standard_normal(mesh.num_interior)
+    x_jacobi, _ = spd_solve(system, rhs, x0=x0)
+    x_dst, iters = spd_solve(system, rhs, x0=x0, precond=mesh.preconditioner(d1, kap / d1))
+    assert np.linalg.norm(x_dst - x_jacobi) <= 1e-9 * np.linalg.norm(x_jacobi)
+    assert np.linalg.norm(x_dst - x_true) <= 1e-10 * np.linalg.norm(x_true)
+    # one iteration, a second where rounding leaves the residual above tol
+    assert 1 <= iters <= 2
 
 
 def test_fe_function_shape_guard():

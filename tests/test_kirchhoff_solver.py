@@ -1,6 +1,7 @@
 """Time-stepping engine for the order-reduced Kirchhoff system."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import fracwave.kirchhoff_solver as ks
 from fracwave.caputo_l1 import l1_row
-from fracwave.fem_space import build_spatial_mesh, spd_solve
+from fracwave.fem_space import assemble_load, build_spatial_mesh, spd_solve
 from fracwave.graded_time import build_graded_mesh, recommended_grading
 from fracwave.kirchhoff_solver import (
     ProblemSpec,
@@ -216,7 +217,7 @@ def test_step_system_is_the_mass_stiffness_sum_bit_for_bit(case, ms, monkeypatch
         np.testing.assert_array_equal(data, expected)
         # every level reuses the mass matrix's diagonal offsets
         assert np.shares_memory(offsets, state.mass.offsets)
-        assert (precond is None) == (smesh.dimension == 1)
+        assert precond is not None
 
 
 def test_non_finite_forcing_stops_before_the_solve(monkeypatch):
@@ -233,6 +234,61 @@ def test_non_finite_forcing_stops_before_the_solve(monkeypatch):
     smesh = build_spatial_mesh(case.domain, 8)
     with pytest.raises(ValueError, match="non-finite load or right-hand side at level 2"):
         solve_all(spec, tmesh, smesh)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [(), ((math.sin,),), ((1.0, np.sin),), ((math.sin, np.sin, np.cos),), [(math.sin, np.sin)], None],
+    ids=["empty", "single", "not-callable", "triple", "list", "none"],
+)
+def test_problem_spec_rejects_a_malformed_forcing(f):
+    with pytest.raises(ValueError, match=r"non-empty tuple of \(c_k, phi_k\) pairs"):
+        ProblemSpec(alpha=1.5, T=1.0, domain=("interval", 0, 1), a=lambda w: 1.0,
+                    m1=1.0, m2=1.0, f=f)
+
+
+@pytest.mark.parametrize(
+    "case, ms",
+    [(example1_case(1.5), 37), (example1_case(1.5), 8192),
+     (example2_case(1.5), 32), (example2_case(1.5), 182)],
+    ids=["1d-37", "1d-8192", "2d-32", "2d-182"],
+)
+def test_separable_forcing_matches_the_callable_path(case, ms):
+    tmesh = build_graded_mesh(case.T, 4, 2.0)
+    smesh = build_spatial_mesh(case.domain, ms)
+    spec = case.problem_spec()
+    assert spec.f is case.forcing
+    separable = solve_all(spec, tmesh, smesh)
+    pointwise = solve_all(replace(spec, f=case.f), tmesh, smesh)
+    assert len(separable.loads) == len(case.forcing) and pointwise.loads == ()
+    for tn in tmesh.t[2:]:
+        load = sum(c(tn) * b for c, b in separable.loads)
+        expected = assemble_load(smesh, lambda *x: case.f(*x, tn))
+        assert np.linalg.norm(load - expected) <= 1e-14 * np.linalg.norm(expected)
+    # loads a few ulps apart move the CG iterates by up to the condition
+    # number times the 1e-12 stopping tolerance: 1e-11 at Ms = 8192, N = 4
+    gap = np.linalg.norm(separable.ubar - pointwise.ubar)
+    assert gap <= 1e-10 * np.linalg.norm(pointwise.ubar)
+    assert separable.cg_iters == pointwise.cg_iters
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_separable_coefficient_stops_at_its_level(value, monkeypatch):
+    solved = []
+
+    def spy(*args, **kwargs):
+        solved.append(args)
+        return spd_solve(*args, **kwargs)
+
+    monkeypatch.setattr(ks, "spd_solve", spy)
+    case = example1_case(1.5)
+    tmesh = build_graded_mesh(case.T, 6, 2.0)
+    smesh = build_spatial_mesh(case.domain, 8)
+    bad = tmesh.t[4]
+    spec = replace(case.problem_spec(), f=((lambda t: value if t == bad else 1.0, np.sin),))
+    with pytest.raises(ValueError, match="non-finite load or right-hand side at level 4"):
+        solve_all(spec, tmesh, smesh)
+    assert len(solved) == 2
 
 
 def test_smallest_run_is_finite():

@@ -163,6 +163,33 @@ def test_trajectory_rows_cover_all_levels():
         assert math.isfinite(h1) and math.isfinite(l2) and math.isfinite(bound)
 
 
+@pytest.mark.parametrize(
+    "case, ms",
+    [(example1_case(1.5), 37), (example1_case(1.5), 8192),
+     (example2_case(1.5), 32), (example2_case(1.5), 182)],
+    ids=["1d-37", "1d-8192", "2d-32", "2d-182"],
+)
+def test_cached_gradient_errors_match_the_callable_path(case, ms):
+    from fracwave.fem_space import build_spatial_mesh, h1_seminorm_error
+    from fracwave.graded_time import build_graded_mesh
+    from fracwave.kirchhoff_solver import solve_all
+
+    def closed_form_gradient(t):
+        g = t**3 + t**case.alpha
+        if case.name == "ex1":
+            return lambda x: g * np.cos(x)
+        return lambda x, y: (g * (1.0 - 2.0 * x) * (y - y**2), g * (x - x**2) * (1.0 - 2.0 * y))
+
+    tmesh = build_graded_mesh(case.T, 4, 1.6)
+    smesh = build_spatial_mesh(case.domain, ms)
+    state = solve_all(case.problem_spec(), tmesh, smesh)
+    for n, tn, h1, _, _ in trajectory_rows(case, state):
+        expected = h1_seminorm_error(state.recovered_fn(n), closed_form_gradient(tn))
+        assert h1 == pytest.approx(expected, rel=1e-14, abs=0.0)
+    worst = max(row[2] for row in trajectory_rows(case, state)[1:])
+    assert run_single_case(case, 4, ms, r=1.6).error == worst
+
+
 def test_every_exported_name_resolves():
     import fracwave
 
