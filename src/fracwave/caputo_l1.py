@@ -137,29 +137,20 @@ def complementary_kernels(mesh, beta, n, _table=None):
     return q
 
 
-@dataclass(frozen=True)
-class KernelTriangle:
-    """Complementary kernels for all levels 1..n_max.
-
-    rows[n - 1][j] = Q^{(n)}_j.  All entries are nonnegative and the level
-    sums obey sum_j Q^{(n)}_j <= t_n**beta / Gamma(1 + beta).
-    """
-
-    beta: float
-    rows: tuple
-
-
 def kernel_triangle(mesh, beta, n_max=None):
-    """Build the complementary kernels for every level up to n_max."""
+    """Complementary kernels for every level 1..n_max, as a tuple of rows.
+
+    Row n - 1 holds Q^{(n)}_j at index j.  All entries are nonnegative and
+    the level sums obey sum_j Q^{(n)}_j <= t_n**beta / Gamma(1 + beta).
+    """
     n_max = mesh.N if n_max is None else int(n_max)
     if n_max < 1 or n_max > mesh.N:
         raise ValueError(f"n_max must satisfy 1 <= n_max <= N={mesh.N}")
     table = _l1_table(mesh, beta, n_max)
-    rows = tuple(
+    return tuple(
         complementary_kernels(mesh, beta, n, _table=table)
         for n in range(1, n_max + 1)
     )
-    return KernelTriangle(float(beta), rows)
 
 
 def exact_caputo_power(sigma, order, t):

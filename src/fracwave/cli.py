@@ -39,7 +39,7 @@ from .mms_harness import (
     run_single_case,
     trajectory_rows,
 )
-from .fem_space import QUADRATURE_RULES, build_spatial_mesh
+from .fem_space import build_spatial_mesh
 
 COMMANDS = ("solve", "temporal-study", "spatial-study", "caputo-check", "bound-report")
 CSV_HEADER = "alpha,N,Ms,r,error,oc,seconds,cg_iters"
@@ -47,15 +47,13 @@ TRAJECTORY_HEADER = "n,t_n,h1_error,l2_error,bound_quantity"
 # spatial studies run no finer in time than this; the cap keeps the finest
 # spatial levels affordable once the temporal error is far below the spatial one
 DEFAULT_N_CAP = 4096
-# spatial dimension of each built-in example, which fixes its quadrature rules
-EXAMPLE_DIMENSIONS = {"ex1": 1, "ex2": 2}
 # the key each study refines, whose rows the observed orders compare
 REFINED_KEYS = {"temporal-study": "N", "spatial-study": "Ms", "caputo-check": "N"}
 # the label of the error column in the printed table, where it is not an error
 VALUE_LABELS = {"caputo-check": "wt_error", "bound-report": "bound"}
 # the problem keys each command reads; any other problem key is a
 # configuration error rather than silently dropped
-_SOLVER_KEYS = {"example", "alpha", "r", "quadrature", "tol"}
+_SOLVER_KEYS = {"example", "alpha", "r"}
 COMMAND_KEYS = {
     "temporal-study": _SOLVER_KEYS | {"N"},
     "spatial-study": _SOLVER_KEYS | {"Ms"},
@@ -79,8 +77,6 @@ class RunConfig:
     N: list = field(default_factory=list)
     Ms: list = field(default_factory=list)
     r: float = None
-    quadrature: int = 3
-    tol: float = 1e-12
     output: str = None
     threads: int = 1
     beta: float = None
@@ -137,10 +133,6 @@ def parse_config(source):
             cfg.Ms = _parse_list(key, value, _parse_int)
         elif key == "r":
             cfg.r = _parse_float(key, value)
-        elif key == "quadrature":
-            cfg.quadrature = _parse_int(key, value)
-        elif key == "tol":
-            cfg.tol = _parse_float(key, value)
         elif key == "output":
             cfg.output = value
         elif key == "threads":
@@ -161,7 +153,7 @@ def parse_config(source):
     unread = sorted(seen - RUN_KEYS - COMMAND_KEYS[cfg.command])
     if unread:
         raise ConfigError(f"{cfg.command} does not read {', '.join(map(repr, unread))}")
-    if cfg.example not in EXAMPLE_DIMENSIONS:
+    if cfg.example not in ("ex1", "ex2"):
         raise ConfigError(f"example must be ex1 or ex2, got {cfg.example!r}")
     for a in cfg.alpha:
         if not 1 < a < 2:
@@ -174,16 +166,6 @@ def parse_config(source):
             raise ConfigError(f"Ms entries must be >= 2, got {ms}")
     if cfg.r is not None and not cfg.r >= 1:
         raise ConfigError(f"r must satisfy r >= 1, got {cfg.r}")
-    rules = sorted(QUADRATURE_RULES[EXAMPLE_DIMENSIONS[cfg.example]])
-    if cfg.quadrature not in rules:
-        raise ConfigError(
-            f"quadrature for {cfg.example} must be one of "
-            f"{', '.join(map(str, rules))}, got {cfg.quadrature}"
-        )
-    # double-precision CG cannot bring a relative residual below rounding
-    # level; a smaller tol only runs it on until it breaks down
-    if not cfg.tol >= sys.float_info.epsilon:
-        raise ConfigError(f"tol must be at least {sys.float_info.epsilon:.3g}, got {cfg.tol}")
     if cfg.threads < 1:
         raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
     if cfg.beta is not None and not 0 < cfg.beta < 1:
@@ -323,16 +305,16 @@ def _study_task(args):
         return ReportRow(alpha, N, Ms, r, err, seconds=elapsed), None, None
     case = get_case(cfg.example, alpha)
     if cfg.command in REFINED_KEYS:
-        row = run_single_case(case, N, Ms, r, quad_order=cfg.quadrature, tol=cfg.tol)
+        row = run_single_case(case, N, Ms, r)
         row.capped = capped
         return row, None, None
     start = time.perf_counter()
     tmesh = build_graded_mesh(case.T, N, r)
     smesh = build_spatial_mesh(case.domain, Ms)
-    state = solve_all(case.problem_spec(), tmesh, smesh, cfg.quadrature, cfg.tol)
+    state = solve_all(case.problem_spec(), tmesh, smesh)
     elapsed = time.perf_counter() - start
     if cfg.command == "solve":
-        levels = trajectory_rows(case, state, cfg.quadrature)
+        levels = trajectory_rows(case, state)
         error = max(h1 for _, _, h1, _, _ in levels)
     else:
         levels, error = None, float(apriori_bound_report(state).max())

@@ -33,21 +33,6 @@ def _read_only(*arrays):
     return arrays
 
 
-def _minor(m, i, j):
-    return np.delete(np.delete(m, i, axis=-2), j, axis=-1)
-
-
-def _det(m):
-    """Determinants of a stack of small square matrices by cofactor expansion.
-
-    Exact for 1 x 1 and the closed form a*d - b*c for 2 x 2; np.linalg.det
-    is not exact even for 1 x 1.
-    """
-    if m.shape[-1] == 0:
-        return np.ones(m.shape[:-2])
-    return sum((-1) ** j * m[..., 0, j] * _det(_minor(m, 0, j)) for j in range(m.shape[-1]))
-
-
 def dst1(x):
     """Orthonormal DST-I along the last axis, its own inverse.
 
@@ -147,6 +132,10 @@ QUADRATURE_RULES = {
 _read_only(
     *(arr for rules in QUADRATURE_RULES.values() for rule in rules.values() for arr in rule)
 )
+# the rule and the CG stopping tolerance (relative residual) the solver
+# always uses; only an error evaluation may pick another rule
+DEFAULT_QUAD_ORDER = 3
+DEFAULT_TOL = 1e-12
 
 
 class SpatialMesh:
@@ -199,13 +188,18 @@ class SpatialMesh:
         # vertex coordinates per element, shape (n_elements, d + 1, d)
         p = vertices.reshape(vertices.shape[0], -1)[elements]
         # rows of the Jacobian are the edges leaving vertex 0; column k of
-        # adj(J) / det(J) is the gradient of barycentric coordinate k + 1
+        # adj(J) / det(J) is the gradient of barycentric coordinate k + 1.
+        # Writing out the 1 x 1 and 2 x 2 cofactors keeps them exact, which
+        # np.linalg.det is not even for 1 x 1
         jac = p[:, 1:] - p[:, :1]
-        det = _det(jac)
+        if d == 1:
+            det = jac[:, 0, 0]
+            adj_t = np.ones((1, 1, det.size))
+        else:
+            (j00, j01), (j10, j11) = jac.transpose(1, 2, 0)
+            det = j00 * j11 - j01 * j10
+            adj_t = np.array([[j11, -j10], [-j01, j00]])
         self.measure = np.abs(det) / math.factorial(d)
-        adj_t = np.array(
-            [[(-1) ** (k + i) * _det(_minor(jac, k, i)) for i in range(d)] for k in range(d)]
-        )
         scaled = np.moveaxis(adj_t, -1, 0) * np.sign(det)[:, None, None]
         self.scaled_gradients = np.concatenate(
             [-scaled.sum(axis=1, keepdims=True), scaled], axis=1
@@ -484,7 +478,7 @@ def _interior_sum(mesh, columns):
     return vec[mesh.interior_nodes]
 
 
-def assemble_load(mesh, g, quad_order=3):
+def assemble_load(mesh, g, quad_order=DEFAULT_QUAD_ORDER):
     """Load vector (g, phi_i) on the interior unknowns by per-element quadrature.
 
     The callable receives one coordinate array per dimension, g(x) in 1D
@@ -495,7 +489,7 @@ def assemble_load(mesh, g, quad_order=3):
     return _interior_sum(mesh, (_dot(weighted, lam_s) for lam_s in lam.T))
 
 
-def assemble_grad_load(mesh, grad, quad_order=3):
+def assemble_grad_load(mesh, grad, quad_order=DEFAULT_QUAD_ORDER):
     """Vector (grad g, grad phi_i) on the interior unknowns.
 
     grad receives one coordinate array per dimension and returns g' in 1D,
@@ -530,7 +524,7 @@ class FeFunction:
         return z
 
 
-def spd_solve(matrix, rhs, tol=1e-12, x0=None, max_iter=None, precond=None):
+def spd_solve(matrix, rhs, tol=DEFAULT_TOL, x0=None, max_iter=None, precond=None):
     """Preconditioned conjugate gradients for SPD systems.
 
     precond maps a residual to its preconditioned vector (an SPD
@@ -591,34 +585,22 @@ def spd_solve(matrix, rhs, tol=1e-12, x0=None, max_iter=None, precond=None):
     )
 
 
-def l2_projection(mesh, g, quad_order=3, tol=1e-12):
+def l2_projection(mesh, g):
     """L2 projection of g onto the P1 space with zero boundary values."""
-    b = assemble_load(mesh, g, quad_order)
-    x, _ = spd_solve(assemble_mass(mesh), b, tol, precond=mesh.preconditioner(1.0, 0.0))
+    b = assemble_load(mesh, g)
+    x, _ = spd_solve(assemble_mass(mesh), b, precond=mesh.preconditioner(1.0, 0.0))
     return FeFunction(x, mesh)
 
 
-def ritz_projection(mesh, grad, quad_order=3, tol=1e-12):
+def ritz_projection(mesh, grad):
     """Ritz projection determined by the gradient of the target function.
 
     Solves (grad u_h, grad phi_i) = (grad g, grad phi_i) for all interior i;
     on a 1D mesh this reproduces the nodal interpolant of g.
     """
-    b = assemble_grad_load(mesh, grad, quad_order)
-    x, _ = spd_solve(assemble_stiffness(mesh), b, tol, precond=mesh.preconditioner(0.0, 1.0))
+    b = assemble_grad_load(mesh, grad)
+    x, _ = spd_solve(assemble_stiffness(mesh), b, precond=mesh.preconditioner(0.0, 1.0))
     return FeFunction(x, mesh)
-
-
-def grad_norm_sq(u):
-    """Squared H1 seminorm, computed as the stiffness quadratic form."""
-    a = assemble_stiffness(u.mesh)
-    return float(u.coeffs @ (a @ u.coeffs))
-
-
-def l2_norm(u):
-    """L2 norm, computed as the mass quadratic form."""
-    b = assemble_mass(u.mesh)
-    return math.sqrt(max(float(u.coeffs @ (b @ u.coeffs)), 0.0))
 
 
 def _element_gradients(u):
@@ -630,7 +612,7 @@ def _element_gradients(u):
     return [_dot(zs, g_k) / scale for g_k in mesh.scaled_gradients.transpose(2, 1, 0)]
 
 
-def h1_seminorm_error(u, exact_grad, quad_order=3):
+def h1_seminorm_error(u, exact_grad, quad_order=DEFAULT_QUAD_ORDER):
     """H1 seminorm of u minus a function given by its gradient.
 
     exact_grad receives one coordinate array per dimension and returns the
@@ -649,7 +631,7 @@ def h1_seminorm_error(u, exact_grad, quad_order=3):
     return math.sqrt(max(np.sum(squares), 0.0))
 
 
-def l2_error(u, exact, quad_order=3):
+def l2_error(u, exact, quad_order=DEFAULT_QUAD_ORDER):
     """L2 norm of u minus a pointwise-evaluable function of one coordinate
     array per dimension."""
     lam, xq, wq = u.mesh.quadrature(quad_order)

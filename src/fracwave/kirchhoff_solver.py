@@ -115,7 +115,8 @@ class SolverState:
     the frozen coefficient used at level n (levels 0 and 1 come from
     initialization and have none).  loads holds the (c_k, b_k) pairs of
     a separable forcing, b_k the assembled load of phi_k, and is empty
-    when f is a callable.
+    when f is a callable.  It holds no quadrature rule or CG tolerance:
+    every run uses the fem_space defaults.
     """
 
     spec: ProblemSpec
@@ -131,8 +132,6 @@ class SolverState:
     loads: tuple = ()
     cg_iters: list = field(default_factory=list)
     n_done: int = 0
-    quad_order: int = 3
-    tol: float = 1e-12
 
     def recovered(self, n):
         """Interior coefficients of the recovered displacement at level n."""
@@ -142,13 +141,15 @@ class SolverState:
         return FeFunction(self.recovered(n), self.smesh)
 
 
-def initialize(spec, tmesh, smesh, quad_order=3, tol=1e-12):
+def initialize(spec, tmesh, smesh):
     """Set up matrices and the two starting levels.
 
     Level 0 is the Ritz projection of u0 with zero velocity; level 1 uses a
     Taylor start U^1 = U^0 + tau_1 * P_h u1.  In the shifted variable this
     makes ubar^1 equal ubar^0 exactly, and feeding that through the L1
     formula gives v^1 = 0 exactly as well; both are computed, not assumed.
+    Loads and projections take the fem_space defaults DEFAULT_QUAD_ORDER
+    and DEFAULT_TOL.
     """
     # both share one pattern's offsets, so step forms every level's system on it
     mass = assemble_mass(smesh)
@@ -158,19 +159,19 @@ def initialize(spec, tmesh, smesh, quad_order=3, tol=1e-12):
 
     loads = ()
     if isinstance(spec.f, tuple):
-        loads = tuple((c, assemble_load(smesh, phi, quad_order)) for c, phi in spec.f)
+        loads = tuple((c, assemble_load(smesh, phi)) for c, phi in spec.f)
 
     if spec.u0 is None:
         u0 = np.zeros(m)
     else:
-        u0 = ritz_projection(smesh, spec.grad_u0, quad_order, tol).coeffs
+        u0 = ritz_projection(smesh, spec.grad_u0).coeffs
 
     if spec.u1 is None:
         phu1 = np.zeros(m)
         lap_load = np.zeros(m)
     else:
-        phu1 = l2_projection(smesh, spec.u1, quad_order, tol).coeffs
-        lap_load = -assemble_grad_load(smesh, spec.grad_u1, quad_order)
+        phu1 = l2_projection(smesh, spec.u1).coeffs
+        lap_load = -assemble_grad_load(smesh, spec.grad_u1)
 
     ubar = np.zeros((n_levels, m))
     v = np.zeros((n_levels, m))
@@ -194,8 +195,6 @@ def initialize(spec, tmesh, smesh, quad_order=3, tol=1e-12):
         kappa=kappa,
         loads=loads,
         n_done=1,
-        quad_order=quad_order,
-        tol=tol,
     )
 
 
@@ -280,7 +279,7 @@ def step(state, n):
     if state.loads:
         fn = sum(c(tn) * b for c, b in state.loads)
     else:
-        fn = assemble_load(state.smesh, lambda *x: spec.f(*x, tn), state.quad_order)
+        fn = assemble_load(state.smesh, lambda *x: spec.f(*x, tn))
     rhs = (fn + tn * kap * state.lap_load) / d1
     rhs -= (state.mass @ g_hist) / d1
     rhs -= state.mass @ h_hist
@@ -289,7 +288,7 @@ def step(state, n):
 
     system = d1 * state.mass + (kap / d1) * state.stiffness
     precond = state.smesh.preconditioner(d1, kap / d1)
-    x, iters = spd_solve(system, rhs, state.tol, x0=state.ubar[n - 1], precond=precond)
+    x, iters = spd_solve(system, rhs, x0=state.ubar[n - 1], precond=precond)
 
     state.ubar[n] = x
     state.v[n] = d1 * x + h_hist
@@ -299,9 +298,9 @@ def step(state, n):
     return state
 
 
-def solve_all(spec, tmesh, smesh, quad_order=3, tol=1e-12):
-    """Initialize and advance through every level; returns the final state."""
-    state = initialize(spec, tmesh, smesh, quad_order, tol)
+def solve_all(spec, tmesh, smesh):
+    """Initialize and advance every level with the fem_space defaults; returns the final state."""
+    state = initialize(spec, tmesh, smesh)
     for n in range(2, tmesh.N + 1):
         step(state, n)
     return state

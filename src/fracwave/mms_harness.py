@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem_space import build_spatial_mesh, h1_seminorm_error, l2_error
+from .fem_space import DEFAULT_QUAD_ORDER, build_spatial_mesh, h1_seminorm_error, l2_error
 from .graded_time import build_graded_mesh, recommended_grading
 from .kirchhoff_solver import ProblemSpec, apriori_bound_report, solve_all
 
@@ -219,10 +219,12 @@ def coupled_n(Ms, beta):
     return round_even(float(Ms) ** (2.0 / (2.0 - beta)))
 
 
-def run_single_case(case, N, Ms, r=None, quad_order=3, tol=1e-12):
+def run_single_case(case, N, Ms, r=None):
     """Solve one (N, Ms) pairing and measure the max-in-time H1 error.
 
-    Returns a ReportRow without an order entry.
+    r defaults to the recommended grading.  The solve and the error
+    integral both use the rule DEFAULT_QUAD_ORDER.  Returns a ReportRow
+    without an order entry.
     """
     beta = 0.5 * case.alpha
     if r is None:
@@ -230,8 +232,8 @@ def run_single_case(case, N, Ms, r=None, quad_order=3, tol=1e-12):
     start = time.perf_counter()
     tmesh = build_graded_mesh(case.T, N, r)
     smesh = build_spatial_mesh(case.domain, Ms)
-    state = solve_all(case.problem_spec(), tmesh, smesh, quad_order, tol)
-    worst = max(_h1_errors(case, state, quad_order)[1:], default=0.0)
+    state = solve_all(case.problem_spec(), tmesh, smesh)
+    worst = max(_h1_errors(case, state)[1:], default=0.0)
     elapsed = time.perf_counter() - start
     return ReportRow(
         alpha=case.alpha,
@@ -263,31 +265,32 @@ def observed_order(pairs):
     return [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
 
 
-def _h1_errors(case, state, quad_order):
+def _h1_errors(case, state):
     """H1-seminorm errors of the recovered solution at levels 0..n_done.
 
-    The exact gradient g(t_n) grad_shape is taken at the quadrature points,
-    where h1_seminorm_error evaluates it: grad_shape once per run, scaled
-    by g(t_n) on each level.
+    The exact gradient g(t_n) grad_shape is taken at the quadrature points
+    of DEFAULT_QUAD_ORDER, where h1_seminorm_error evaluates it: grad_shape
+    once per run, scaled by g(t_n) on each level.
     """
     g, grad_shape = case.grad_parts
-    _, xq, _ = state.smesh.quadrature(quad_order)
+    _, xq, _ = state.smesh.quadrature(DEFAULT_QUAD_ORDER)
     shape = grad_shape(*xq)
     return [
-        h1_seminorm_error(state.recovered_fn(n), lambda *_, gn=g(tn): gn * shape, quad_order)
+        h1_seminorm_error(state.recovered_fn(n), lambda *_, gn=g(tn): gn * shape)
         for n, tn in enumerate(state.tmesh.t[: state.n_done + 1])
     ]
 
 
-def trajectory_rows(case, state, quad_order=3):
+def trajectory_rows(case, state):
     """Per-level diagnostics for a finished run.
 
-    Yields (n, t_n, h1_error, l2_error, bound_quantity) for n = 0..N.
+    Returns (n, t_n, h1_error, l2_error, bound_quantity) for n = 0..N,
+    both errors integrated with the rule DEFAULT_QUAD_ORDER.
     """
     bound = apriori_bound_report(state)
     out = []
-    for n, h1 in enumerate(_h1_errors(case, state, quad_order)):
+    for n, h1 in enumerate(_h1_errors(case, state)):
         tn = state.tmesh.t[n]
-        l2 = l2_error(state.recovered_fn(n), lambda *x: case.u(*x, tn), quad_order)
+        l2 = l2_error(state.recovered_fn(n), lambda *x: case.u(*x, tn))
         out.append((n, tn, h1, l2, bound[n]))
     return out

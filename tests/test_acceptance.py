@@ -204,7 +204,7 @@ def _errors_2d(alpha, N, Ms):
     case = get_case("ex2", alpha)
     tmesh = build_graded_mesh(case.T, N, recommended_grading(0.5 * alpha))
     smesh = build_spatial_mesh(case.domain, Ms)
-    state = solve_all(case.problem_spec(), tmesh, smesh, 3, 1e-12)
+    state = solve_all(case.problem_spec(), tmesh, smesh)
     worst = dict.fromkeys((DEFAULT_RULE, REFERENCE_RULE), 0.0)
     for n in range(1, tmesh.N + 1):
         tn = tmesh.t[n]
@@ -322,7 +322,7 @@ def _suite_complementarity(failures):
         tri = kernel_triangle(mesh, beta)
         d = [l1_row(mesh, beta, n).d for n in range(1, 21)]
         for n in range(1, 21):
-            q = tri.rows[n - 1]
+            q = tri[n - 1]
             for k in range(1, n + 1):
                 total = sum(q[n - j] * d[j - 1][j - k] for j in range(k, n + 1))
                 if abs(total - 1.0) > 1e-10:
@@ -337,8 +337,8 @@ def _suite_kernel_bound(failures):
         mesh = build_graded_mesh(1.0, 50, r)
         tri = kernel_triangle(mesh, beta)
         for n in range(1, 51):
-            total = float(tri.rows[n - 1].sum())
-            if total > cap * mesh.t[n] ** beta + 1e-12 or np.any(tri.rows[n - 1] < 0):
+            total = float(tri[n - 1].sum())
+            if total > cap * mesh.t[n] ** beta + 1e-12 or np.any(tri[n - 1] < 0):
                 failures.append(f"kernel bound: r={r:g} n={n} sum {total:.6e}")
                 return
 

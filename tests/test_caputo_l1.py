@@ -156,7 +156,7 @@ def test_kernel_complementarity_identity(r):
     tri = kernel_triangle(mesh, beta)
     d = [l1_row(mesh, beta, j).d for j in range(1, 21)]
     for n in range(1, 21):
-        q = tri.rows[n - 1]
+        q = tri[n - 1]
         for k in range(1, n + 1):
             s = sum(q[n - j] * d[j - 1][j - k] for j in range(k, n + 1))
             assert s == pytest.approx(1.0, abs=1e-10)
@@ -169,9 +169,9 @@ def test_kernel_sum_bound(r):
     tri = kernel_triangle(mesh, beta)
     cap = 1.0 / math.gamma(1.0 + beta)
     for n in range(1, 51):
-        total = tri.rows[n - 1].sum()
+        total = tri[n - 1].sum()
         assert total <= cap * mesh.t[n] ** beta + 1e-12
-        assert np.all(tri.rows[n - 1] >= 0)
+        assert np.all(tri[n - 1] >= 0)
 
 
 @pytest.mark.parametrize("r", [1.0, 2.333333333333333])

@@ -1,5 +1,6 @@
 """Config parsing, report formats, and end-to-end command runs at toy sizes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,9 +12,12 @@ import fracwave
 
 from fracwave import coupled_ms
 from fracwave.cli import (
+    COMMAND_KEYS,
     CSV_HEADER,
+    RUN_KEYS,
     TRAJECTORY_HEADER,
     ConfigError,
+    RunConfig,
     main,
     parse_config,
     run,
@@ -60,16 +64,11 @@ def test_parse_requires_command():
         ("command=temporal-study alpha=1.5 N=1,16", "N"),
         ("command=spatial-study alpha=1.5 Ms=1,8", "Ms"),
         ("command=temporal-study alpha=1.5 N=8,16 r=0.5", "r"),
-        ("command=temporal-study alpha=1.5 N=8,16 quadrature=9", "quadrature"),
-        ("command=temporal-study example=ex2 alpha=1.5 N=8,16 quadrature=2", "quadrature"),
-        ("command=temporal-study alpha=1.5 N=8,16 tol=0", "tol"),
-        ("command=temporal-study alpha=1.5 N=8,16 tol=1e-300", "tol"),
         ("command=temporal-study alpha=1.5 N=8,16 threads=0", "threads"),
         ("command=caputo-check beta=1.5 sigma=1 N=8,16", "beta"),
         ("command=temporal-study alpha=1.5 N=8,16 timing=cpu", "timing"),
         ("command=fit alpha=1.5 N=8,16", "command"),
         ("command=temporal-study example=ex9 alpha=1.5 N=8,16", "ex"),
-        ("command=temporal-study alpha=1.5 N=8,16 tol=inf", "tol"),
         ("command=temporal-study alpha=1.5 N=8,16 r=inf", "r"),
         ("command=caputo-check beta=0.7 sigma=inf N=8,16", "sigma"),
     ],
@@ -82,10 +81,27 @@ def test_parse_rejects_and_names_offender(line, key):
 def test_parse_rejects_unknown_and_duplicate_keys():
     with pytest.raises(ConfigError, match="mesh"):
         parse_config("command=solve alpha=1.5 N=4 mesh=fine")
+    # the solve always uses the fem_space quadrature rule and CG tolerance
+    for line, key in [
+        ("command=temporal-study alpha=1.5 N=8,16 quadrature=9", "quadrature"),
+        ("command=temporal-study example=ex2 alpha=1.5 N=8,16 quadrature=2", "quadrature"),
+        ("command=temporal-study alpha=1.5 N=8,16 tol=0", "tol"),
+        ("command=temporal-study alpha=1.5 N=8,16 tol=1e-300", "tol"),
+        ("command=temporal-study alpha=1.5 N=8,16 tol=inf", "tol"),
+    ]:
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(line)
+        assert str(excinfo.value) == f"unknown key {key!r}"
+        assert main(line.split()) == 2
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("command=solve alpha=1.5 alpha=1.6 N=4")
     with pytest.raises(ConfigError, match="key=value"):
         parse_config("temporal-study")
+
+
+def test_every_config_field_is_a_key():
+    keys = RUN_KEYS.union(*COMMAND_KEYS.values())
+    assert {f.name for f in dataclasses.fields(RunConfig)} == keys
 
 
 def test_parse_command_specific_requirements():

@@ -1,4 +1,4 @@
-"""P1 assembly, projections, norms, and the preconditioned CG solver."""
+"""P1 geometry, assembly, projections, error norms, and the preconditioned CG solver."""
 
 import math
 
@@ -17,10 +17,8 @@ from fracwave.fem_space import (
     assemble_stiffness,
     build_spatial_mesh,
     dst1,
-    grad_norm_sq,
     h1_seminorm_error,
     l2_error,
-    l2_norm,
     l2_projection,
     ritz_projection,
     spd_solve,
@@ -323,6 +321,24 @@ def test_quadrature_is_built_once_per_rule(domain):
     assert mesh.quadrature(1)[1] is not first[1]
 
 
+@pytest.mark.parametrize(
+    "domain,ms",
+    [(("interval", 0.0, math.pi), 37), (("interval", 0.0, math.pi), 8192),
+     (("unit_square",), 8), (("unit_square",), 182)],
+)
+def test_scaled_gradients_satisfy_the_barycentric_identity(domain, ms):
+    # lambda_s is affine with lambda_s(p_t) = delta_st, so its gradient
+    # dotted with the edge p_t - p_0 is delta_st - delta_s0
+    mesh = build_spatial_mesh(domain, ms)
+    d = mesh.dimension
+    p = mesh.vertices.reshape(mesh.vertices.shape[0], -1)[mesh.elements]
+    products = np.einsum("esk,etk->est", mesh.scaled_gradients, p - p[:, :1])
+    got = products / (math.factorial(d) * mesh.measure[:, None, None])
+    eye = np.eye(d + 1)
+    expected = np.broadcast_to(eye - eye[:, :1], got.shape)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("domain", [("interval", 0.0, 1.0), ("unit_square",)])
 def test_cached_geometry_and_quadrature_are_read_only(domain):
     mesh = build_spatial_mesh(domain, 4)
@@ -396,26 +412,6 @@ def test_2d_projections_with_the_grid_preconditioner_match_jacobi(ms):
     # the grid preconditioner is the exact inverse of the 5-point stiffness
     _, iters = spd_solve(pairs[1][1], pairs[1][2], precond=mesh.preconditioner(0.0, 1.0))
     assert iters == 1
-
-
-def test_grad_norm_single_hat():
-    mesh = build_spatial_mesh(("interval", 0.0, 1.0), 2)
-    hat = FeFunction(np.array([1.0]), mesh)
-    assert grad_norm_sq(hat) == pytest.approx(4.0, rel=1e-14)
-    zero = FeFunction(np.array([0.0]), mesh)
-    assert grad_norm_sq(zero) == 0.0
-
-
-def test_grad_norm_of_sine_interpolant():
-    mesh = build_spatial_mesh(("interval", 0.0, math.pi), 64)
-    interp = FeFunction(np.sin(mesh.vertices[mesh.interior_nodes]), mesh)
-    assert grad_norm_sq(interp) == pytest.approx(math.pi / 2, abs=2e-3)
-
-
-def test_l2_norm_of_sine_interpolant():
-    mesh = build_spatial_mesh(("interval", 0.0, math.pi), 64)
-    interp = FeFunction(np.sin(mesh.vertices[mesh.interior_nodes]), mesh)
-    assert l2_norm(interp) == pytest.approx(math.sqrt(math.pi / 2), abs=1e-3)
 
 
 def test_h1_error_of_itself_vanishes():

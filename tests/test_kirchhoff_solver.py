@@ -201,7 +201,7 @@ def test_step_system_is_the_mass_stiffness_sum_bit_for_bit(case, ms, monkeypatch
 
     seen = []
 
-    def spy(matrix, rhs, tol, x0=None, precond=None):
+    def spy(matrix, rhs, tol=1e-12, x0=None, precond=None):
         seen.append((matrix.data.copy(), matrix.offsets, precond))
         return spd_solve(matrix, rhs, tol, x0=x0, precond=precond)
 
