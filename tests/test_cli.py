@@ -64,11 +64,17 @@ def test_parse_requires_command():
         ("command=temporal-study alpha=1.5 N=1,16", "N"),
         ("command=spatial-study alpha=1.5 Ms=1,8", "Ms"),
         ("command=temporal-study alpha=1.5 N=8,16 r=0.5", "r"),
+        # quadrature and tol are no longer keys; they are rejected as unknown
+        ("command=temporal-study alpha=1.5 N=8,16 quadrature=9", "quadrature"),
+        ("command=temporal-study example=ex2 alpha=1.5 N=8,16 quadrature=2", "quadrature"),
+        ("command=temporal-study alpha=1.5 N=8,16 tol=0", "tol"),
+        ("command=temporal-study alpha=1.5 N=8,16 tol=1e-300", "tol"),
         ("command=temporal-study alpha=1.5 N=8,16 threads=0", "threads"),
         ("command=caputo-check beta=1.5 sigma=1 N=8,16", "beta"),
         ("command=temporal-study alpha=1.5 N=8,16 timing=cpu", "timing"),
         ("command=fit alpha=1.5 N=8,16", "command"),
         ("command=temporal-study example=ex9 alpha=1.5 N=8,16", "ex"),
+        ("command=temporal-study alpha=1.5 N=8,16 tol=inf", "tol"),
         ("command=temporal-study alpha=1.5 N=8,16 r=inf", "r"),
         ("command=caputo-check beta=0.7 sigma=inf N=8,16", "sigma"),
     ],
