@@ -34,9 +34,9 @@ class L1Row:
         Time level, 1 <= n <= N.
     beta : float
         Fractional order in (0, 1).
-    d : ndarray, shape (n,)
-        Coefficients d[k - 1] = d_{n,k}; positive and strictly decreasing
-        in k.
+    d : ndarray, shape (count,)
+        Coefficients d[k - 1] = d_{n,k}, k = 1..count, with count = n for
+        a full row; positive and strictly decreasing in k.
     """
 
     n: int
@@ -49,34 +49,45 @@ def _check_beta(beta):
         raise ValueError(f"fractional order beta must lie in (0, 1), got {beta}")
 
 
-def l1_rows(mesh, beta, lo, hi):
+def l1_rows(mesh, beta, lo, hi, first=0):
     """L1 coefficients of the levels lo..hi-1, indexed by history level.
 
-    Returns D of shape (hi - lo, hi - 1) with D[i, j] = d_{m, m-j} for the
-    level m = lo + i and j < m, and D[i, j] = 0 for j >= m.  Each power
-    (t_m - t_j)**(1-beta) is computed once and shared by the two
-    coefficients it enters.
+    Returns D of shape (hi - lo, hi - 1 - first) with D[i, j - first] =
+    d_{m, m-j} for the level m = lo + i and first <= j < m, and zero for
+    j >= m.  Each power (t_m - t_j)**(1-beta) is computed once and shared
+    by the two coefficients it enters; every entry takes the same
+    elementwise operations whatever first is.
     """
     _check_beta(beta)
     if not 1 <= lo < hi <= mesh.N + 1:
         raise ValueError(f"levels must satisfy 1 <= lo < hi <= N+1={mesh.N + 1}, got [{lo}, {hi})")
+    if not 0 <= first < lo:
+        raise ValueError(f"first history level must satisfy 0 <= first < lo={lo}, got {first}")
     t = mesh.t
     # max(., 0) sends 0 ** (1-beta) = 0 at j = m and zeroes the entries past it
-    p = t[lo:hi, None] - t[None, :hi]
+    p = t[lo:hi, None] - t[None, first:hi]
     np.maximum(p, 0.0, out=p)
     p **= 1.0 - beta
     d = p[:, :-1] - p[:, 1:]
     del p
-    d /= math.gamma(2.0 - beta) * mesh.tau[: hi - 1]
+    d /= math.gamma(2.0 - beta) * mesh.tau[first : hi - 1]
     return d
 
 
-def l1_row(mesh, beta, n):
-    """Coefficients d_{n,k}, k = 1..n, of the L1 formula at level n."""
+def l1_row(mesh, beta, n, count=None):
+    """Coefficients d_{n,k}, k = 1..count, of the L1 formula at level n.
+
+    count defaults to n, the full row; a smaller count gives its leading
+    coefficients, equal to the full row's bit for bit at the cost of count
+    powers instead of n.
+    """
     _check_beta(beta)
     if n < 1 or n > mesh.N:
         raise ValueError(f"level must satisfy 1 <= n <= N={mesh.N}, got {n}")
-    d = l1_rows(mesh, beta, n, n + 1)[0, ::-1]
+    count = n if count is None else count
+    if not 1 <= count <= n:
+        raise ValueError(f"count must satisfy 1 <= count <= n={n}, got {count}")
+    d = l1_rows(mesh, beta, n, n + 1, first=n - count)[0, ::-1]
     d.flags.writeable = False
     return L1Row(int(n), float(beta), d)
 
@@ -87,7 +98,7 @@ def discrete_caputo(row, history):
     Parameters
     ----------
     row : L1Row
-        Coefficients at level n.
+        The full row of coefficients at level n.
     history : array_like, shape (n + 1,) or (n + 1, M)
         Scalar or vector-valued samples at t_0, ..., t_n.
 
@@ -96,6 +107,8 @@ def discrete_caputo(row, history):
     float or ndarray
         The L1 value at level n; exact for histories affine in t.
     """
+    if row.d.size != row.n:
+        raise ValueError(f"the L1 formula needs the full row of {row.n} coefficients")
     hist = np.asarray(history, dtype=float)
     if hist.shape[0] != row.n + 1:
         raise ValueError(

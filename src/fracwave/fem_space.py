@@ -17,7 +17,9 @@ orthonormal sine transform (DST-I) diagonalizes; SpatialMesh.preconditioner
 applies it, as products with the mesh's cached sine matrix, to precondition
 CG.  On the uniform interval the DST-I diagonalizes the mass and stiffness
 exactly, so there the same preconditioner is the exact inverse of every
-system the solver forms.
+system the solver forms; it multiplies by the sine matrix on small meshes
+and calls the FFT-based dst1 on large ones.  The H1-seminorm error takes a
+block of functions, such as the stored levels of a run, in one pass.
 """
 
 import math
@@ -136,13 +138,17 @@ _read_only(
 # always uses; only an error evaluation may pick another rule
 DEFAULT_QUAD_ORDER = 3
 DEFAULT_TOL = 1e-12
+# the largest interval mesh whose preconditioner applies the sine
+# transform as a dense matrix product instead of dst1
+_DENSE_SINE_MAX_MS = 256
 
 
 class SpatialMesh:
     """Conforming P1 simplex mesh with Dirichlet boundary flags.
 
-    The element geometry is computed on construction and the quadrature
-    points on first use of each rule; every cached array is read-only.
+    The element geometry is computed on construction, the quadrature
+    points on first use of each rule and the sine matrix on first use;
+    every cached array is read-only.
 
     Attributes
     ----------
@@ -185,18 +191,17 @@ class SpatialMesh:
         self.domain = domain
         self.subdivisions = int(subdivisions)
         d = self.dimension
-        # vertex coordinates per element, shape (n_elements, d + 1, d)
-        p = vertices.reshape(vertices.shape[0], -1)[elements]
-        # rows of the Jacobian are the edges leaving vertex 0; column k of
+        # rows of the Jacobian J are the edges leaving vertex 0, so the
+        # edges of axis k are column k, J[s, k] for s < d; column k of
         # adj(J) / det(J) is the gradient of barycentric coordinate k + 1.
         # Writing out the 1 x 1 and 2 x 2 cofactors keeps them exact, which
         # np.linalg.det is not even for 1 x 1
-        jac = p[:, 1:] - p[:, :1]
+        columns = [edges for _, edges in self._edges()]
         if d == 1:
-            det = jac[:, 0, 0]
+            ((det,),) = columns
             adj_t = np.ones((1, 1, det.size))
         else:
-            (j00, j01), (j10, j11) = jac.transpose(1, 2, 0)
+            (j00, j10), (j01, j11) = columns
             det = j00 * j11 - j01 * j10
             adj_t = np.array([[j11, -j10], [-j01, j00]])
         self.measure = np.abs(det) / math.factorial(d)
@@ -209,12 +214,12 @@ class SpatialMesh:
         self._quadrature = {}
         self._matrices = {}
         # the symbols the orthonormal DST-I gives the mass and stiffness on
-        # the interior grid, with c_k = cos(k pi / Ms) (see preconditioner),
-        # and on the square the (Ms-1) x (Ms-1) sine matrix itself
+        # the interior grid, with c_k = cos(k pi / Ms) (see preconditioner);
+        # the sine matrix is built on first use, so intervals that keep
+        # dst1 never build it
         self._sine = self._mass_symbol = self._stiffness_symbol = None
         ms = self.subdivisions
-        k = np.arange(1, ms)
-        c = np.cos(k * math.pi / ms)
+        c = np.cos(np.arange(1, ms) * math.pi / ms)
         if domain[0] == "interval":
             h = (domain[2] - domain[1]) / ms
             self._mass_symbol, self._stiffness_symbol = _read_only(
@@ -222,13 +227,34 @@ class SpatialMesh:
             )
         elif domain[0] == "unit_square":
             ci, cj = c[:, None], c[None, :]
-            # reducing j * k mod 2 Ms first keeps each entry within about
-            # one ulp: S @ S - I is 2e-15 at Ms = 182, 8e-15 unreduced
-            self._sine, self._mass_symbol, self._stiffness_symbol = _read_only(
-                math.sqrt(2.0 / ms) * np.sin(np.pi * (np.outer(k, k) % (2 * ms)) / ms),
+            self._mass_symbol, self._stiffness_symbol = _read_only(
                 (6.0 + 2.0 * ci + 2.0 * cj + 2.0 * ci * cj) / (12.0 * ms**2),
                 4.0 - 2.0 * ci - 2.0 * cj,
             )
+
+    def _edges(self):
+        """Per axis, vertex 0 of every element and the edges leaving it.
+
+        Yields (p0, edges) with p0 of shape (n_elements,) and edges of shape
+        (dimension, n_elements): edges[s] is the axis's coordinate of vertex
+        s + 1 minus that of vertex 0.  One contiguous gather per axis and
+        vertex, in place of an (n_elements, dimension + 1, dimension) copy.
+        """
+        for coord in self.vertices.reshape(self.vertices.shape[0], -1).T:
+            p = coord[self.elements.T]
+            yield p[0], p[1:] - p[0]
+
+    def _sine_matrix(self):
+        """The symmetric orthonormal DST-I matrix of size Ms - 1, cached."""
+        if self._sine is None:
+            ms = self.subdivisions
+            k = np.arange(1, ms)
+            # reducing j * k mod 2 Ms first keeps each entry within about
+            # one ulp: S @ S - I is 2e-15 at Ms = 182, 8e-15 unreduced
+            (self._sine,) = _read_only(
+                math.sqrt(2.0 / ms) * np.sin(np.pi * (np.outer(k, k) % (2 * ms)) / ms)
+            )
+        return self._sine
 
     def quadrature(self, npoints):
         """Cached rule with npoints points per element.
@@ -250,13 +276,10 @@ class SpatialMesh:
             # x = p_0 + sum over s >= 1 of lam_s (p_s - p_0), per axis k and
             # point q; each coordinate array xq[k] is contiguous, which the
             # callables evaluate fastest
-            coords = self.vertices.reshape(self.vertices.shape[0], -1).T
             xq = np.empty((self.dimension, self.elements.shape[0], lam.shape[0]))
-            for k, coord in enumerate(coords):
-                p = coord[self.elements.T]
-                edges = p[1:] - p[0]
+            for k, (p0, edges) in enumerate(self._edges()):
                 for q, lam_q in enumerate(lam[:, 1:]):
-                    xq[k, :, q] = _dot(edges, lam_q) + p[0]
+                    xq[k, :, q] = _dot(edges, lam_q) + p0
             wq = self.measure[:, None] * w[None, :]
             self._quadrature[npoints] = _read_only(lam, xq, wq)
         return self._quadrature[npoints]
@@ -268,6 +291,13 @@ class SpatialMesh:
         (Buzbee, Golub and Nielson 1970): the mass h/6 (1, 4, 1) has symbols
         h/6 (4 + 2 c_k), the stiffness (1/h) (-1, 2, -1) has (2 - 2 c_k) / h,
         c_k = cos(k pi / Ms), h = (b - a) / Ms; CG stops after one iteration.
+        Up to _DENSE_SINE_MAX_MS elements the transform is a product with
+        the cached sine matrix S, r -> S ((S r) / symbols), because dst1
+        pays a fixed cost of several us per call in numpy's FFT wrapper.
+        One apply took 9 us against 30 us with dst1 at Ms = 128, 26 against
+        35 us at Ms = 256 and 109 against 30 us at Ms = 512 (2 vCPUs, best
+        of 5 x 2000 calls).  Larger meshes keep dst1: O(Ms log Ms) per
+        apply and no Ms^2 matrix.
 
         On the unit square's grid it applies (a * Mhat + b * Lhat)^(-1) by
         a DST-I along both axes of the row-major (Ms-1) x (Ms-1) interior
@@ -289,9 +319,11 @@ class SpatialMesh:
         if self._mass_symbol is None:
             return None
         inverse = 1.0 / (a * self._mass_symbol + b * self._stiffness_symbol)
-        s = self._sine
-        if s is None:
+        if self.dimension == 1 and self.subdivisions > _DENSE_SINE_MAX_MS:
             return lambda r: dst1(dst1(r) * inverse)
+        s = self._sine_matrix()
+        if self.dimension == 1:
+            return lambda r: s @ ((s @ r) * inverse)
 
         def apply(r):
             return (s @ ((s @ r.reshape(s.shape) @ s) * inverse) @ s).ravel()
@@ -603,32 +635,51 @@ def ritz_projection(mesh, grad):
     return FeFunction(x, mesh)
 
 
-def _element_gradients(u):
-    """Gradient of a P1 function on every element, one array of shape
-    (n_elements,) per axis."""
-    mesh = u.mesh
-    zs = u.nodal_values()[mesh.elements].T
+def _element_gradients(mesh, coeffs):
+    """Gradients of a block of P1 functions, one row of interior
+    coefficients each, on every element: one array of shape (levels,
+    n_elements) per axis."""
+    # nodes first: take along the leading axis gathers fastest
+    z = np.zeros((mesh.vertices.shape[0], coeffs.shape[0]))
+    z[mesh.interior_nodes] = coeffs.T
+    zs = np.take(z, mesh.elements, axis=0).transpose(1, 2, 0)
     scale = math.factorial(mesh.dimension) * mesh.measure
     return [_dot(zs, g_k) / scale for g_k in mesh.scaled_gradients.transpose(2, 1, 0)]
+
+
+def h1_seminorm_errors(mesh, coeffs, exact_grads, quad_order=DEFAULT_QUAD_ORDER):
+    """H1 seminorms of a block of P1 functions minus given gradients.
+
+    coeffs holds the interior coefficients of one function per row, shape
+    (levels, num_interior); exact_grads holds, per axis, the exact
+    gradients of the rows at the points of the quad_order rule, each of
+    shape (levels, n_elements, nq).  Returns the errors, shape (levels,).
+    Every row takes the operations of a block of one, so an error does
+    not depend on the block it is evaluated in, bit for bit.
+    """
+    _, _, wq = mesh.quadrature(quad_order)
+    axes = zip(_element_gradients(mesh, coeffs), exact_grads)
+    # the products and sums of _dot(diffs, diffs), formed in place so that
+    # no array beyond one difference per axis is held
+    squares = None
+    for grad_k, exact_k in axes:
+        diff = grad_k[:, :, None] - exact_k
+        diff *= diff
+        squares = diff if squares is None else np.add(squares, diff, out=squares)
+    squares *= wq
+    return np.sqrt(np.maximum(squares.reshape(squares.shape[0], -1).sum(axis=1), 0.0))
 
 
 def h1_seminorm_error(u, exact_grad, quad_order=DEFAULT_QUAD_ORDER):
     """H1 seminorm of u minus a function given by its gradient.
 
     exact_grad receives one coordinate array per dimension and returns the
-    derivative in 1D, the pair of partial derivatives in 2D.
+    derivative in 1D, the pair of partial derivatives in 2D.  Evaluated as
+    h1_seminorm_errors on a block of one.
     """
-    _, xq, wq = u.mesh.quadrature(quad_order)
-    axes = zip(_element_gradients(u), _axes(exact_grad(*xq), xq.shape))
-    # the products and sums of _dot(diffs, diffs), formed in place so that
-    # no array beyond one difference per axis is held
-    squares = None
-    for grad_k, exact_k in axes:
-        diff = grad_k[:, None] - exact_k
-        diff *= diff
-        squares = diff if squares is None else np.add(squares, diff, out=squares)
-    squares *= wq
-    return math.sqrt(max(np.sum(squares), 0.0))
+    _, xq, _ = u.mesh.quadrature(quad_order)
+    exact = [exact_k[None] for exact_k in _axes(exact_grad(*xq), xq.shape)]
+    return float(h1_seminorm_errors(u.mesh, u.coeffs[None], exact, quad_order)[0])
 
 
 def l2_error(u, exact, quad_order=DEFAULT_QUAD_ORDER):

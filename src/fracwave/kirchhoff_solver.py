@@ -15,7 +15,9 @@ Hairer, Lubich & Schlichte (1985): the far part, over the levels before a
 block of _BLOCK levels, is one GEMM per history for the whole block when
 its first level is stepped, and is parked in the block's own unsolved
 rows; each level adds the near part, the at most _BLOCK - 1 levels of its
-block before it.
+block before it, with weights from the leading coefficients of its L1 row
+alone.  A level's own work is thus O(_BLOCK) coefficients plus one system
+of the banded mass and stiffness, formed as a single BandMatrix.
 """
 
 import math
@@ -25,6 +27,7 @@ import numpy as np
 
 from .caputo_l1 import l1_row, l1_rows
 from .fem_space import (
+    BandMatrix,
     FeFunction,
     assemble_grad_load,
     assemble_load,
@@ -221,18 +224,20 @@ def _history_sums(state, n):
     The weights w_j, j < n, are those of the L1 formula at level n with its
     newest term d_{n,1} w^n taken out.  Levels 2, 2 + _BLOCK, ... open a
     block and write its far sums (j below the block) into the unset rows;
-    level n adds the near part, j from the block start to n - 1, from its
-    own L1 row.
+    level n adds the near part, j from the block start lo to n - 1, from
+    the n - lo + 1 <= _BLOCK leading coefficients of its L1 row, so a level
+    computes O(_BLOCK) powers, not n.
     """
     lo = n - (n - 2) % _BLOCK
     if n == lo:
         _far_sums(state, lo)
-    # in history order, row[j] = d_{n,n-j}; w_j = row[j-1] - row[j] for j >= 1
-    row = l1_row(state.tmesh, state.spec.beta, n).d[::-1]
-    near = row[lo - 1 : n - 1] - row[lo:n]
+    # in history order from j = lo - 1, row[i] = d_{n,n-lo+1-i}, so
+    # w_j = row[j-lo] - row[j-lo+1] for lo <= j < n and row[-1] = d_{n,1}
+    row = l1_row(state.tmesh, state.spec.beta, n, n - lo + 1).d[::-1]
+    near = row[:-1] - row[1:]
     g_hist = state.v[n] + near @ state.v[lo:n]
     h_hist = state.ubar[n] + near @ state.ubar[lo:n]
-    return row[n - 1], g_hist, h_hist
+    return row[-1], g_hist, h_hist
 
 
 def step(state, n):
@@ -286,8 +291,10 @@ def step(state, n):
     if not np.isfinite(rhs).all():
         raise ValueError(f"non-finite load or right-hand side at level {n}")
 
-    system = d1 * state.mass + (kap / d1) * state.stiffness
-    precond = state.smesh.preconditioner(d1, kap / d1)
+    # mass and stiffness share their offsets (see initialize)
+    c = kap / d1
+    system = BandMatrix(state.mass.offsets, d1 * state.mass.data + c * state.stiffness.data)
+    precond = state.smesh.preconditioner(d1, c)
     x, iters = spd_solve(system, rhs, x0=state.ubar[n - 1], precond=precond)
 
     state.ubar[n] = x

@@ -63,6 +63,30 @@ def test_l1_rows_block_equals_l1_row_bit_for_bit(N):
             assert not d[i, m:].any()
 
 
+@pytest.mark.parametrize("N", [15, 16, 17, 37])
+def test_truncated_l1_row_is_the_full_row_head_bit_for_bit(N):
+    beta = 0.7
+    mesh = build_graded_mesh(1.0, N, recommended_grading(beta))
+    for n in range(1, N + 1):
+        full = l1_row(mesh, beta, n).d
+        # every count n - lo + 1 the solver asks for (lo the start of the
+        # block of 16 levels holding n), and every count up to the full row
+        for count in range(1, n + 1):
+            row = l1_row(mesh, beta, n, count)
+            assert row.n == n and row.d.shape == (count,)
+            assert not row.d.flags.writeable
+            np.testing.assert_array_equal(row.d, full[:count])
+        for count in (0, -1, n + 1):
+            with pytest.raises(ValueError, match="count"):
+                l1_row(mesh, beta, n, count)
+    for first in (-1, N):
+        with pytest.raises(ValueError, match="first history level"):
+            l1_rows(mesh, beta, N, N + 1, first)
+    # the L1 formula needs the whole row
+    with pytest.raises(ValueError, match="full row"):
+        discrete_caputo(l1_row(mesh, beta, N, 3), np.zeros(N + 1))
+
+
 def test_l1_rows_match_the_two_power_formula():
     beta = 0.45
     mesh = build_graded_mesh(2.0, 37, 2.5)

@@ -339,6 +339,32 @@ def test_scaled_gradients_satisfy_the_barycentric_identity(domain, ms):
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "domain,ms",
+    [(("interval", 0.0, math.pi), 37), (("interval", 0.0, math.pi), 8192),
+     (("unit_square",), 8), (("unit_square",), 76), (("unit_square",), 182)],
+)
+def test_geometry_equals_the_per_element_jacobian_reference(domain, ms):
+    # the mesh takes its Jacobian from per-axis gathers; the reference
+    # gathers every element's vertices, shape (n_elements, d + 1, d)
+    mesh = build_spatial_mesh(domain, ms)
+    d = mesh.dimension
+    p = mesh.vertices.reshape(mesh.vertices.shape[0], -1)[mesh.elements]
+    jac = p[:, 1:] - p[:, :1]
+    if d == 1:
+        det = jac[:, 0, 0]
+        adj_t = np.ones((1, 1, det.size))
+    else:
+        (j00, j01), (j10, j11) = jac.transpose(1, 2, 0)
+        det = j00 * j11 - j01 * j10
+        adj_t = np.array([[j11, -j10], [-j01, j00]])
+    scaled = np.moveaxis(adj_t, -1, 0) * np.sign(det)[:, None, None]
+    np.testing.assert_array_equal(mesh.measure, np.abs(det) / math.factorial(d))
+    np.testing.assert_array_equal(
+        mesh.scaled_gradients, np.concatenate([-scaled.sum(axis=1, keepdims=True), scaled], axis=1)
+    )
+
+
 @pytest.mark.parametrize("domain", [("interval", 0.0, 1.0), ("unit_square",)])
 def test_cached_geometry_and_quadrature_are_read_only(domain):
     mesh = build_spatial_mesh(domain, 4)
@@ -730,7 +756,10 @@ def test_sine_matrix_preconditioner_equals_the_fft_transform(ms):
 
 @pytest.mark.parametrize("ms", [2, 9, 182, 512])
 def test_sine_matrix_is_read_only_symmetric_and_orthonormal(ms):
-    sine = build_spatial_mesh(("unit_square",), ms)._sine
+    mesh = build_spatial_mesh(("unit_square",), ms)
+    assert mesh._sine is None  # built on first use, then cached
+    sine = mesh._sine_matrix()
+    assert mesh._sine_matrix() is sine
     assert sine.shape == (ms - 1, ms - 1)
     assert not sine.flags.writeable
     assert np.array_equal(sine, sine.T)
@@ -738,13 +767,16 @@ def test_sine_matrix_is_read_only_symmetric_and_orthonormal(ms):
     np.testing.assert_allclose(sine, dst1(np.eye(ms - 1)), rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("ms", [8, 8192])
+@pytest.mark.parametrize("ms", [8, 256, 257, 8192])
 def test_interval_preconditioner_is_the_exact_inverse(ms):
     # the DST-I diagonalizes the 1D mass and stiffness, so y = P r solves
     # (a M + b A) y = r to rounding: the normwise backward error
     # |r - S y| / (|S| |y| + |r|) in the max norm stays below 1e-12 (the
-    # element lengths of a (0, pi) mesh differ from h by up to 1e-13)
+    # element lengths of a (0, pi) mesh differ from h by up to 1e-13);
+    # 256 and 257 straddle the switch from the sine matrix to dst1
     mesh = build_spatial_mesh(("interval", 0.0, math.pi), ms)
+    mesh.preconditioner(1.0, 1.0)
+    assert (mesh._sine is not None) == (ms <= fem_space._DENSE_SINE_MAX_MS)
     rng = np.random.default_rng(ms)
     for a, b in [(1.0, 0.0), (0.0, 1.0), (6.0, 0.2), (1e4, 1e-4), (1e-4, 1e4)]:
         system = a * assemble_mass(mesh) + b * assemble_stiffness(mesh)

@@ -349,6 +349,34 @@ def test_blocked_solve_matches_the_direct_contraction(example, alpha, N, Ms, mon
     assert blocked.error == pytest.approx(direct.error, rel=1e-12)
 
 
+def test_each_step_computes_one_l1_row_of_at_most_a_block(monkeypatch):
+    calls = []
+
+    def spy(mesh, beta, n, count=None):
+        calls.append((n, n if count is None else count))
+        return l1_row(mesh, beta, n, count)
+
+    monkeypatch.setattr(ks, "l1_row", spy)
+    case = example1_case(1.8)
+    N = 546
+    solve_all(case.problem_spec(), build_graded_mesh(case.T, N, 1.5), build_spatial_mesh(case.domain, 32))
+    # level 1 from initialize, then one call per step, in level order
+    assert [n for n, _ in calls] == list(range(1, N + 1))
+    assert max(count for _, count in calls) == ks._BLOCK
+
+
+@pytest.mark.parametrize("ms", [256, 257])
+def test_1d_runs_take_one_cg_iteration_on_both_sides_of_the_dense_sine_size(ms):
+    from fracwave import fem_space
+
+    # the sine matrix up to 256 elements, dst1 from 257
+    assert fem_space._DENSE_SINE_MAX_MS == 256
+    case = example1_case(1.5)
+    tmesh = build_graded_mesh(case.T, 40, recommended_grading(0.75))
+    state = solve_all(case.problem_spec(), tmesh, build_spatial_mesh(case.domain, ms))
+    assert state.cg_iters == [1] * 39
+
+
 def test_partial_run_history_matches_the_direct_contraction(monkeypatch):
     case = example1_case(1.6)
     spec = case.problem_spec()

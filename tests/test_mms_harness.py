@@ -190,6 +190,36 @@ def test_cached_gradient_errors_match_the_callable_path(case, ms):
     assert run_single_case(case, 4, ms, r=1.6).error == worst
 
 
+@pytest.mark.parametrize(
+    "case, ms, n_done",
+    [(example1_case(1.8), 37, 546), (example1_case(1.8), 37, 300), (example1_case(1.5), 8192, 5),
+     (example2_case(1.5), 8, 40), (example2_case(1.5), 182, 4)],
+    ids=["1d-37", "1d-37-partial", "1d-8192", "2d-8", "2d-182-partial"],
+)
+def test_block_h1_errors_equal_the_per_level_errors_bit_for_bit(case, ms, n_done):
+    from fracwave import mms_harness
+    from fracwave.fem_space import DEFAULT_QUAD_ORDER, build_spatial_mesh, h1_seminorm_error
+    from fracwave.graded_time import build_graded_mesh
+    from fracwave.kirchhoff_solver import initialize, step
+
+    N = max(n_done, 6)
+    tmesh = build_graded_mesh(case.T, N, 1.5)
+    smesh = build_spatial_mesh(case.domain, ms)
+    state = initialize(case.problem_spec(), tmesh, smesh)
+    for n in range(2, n_done + 1):
+        step(state, n)
+    # the levels do not fill a whole number of blocks, except a block of one
+    _, _, wq = smesh.quadrature(DEFAULT_QUAD_ORDER)
+    size = max(1, mms_harness._H1_BLOCK_ENTRIES // wq.size)
+    assert size == 1 or (n_done + 1) % size != 0
+    g, grad_shape = case.grad_parts
+    expected = [
+        h1_seminorm_error(state.recovered_fn(n), lambda *x, gn=g(tn): gn * grad_shape(*x))
+        for n, tn in enumerate(tmesh.t[: n_done + 1])
+    ]
+    assert mms_harness._h1_errors(case, state) == expected
+
+
 def test_every_exported_name_resolves():
     import fracwave
 
