@@ -5,7 +5,8 @@ Every invocation is a list of key=value tokens, e.g.
     fracwave command=temporal-study example=ex1 alpha=1.4,1.5,1.8 \
         N=128,256,512,1024 output=table.csv
 
-Commands: solve, temporal-study, spatial-study, caputo-check, bound-report.
+Each key is one RunConfig field (its default, parser and rule), and
+COMMAND_NEEDS maps each command to the keys it reads and their entry counts.
 Studies write one CSV row per refinement with the stable header
 
     alpha,N,Ms,r,error,oc,seconds,cg_iters
@@ -24,8 +25,10 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import groupby
+from math import inf
 
 from .caputo_l1 import truncation_study
 from .graded_time import build_graded_mesh, gronwall_step_condition, recommended_grading
@@ -41,7 +44,21 @@ from .mms_harness import (
 )
 from .fem_space import build_spatial_mesh
 
-COMMANDS = ("solve", "temporal-study", "spatial-study", "caputo-check", "bound-report")
+# the keys each command reads, each with the (fewest, most) entries it takes
+# (a scalar key holds one entry once set); any other problem key is a
+# configuration error rather than silently dropped
+_STUDY = {"example": (0, 1), "r": (0, 1), "timing": (0, 1)}
+COMMAND_NEEDS = {
+    "solve": {"example": (0, 1), "r": (0, 1), "alpha": (1, 1), "N": (1, 1), "Ms": (0, 1)},
+    "temporal-study": _STUDY | {"alpha": (1, inf), "N": (2, inf)},
+    "spatial-study": _STUDY | {"alpha": (1, inf), "Ms": (2, inf)},
+    "caputo-check": {"beta": (1, 1), "sigma": (1, 1), "N": (2, inf), "r": (0, 1),
+                     "timing": (0, 1)},
+    "bound-report": _STUDY | {"alpha": (1, inf), "N": (1, inf)},
+}
+COMMANDS = tuple(COMMAND_NEEDS)
+# keys that control the run rather than the problem, accepted by every command
+RUN_KEYS = {"command", "threads", "output"}
 CSV_HEADER = "alpha,N,Ms,r,error,oc,seconds,cg_iters"
 TRAJECTORY_HEADER = "n,t_n,h1_error,l2_error,bound_quantity"
 # spatial studies run no finer in time than this; the cap keeps the finest
@@ -51,58 +68,69 @@ DEFAULT_N_CAP = 4096
 REFINED_KEYS = {"temporal-study": "N", "spatial-study": "Ms", "caputo-check": "N"}
 # the label of the error column in the printed table, where it is not an error
 VALUE_LABELS = {"caputo-check": "wt_error", "bound-report": "bound"}
-# the problem keys each command reads; any other problem key is a
-# configuration error rather than silently dropped
-_SOLVER_KEYS = {"example", "alpha", "r"}
-COMMAND_KEYS = {
-    "temporal-study": _SOLVER_KEYS | {"N"},
-    "spatial-study": _SOLVER_KEYS | {"Ms"},
-    "bound-report": _SOLVER_KEYS | {"N"},
-    "solve": _SOLVER_KEYS | {"N", "Ms"},
-    "caputo-check": {"beta", "sigma", "N", "r"},
-}
-# keys that control the run rather than the problem, accepted by every command
-RUN_KEYS = {"command", "threads", "output", "timing"}
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str = None
-    example: str = "ex1"
-    alpha: list = field(default_factory=list)
-    N: list = field(default_factory=list)
-    Ms: list = field(default_factory=list)
-    r: float = None
-    output: str = None
-    threads: int = 1
-    beta: float = None
-    sigma: float = None
-    timing: str = "fixed"
-
-
-def _parse_float(key, text):
+def _number(kind, text):
     try:
-        value = float(text)
+        value = kind(text)
     except ValueError:
-        raise ConfigError(f"{key} expects a number, got {text!r}") from None
+        expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"expects {expected}, got {text!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{key} expects a finite number, got {text!r}")
+        raise ValueError(f"expects a finite number, got {text!r}")
     return value
 
 
-def _parse_int(key, text):
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{key} expects an integer, got {text!r}") from None
+def _numbers(kind, text):
+    return [_number(kind, part) for part in text.split(",") if part != ""]
 
 
-def _parse_list(key, text, convert):
-    return [convert(key, part) for part in text.split(",") if part != ""]
+_FLOAT, _INT = partial(_number, float), partial(_number, int)
+_FLOATS, _INTS = partial(_numbers, float), partial(_numbers, int)
+
+
+def _key(parse, rule, must, default=None):
+    """A RunConfig field for the key of its name: parse reads the text, every
+    entry must satisfy rule (must says how), and default=list is a fresh []."""
+    meta = {"parse": parse, "rule": rule, "must": must}
+    if default is list:
+        return field(default_factory=list, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+@dataclass
+class RunConfig:
+    """One field per key: its parser, the rule its entries obey, its default."""
+
+    command: str = _key(str, lambda c: c in COMMANDS, "be one of " + ", ".join(COMMANDS))
+    example: str = _key(str, lambda e: e in ("ex1", "ex2"), "be ex1 or ex2", "ex1")
+    alpha: list = _key(_FLOATS, lambda a: 1 < a < 2, "lie in (1, 2)", list)
+    N: list = _key(_INTS, lambda n: n >= 2, "be >= 2", list)
+    Ms: list = _key(_INTS, lambda n: n >= 2, "be >= 2", list)
+    r: float = _key(_FLOAT, lambda r: r >= 1, "satisfy r >= 1")
+    output: str = _key(str, bool, "name a file")
+    threads: int = _key(_INT, lambda n: n >= 1, "be >= 1", 1)
+    beta: float = _key(_FLOAT, lambda b: 0 < b < 1, "lie in (0, 1)")
+    sigma: float = _key(_FLOAT, lambda s: s > 0, "be positive")
+    timing: str = _key(str, lambda t: t in ("fixed", "wall"), "be fixed or wall", "fixed")
+
+
+_FIELDS = {f.name: f.metadata for f in fields(RunConfig)}
+
+
+def _span(fewest, most):
+    """(fewest, most) entries in words, e.g. 'at least 2 entries'."""
+    if fewest == most:
+        words, n = "exactly", fewest
+    elif most == inf:
+        words, n = "at least", fewest
+    else:
+        words, n = "at most", most
+    return f"{words} {n} {'entry' if n == 1 else 'entries'}"
 
 
 def parse_config(source):
@@ -117,93 +145,42 @@ def parse_config(source):
     for token in tokens:
         if "=" not in token:
             raise ConfigError(f"expected key=value, got {token!r}")
-        key, _, value = token.partition("=")
+        key, _, text = token.partition("=")
         if key in seen:
             raise ConfigError(f"duplicate key {key!r}")
-        seen.add(key)
-        if key == "command":
-            cfg.command = value
-        elif key == "example":
-            cfg.example = value
-        elif key == "alpha":
-            cfg.alpha = _parse_list(key, value, _parse_float)
-        elif key == "N":
-            cfg.N = _parse_list(key, value, _parse_int)
-        elif key == "Ms":
-            cfg.Ms = _parse_list(key, value, _parse_int)
-        elif key == "r":
-            cfg.r = _parse_float(key, value)
-        elif key == "output":
-            cfg.output = value
-        elif key == "threads":
-            cfg.threads = _parse_int(key, value)
-        elif key == "beta":
-            cfg.beta = _parse_float(key, value)
-        elif key == "sigma":
-            cfg.sigma = _parse_float(key, value)
-        elif key == "timing":
-            cfg.timing = value
-        else:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown key {key!r}")
+        seen.add(key)
+        spec = _FIELDS[key]
+        try:
+            value = spec["parse"](text)
+        except ValueError as exc:
+            raise ConfigError(f"{key} {exc}") from None
+        for entry in value if isinstance(value, list) else [value]:
+            if not spec["rule"](entry):
+                noun = f"{key} entries" if isinstance(value, list) else key
+                raise ConfigError(f"{noun} must {spec['must']}, got {entry!r}")
+        setattr(cfg, key, value)
 
     if cfg.command is None:
         raise ConfigError("command is required (one of " + ", ".join(COMMANDS) + ")")
-    if cfg.command not in COMMANDS:
-        raise ConfigError(f"command must be one of {', '.join(COMMANDS)}, got {cfg.command!r}")
-    unread = sorted(seen - RUN_KEYS - COMMAND_KEYS[cfg.command])
+    needs = COMMAND_NEEDS[cfg.command]
+    unread = sorted(seen - RUN_KEYS - needs.keys())
     if unread:
         raise ConfigError(f"{cfg.command} does not read {', '.join(map(repr, unread))}")
-    if cfg.example not in ("ex1", "ex2"):
-        raise ConfigError(f"example must be ex1 or ex2, got {cfg.example!r}")
-    for a in cfg.alpha:
-        if not 1 < a < 2:
-            raise ConfigError(f"alpha entries must lie in (1, 2), got {a}")
-    for n in cfg.N:
-        if n < 2:
-            raise ConfigError(f"N entries must be >= 2, got {n}")
-    for ms in cfg.Ms:
-        if ms < 2:
-            raise ConfigError(f"Ms entries must be >= 2, got {ms}")
-    if cfg.r is not None and not cfg.r >= 1:
-        raise ConfigError(f"r must satisfy r >= 1, got {cfg.r}")
-    if cfg.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
-    if cfg.beta is not None and not 0 < cfg.beta < 1:
-        raise ConfigError(f"beta must lie in (0, 1), got {cfg.beta}")
-    if cfg.sigma is not None and not cfg.sigma > 0:
-        raise ConfigError(f"sigma must be positive, got {cfg.sigma}")
-    if cfg.timing not in ("fixed", "wall"):
-        raise ConfigError(f"timing must be fixed or wall, got {cfg.timing!r}")
+    for key, (fewest, most) in needs.items():
+        value = getattr(cfg, key)
+        count = len(value) if isinstance(value, list) else int(value is not None)
+        if not fewest <= count <= most:
+            raise ConfigError(f"{cfg.command} needs {key} with {_span(fewest, most)}, got {count}")
     if cfg.output and os.path.isdir(cfg.output):
         raise ConfigError(f"output {cfg.output!r} is a directory")
     if cfg.output and not os.path.isdir(os.path.dirname(cfg.output) or "."):
         raise ConfigError(f"output directory of {cfg.output!r} does not exist")
-
-    if cfg.command in ("temporal-study", "spatial-study", "bound-report", "solve"):
-        if not cfg.alpha:
-            raise ConfigError(f"{cfg.command} needs alpha")
-    if cfg.command == "temporal-study" and len(cfg.N) < 2:
-        raise ConfigError("temporal-study needs N with at least two entries")
-    if cfg.command == "spatial-study" and len(cfg.Ms) < 2:
-        raise ConfigError("spatial-study needs Ms with at least two entries")
-    if cfg.command == "bound-report" and not cfg.N:
-        raise ConfigError("bound-report needs N")
-    if cfg.command == "solve":
-        if len(cfg.alpha) != 1:
-            raise ConfigError("solve needs exactly one alpha")
-        if len(cfg.N) != 1:
-            raise ConfigError("solve needs exactly one N")
-        if len(cfg.Ms) > 1:
-            raise ConfigError("solve accepts at most one Ms")
-    if cfg.command == "caputo-check":
-        if cfg.beta is None or cfg.sigma is None:
-            raise ConfigError("caputo-check needs beta and sigma")
-        if len(cfg.N) < 2:
-            raise ConfigError("caputo-check needs N with at least two entries")
-        if cfg.sigma < cfg.beta:
-            raise ConfigError(
-                f"caputo-check needs sigma >= beta, got sigma={cfg.sigma:g} < beta={cfg.beta:g}"
-            )
+    if cfg.command == "caputo-check" and cfg.sigma < cfg.beta:
+        raise ConfigError(
+            f"caputo-check needs sigma >= beta, got sigma={cfg.sigma:g} < beta={cfg.beta:g}"
+        )
     # the orders compare neighbouring rows, so the refined key must double
     refined = REFINED_KEYS.get(cfg.command)
     if refined is not None:
@@ -215,10 +192,9 @@ def parse_config(source):
                     f"got {a} then {b}"
                 )
     # a repeated entry would solve the same case twice and print its row twice
-    for key in ("alpha", "N", "Ms"):
-        values = getattr(cfg, key)
-        if len(set(values)) != len(values):
-            raise ConfigError(f"{key} entries must be distinct, got {values}")
+    for key, value in vars(cfg).items():
+        if isinstance(value, list) and len(set(value)) != len(value):
+            raise ConfigError(f"{key} entries must be distinct, got {value}")
     return cfg
 
 
@@ -226,17 +202,13 @@ def _fmt_error(e):
     return f"{e:.2E}"
 
 
-def _fmt_oc(oc):
-    return "" if oc is None else f"{oc:.6f}"
-
-
 def _csv_lines(rows, timing):
     lines = [CSV_HEADER]
     for row in rows:
         seconds = row.seconds if timing == "wall" else 0.0
+        oc = "" if row.oc is None else f"{row.oc:.6f}"
         lines.append(
-            f"{row.alpha:g},{row.N},{row.Ms},{row.r:.6f},"
-            f"{_fmt_error(row.error)},{_fmt_oc(row.oc)},"
+            f"{row.alpha:g},{row.N},{row.Ms},{row.r:.6f},{_fmt_error(row.error)},{oc},"
             f"{seconds:.3f},{row.cg_iters}"
         )
     return "\n".join(lines) + "\n"
@@ -256,11 +228,6 @@ def _print_table(rows, value_label="error"):
             f"{_fmt_error(row.error):>10} {oc:>9} {row.seconds:>9.3f} "
             f"{row.cg_iters:>5}{note}"
         )
-
-
-def _write_output(path, text):
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
 
 
 def _plan(cfg):
@@ -379,7 +346,8 @@ def run(cfg):
                 print(f"weighted truncation orders for beta={cfg.beta:g}, sigma={cfg.sigma:g}")
             text = _csv_lines(rows, cfg.timing)
             path = cfg.output or "report.csv"
-        _write_output(path, text)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
         print(f"wrote {path}")
         return 0
     except (ValueError, RuntimeError, OSError) as exc:

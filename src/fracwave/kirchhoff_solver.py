@@ -118,8 +118,7 @@ class SolverState:
     the frozen coefficient used at level n (levels 0 and 1 come from
     initialization and have none).  loads holds the (c_k, b_k) pairs of
     a separable forcing, b_k the assembled load of phi_k, and is empty
-    when f is a callable.  It holds no quadrature rule or CG tolerance:
-    every run uses the fem_space defaults.
+    when f is a callable.
     """
 
     spec: ProblemSpec
@@ -306,7 +305,7 @@ def step(state, n):
 
 
 def solve_all(spec, tmesh, smesh):
-    """Initialize and advance every level with the fem_space defaults; returns the final state."""
+    """Initialize and advance every level; returns the final state."""
     state = initialize(spec, tmesh, smesh)
     for n in range(2, tmesh.N + 1):
         step(state, n)

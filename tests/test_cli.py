@@ -12,7 +12,7 @@ import fracwave
 
 from fracwave import coupled_ms
 from fracwave.cli import (
-    COMMAND_KEYS,
+    COMMAND_NEEDS,
     CSV_HEADER,
     RUN_KEYS,
     TRAJECTORY_HEADER,
@@ -64,7 +64,6 @@ def test_parse_requires_command():
         ("command=temporal-study alpha=1.5 N=1,16", "N"),
         ("command=spatial-study alpha=1.5 Ms=1,8", "Ms"),
         ("command=temporal-study alpha=1.5 N=8,16 r=0.5", "r"),
-        # quadrature and tol are no longer keys; they are rejected as unknown
         ("command=temporal-study alpha=1.5 N=8,16 quadrature=9", "quadrature"),
         ("command=temporal-study example=ex2 alpha=1.5 N=8,16 quadrature=2", "quadrature"),
         ("command=temporal-study alpha=1.5 N=8,16 tol=0", "tol"),
@@ -106,19 +105,26 @@ def test_parse_rejects_unknown_and_duplicate_keys():
 
 
 def test_every_config_field_is_a_key():
-    keys = RUN_KEYS.union(*COMMAND_KEYS.values())
+    keys = RUN_KEYS.union(*COMMAND_NEEDS.values())
     assert {f.name for f in dataclasses.fields(RunConfig)} == keys
 
 
 def test_parse_command_specific_requirements():
-    with pytest.raises(ConfigError, match="alpha"):
-        parse_config("command=temporal-study N=8,16")
-    with pytest.raises(ConfigError, match="two entries"):
-        parse_config("command=temporal-study alpha=1.5 N=8")
-    with pytest.raises(ConfigError, match="beta and sigma"):
-        parse_config("command=caputo-check N=8,16")
-    with pytest.raises(ConfigError, match="one N"):
-        parse_config("command=solve alpha=1.5 N=4,8")
+    for line, message in [
+        (
+            "command=temporal-study N=8,16",
+            "temporal-study needs alpha with at least 1 entry, got 0",
+        ),
+        (
+            "command=temporal-study alpha=1.5 N=8",
+            "temporal-study needs N with at least 2 entries, got 1",
+        ),
+        ("command=caputo-check N=8,16", "caputo-check needs beta with exactly 1 entry, got 0"),
+        ("command=solve alpha=1.5 N=4,8", "solve needs N with exactly 1 entry, got 2"),
+    ]:
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(line)
+        assert str(excinfo.value) == message
 
 
 def test_solve_writes_trajectory(tmp_path, capsys):
@@ -410,6 +416,7 @@ def test_bound_report_repeated_n_fails_before_any_solve(tmp_path, capsys, monkey
         ("command=solve example=ex1 alpha=1.5 N=8 sigma=0.7", "sigma"),
         ("command=caputo-check example=ex2 beta=0.7 sigma=0.7 N=8,16", "example"),
         ("command=caputo-check beta=0.7 sigma=0.7 N=8,16 alpha=1.4", "alpha"),
+        ("command=solve example=ex1 alpha=1.5 N=8 timing=wall", "timing"),
     ],
 )
 def test_unread_problem_key_fails_before_any_solve(line, key, tmp_path, capsys, monkeypatch):
@@ -424,6 +431,64 @@ def test_unread_problem_key_fails_before_any_solve(line, key, tmp_path, capsys, 
     assert main(line.split() + [f"output={out}"]) == 2
     assert f"does not read '{key}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("command=solve N=8", "solve needs alpha with exactly 1 entry, got 0"),
+        ("command=solve alpha=1.5,1.6 N=8", "solve needs alpha with exactly 1 entry, got 2"),
+        ("command=solve alpha=1.5", "solve needs N with exactly 1 entry, got 0"),
+        ("command=solve alpha=1.5 N=8,16", "solve needs N with exactly 1 entry, got 2"),
+        ("command=solve alpha=1.5 N=8 Ms=8,16", "solve needs Ms with at most 1 entry, got 2"),
+        (
+            "command=temporal-study N=8,16",
+            "temporal-study needs alpha with at least 1 entry, got 0",
+        ),
+        (
+            "command=temporal-study alpha=1.5 N=8",
+            "temporal-study needs N with at least 2 entries, got 1",
+        ),
+        ("command=spatial-study Ms=8,16", "spatial-study needs alpha with at least 1 entry, got 0"),
+        (
+            "command=spatial-study alpha=1.5 Ms=8",
+            "spatial-study needs Ms with at least 2 entries, got 1",
+        ),
+        ("command=bound-report N=8,16", "bound-report needs alpha with at least 1 entry, got 0"),
+        ("command=bound-report alpha=1.5", "bound-report needs N with at least 1 entry, got 0"),
+        (
+            "command=caputo-check sigma=0.7 N=8,16",
+            "caputo-check needs beta with exactly 1 entry, got 0",
+        ),
+        (
+            "command=caputo-check beta=0.7 N=8,16",
+            "caputo-check needs sigma with exactly 1 entry, got 0",
+        ),
+        (
+            "command=caputo-check beta=0.7 sigma=0.7 N=8",
+            "caputo-check needs N with at least 2 entries, got 1",
+        ),
+    ],
+)
+def test_entry_count_bounds_fail_before_any_solve(line, message, tmp_path, capsys, monkeypatch):
+    import fracwave.cli as cli_module
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a case was solved")
+
+    for name in ("run_single_case", "solve_all", "truncation_study"):
+        monkeypatch.setattr(cli_module, name, must_not_run)
+    out = tmp_path / "report.csv"
+    assert main(line.split() + [f"output={out}"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_empty_output_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["command=caputo-check", "beta=0.7", "sigma=0.7", "N=8,16", "output="]) == 2
+    assert capsys.readouterr().err == "config error: output must name a file, got ''\n"
+    assert os.listdir(tmp_path) == []
 
 
 _NO_SCIPY_SCRIPT = """
