@@ -45,20 +45,20 @@ from .mms_harness import (
 from .fem_space import build_spatial_mesh
 
 # the keys each command reads, each with the (fewest, most) entries it takes
-# (a scalar key holds one entry once set); any other problem key is a
-# configuration error rather than silently dropped
-_STUDY = {"example": (0, 1), "r": (0, 1), "timing": (0, 1)}
+# (a scalar key holds one entry once set); any other key, such as threads on
+# solve's single case, is a configuration error rather than silently dropped
+_TABLE = {"r": (0, 1), "timing": (0, 1), "threads": (0, 1)}
+_STUDY = _TABLE | {"example": (0, 1)}
 COMMAND_NEEDS = {
     "solve": {"example": (0, 1), "r": (0, 1), "alpha": (1, 1), "N": (1, 1), "Ms": (0, 1)},
     "temporal-study": _STUDY | {"alpha": (1, inf), "N": (2, inf)},
     "spatial-study": _STUDY | {"alpha": (1, inf), "Ms": (2, inf)},
-    "caputo-check": {"beta": (1, 1), "sigma": (1, 1), "N": (2, inf), "r": (0, 1),
-                     "timing": (0, 1)},
+    "caputo-check": _TABLE | {"beta": (1, 1), "sigma": (1, 1), "N": (2, inf)},
     "bound-report": _STUDY | {"alpha": (1, inf), "N": (1, inf)},
 }
 COMMANDS = tuple(COMMAND_NEEDS)
 # keys that control the run rather than the problem, accepted by every command
-RUN_KEYS = {"command", "threads", "output"}
+RUN_KEYS = {"command", "output"}
 CSV_HEADER = "alpha,N,Ms,r,error,oc,seconds,cg_iters"
 TRAJECTORY_HEADER = "n,t_n,h1_error,l2_error,bound_quantity"
 # spatial studies run no finer in time than this; the cap keeps the finest

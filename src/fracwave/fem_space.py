@@ -18,8 +18,8 @@ applies it, as products with the mesh's cached sine matrix, to precondition
 CG.  On the uniform interval the DST-I diagonalizes the mass and stiffness
 exactly, so there the same preconditioner is the exact inverse of every
 system the solver forms; it multiplies by the sine matrix on small meshes
-and calls the FFT-based dst1 on large ones.  The H1-seminorm error takes a
-block of functions, such as the stored levels of a run, in one pass.
+and calls the FFT-based dst1 on large ones.  A BandMatrix multiplies a
+block of functions, one per row, in one product.
 """
 
 import math
@@ -385,7 +385,8 @@ class BandMatrix:
     the pattern.  A product adds the diagonals to zeros in ascending offset
     order, as a sorted CSR row is added, so the two agree bit for bit; but
     the padding zeros spread a non-finite x entry to a neighbouring row as
-    0 * inf = nan (step rejects a non-finite right-hand side first).
+    0 * inf = nan (step rejects a non-finite right-hand side first).  It
+    multiplies every row of an operand of shape (levels, n) at once.
     """
 
     def __init__(self, offsets, data):
@@ -397,10 +398,11 @@ class BandMatrix:
         self._diagonals = []
         for k, row in zip(offsets.tolist(), data):
             lo, hi = max(0, -k), n - max(0, k)
-            self._diagonals.append((k, row[lo:hi], slice(lo + k, hi + k), slice(lo, hi)))
+            cols, rows = (..., slice(lo + k, hi + k)), (..., slice(lo, hi))
+            self._diagonals.append((k, row[lo:hi], cols, rows))
 
     def __matmul__(self, x):
-        out = np.zeros(self.shape[0])
+        out = np.zeros(x.shape)
         for _, entries, cols, rows in self._diagonals:
             out[rows] += entries * x[cols]
         return out
@@ -521,6 +523,14 @@ def assemble_load(mesh, g, quad_order=DEFAULT_QUAD_ORDER):
     return _interior_sum(mesh, (_dot(weighted, lam_s) for lam_s in lam.T))
 
 
+def _grad_load(mesh, integrals):
+    """(c, grad phi_i) on the interior unknowns for a field c given by its
+    integral over every element, one array per axis."""
+    scale = math.factorial(mesh.dimension) * mesh.measure
+    gradients = mesh.scaled_gradients.transpose(1, 2, 0)
+    return _interior_sum(mesh, (_dot(g_s, integrals) / scale for g_s in gradients))
+
+
 def assemble_grad_load(mesh, grad, quad_order=DEFAULT_QUAD_ORDER):
     """Vector (grad g, grad phi_i) on the interior unknowns.
 
@@ -528,10 +538,7 @@ def assemble_grad_load(mesh, grad, quad_order=DEFAULT_QUAD_ORDER):
     (gx, gy) in 2D.
     """
     _, xq, wq = mesh.quadrature(quad_order)
-    integral = [_dot(wq.T, comp.T) for comp in _axes(grad(*xq), xq.shape)]
-    scale = math.factorial(mesh.dimension) * mesh.measure
-    gradients = mesh.scaled_gradients.transpose(1, 2, 0)
-    return _interior_sum(mesh, (_dot(g_s, integral) / scale for g_s in gradients))
+    return _grad_load(mesh, [_dot(wq.T, comp.T) for comp in _axes(grad(*xq), xq.shape)])
 
 
 @dataclass(frozen=True)
@@ -635,51 +642,41 @@ def ritz_projection(mesh, grad):
     return FeFunction(x, mesh)
 
 
-def _element_gradients(mesh, coeffs):
-    """Gradients of a block of P1 functions, one row of interior
-    coefficients each, on every element: one array of shape (levels,
-    n_elements) per axis."""
-    # nodes first: take along the leading axis gathers fastest
-    z = np.zeros((mesh.vertices.shape[0], coeffs.shape[0]))
-    z[mesh.interior_nodes] = coeffs.T
-    zs = np.take(z, mesh.elements, axis=0).transpose(1, 2, 0)
+def _element_gradients(u):
+    """Gradient of the P1 function u on every element, one array of shape
+    (n_elements,) per axis."""
+    mesh = u.mesh
+    zs = u.nodal_values()[mesh.elements].T
     scale = math.factorial(mesh.dimension) * mesh.measure
     return [_dot(zs, g_k) / scale for g_k in mesh.scaled_gradients.transpose(2, 1, 0)]
-
-
-def h1_seminorm_errors(mesh, coeffs, exact_grads, quad_order=DEFAULT_QUAD_ORDER):
-    """H1 seminorms of a block of P1 functions minus given gradients.
-
-    coeffs holds the interior coefficients of one function per row, shape
-    (levels, num_interior); exact_grads holds, per axis, the exact
-    gradients of the rows at the points of the quad_order rule, each of
-    shape (levels, n_elements, nq).  Returns the errors, shape (levels,).
-    Every row takes the operations of a block of one, so an error does
-    not depend on the block it is evaluated in, bit for bit.
-    """
-    _, _, wq = mesh.quadrature(quad_order)
-    axes = zip(_element_gradients(mesh, coeffs), exact_grads)
-    # the products and sums of _dot(diffs, diffs), formed in place so that
-    # no array beyond one difference per axis is held
-    squares = None
-    for grad_k, exact_k in axes:
-        diff = grad_k[:, :, None] - exact_k
-        diff *= diff
-        squares = diff if squares is None else np.add(squares, diff, out=squares)
-    squares *= wq
-    return np.sqrt(np.maximum(squares.reshape(squares.shape[0], -1).sum(axis=1), 0.0))
 
 
 def h1_seminorm_error(u, exact_grad, quad_order=DEFAULT_QUAD_ORDER):
     """H1 seminorm of u minus a function given by its gradient.
 
     exact_grad receives one coordinate array per dimension and returns the
-    derivative in 1D, the pair of partial derivatives in 2D.  Evaluated as
-    h1_seminorm_errors on a block of one.
+    derivative in 1D, the pair of partial derivatives in 2D.
     """
-    _, xq, _ = u.mesh.quadrature(quad_order)
-    exact = [exact_k[None] for exact_k in _axes(exact_grad(*xq), xq.shape)]
-    return float(h1_seminorm_errors(u.mesh, u.coeffs[None], exact, quad_order)[0])
+    _, xq, wq = u.mesh.quadrature(quad_order)
+    axes = zip(_element_gradients(u), _axes(exact_grad(*xq), xq.shape))
+    # the products and sums of _dot(diffs, diffs), formed in place so that
+    # no array beyond one difference per axis is held
+    squares = None
+    for grad_k, exact_k in axes:
+        diff = grad_k[:, None] - exact_k
+        diff *= diff
+        squares = diff if squares is None else np.add(squares, diff, out=squares)
+    squares *= wq
+    return math.sqrt(max(float(squares.sum()), 0.0))
+
+
+def ritz_residual(u, grad, quad_order=DEFAULT_QUAD_ORDER):
+    """(grad g - grad u, grad phi_i) on the interior unknowns, zero up to
+    rounding when u is the Ritz projection of g.  Taking the difference on
+    each element keeps digits that the load minus A u would lose."""
+    _, xq, wq = u.mesh.quadrature(quad_order)
+    axes = zip(_axes(grad(*xq), xq.shape), _element_gradients(u))
+    return _grad_load(u.mesh, [_dot(wq.T, g.T) - u.mesh.measure * gu for g, gu in axes])
 
 
 def l2_error(u, exact, quad_order=DEFAULT_QUAD_ORDER):

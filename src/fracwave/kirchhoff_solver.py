@@ -255,9 +255,9 @@ def step(state, n):
     initialize assembled, and one assemble_load of f(., t_n) otherwise.
     The velocity update v^n = d_{n,1} x + H never touches an inverse mass
     matrix.  CG uses the mesh's preconditioner: the exact DST-I inverse on
-    an interval, so one iteration, and the DST-I of the 5-point stencils
-    on the unit square.  A non-finite load or right-hand side raises
-    ValueError before the solve.
+    an interval, so one iteration from ubar^{n-1}, and the DST-I of the
+    5-point stencils on the unit square, from the extrapolant of ubar.  A
+    non-finite load or right-hand side raises ValueError before the solve.
     """
     if n != state.n_done + 1:
         raise ValueError(f"levels must advance in order; expected {state.n_done + 1}, got {n}")
@@ -294,7 +294,11 @@ def step(state, n):
     c = kap / d1
     system = BandMatrix(state.mass.offsets, d1 * state.mass.data + c * state.stiffness.data)
     precond = state.smesh.preconditioner(d1, c)
-    x, iters = spd_solve(system, rhs, x0=state.ubar[n - 1], precond=precond)
+    # in 1D any start takes one iteration and would move only the rounding
+    x0 = state.ubar[n - 1]
+    if state.smesh.dimension == 2:
+        x0 = w1 * x0 + w2 * state.ubar[n - 2]
+    x, iters = spd_solve(system, rhs, x0=x0, precond=precond)
 
     state.ubar[n] = x
     state.v[n] = d1 * x + h_hist

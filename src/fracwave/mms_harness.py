@@ -19,15 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# h1_seminorm_error is not called here; bench/tracer.py wraps it by this name
-from .fem_space import DEFAULT_QUAD_ORDER, build_spatial_mesh, h1_seminorm_error  # noqa: F401
-from .fem_space import h1_seminorm_errors, l2_error
+from .fem_space import build_spatial_mesh, h1_seminorm_error, l2_error, ritz_projection
+from .fem_space import ritz_residual
 from .graded_time import build_graded_mesh, recommended_grading
 from .kirchhoff_solver import ProblemSpec, apriori_bound_report, solve_all
 
-# element-point entries (levels x n_elements x nq) per block of levels that
-# _h1_errors evaluates at once; larger blocks raise peak memory
-_H1_BLOCK_ENTRIES = 2**14
+# coefficients (levels x unknowns) per block of levels that _h1_errors
+# evaluates at once; larger blocks raise peak memory
+_LEVEL_BLOCK_ENTRIES = 2**13
 
 
 @dataclass(frozen=True)
@@ -274,29 +273,29 @@ def observed_order(pairs):
 def _h1_errors(case, state):
     """H1-seminorm errors of the recovered solution at levels 0..n_done.
 
-    The exact gradient g(t_n) grad_shape is taken at the quadrature points
-    of DEFAULT_QUAD_ORDER, where h1_seminorm_errors evaluates it:
-    grad_shape once per run, scaled by g(t_n) on each level.  Levels go
-    through h1_seminorm_errors in blocks of at most _H1_BLOCK_ENTRIES
-    element-point entries (at least one level), and each error equals that
-    of h1_seminorm_error on its level alone, bit for bit.
+    With grad u = g(t) grad s (grad_parts), R the Ritz projection of s and
+    phi_n = g(t_n) R - U^n, the error under the rule DEFAULT_QUAD_ORDER
+    splits (Wheeler 1973) as g(t_n)^2 C_0 + 2 g(t_n) k . phi_n + phi_n . A
+    phi_n, with C_0 = |grad (s - R)|^2 and k = ritz_residual(R, s).  It is
+    exact for any R: grad R and grad phi_n are constant on each element,
+    whose weights sum to its measure.  A level costs a stiffness product,
+    taken per block of _LEVEL_BLOCK_ENTRIES coefficients, not a quadrature.
     """
     g, grad_shape = case.grad_parts
-    smesh = state.smesh
-    _, xq, wq = smesh.quadrature(DEFAULT_QUAD_ORDER)
-    shape = np.reshape(grad_shape(*xq), xq.shape)
+    ritz = ritz_projection(state.smesh, grad_shape)
+    c0 = h1_seminorm_error(ritz, grad_shape) ** 2
+    k = ritz_residual(ritz, grad_shape)
     t = state.tmesh.t[: state.n_done + 1]
-    # g on scalars, as the levels were evaluated one at a time: numpy's
-    # array powers need not round as its scalar powers do
-    scales = np.array([g(tn) for tn in t])
-    size = max(1, _H1_BLOCK_ENTRIES // wq.size)
+    size = max(1, _LEVEL_BLOCK_ENTRIES // state.smesh.num_interior)
     errors = []
     for lo in range(0, t.size, size):
-        hi = min(lo + size, t.size)
-        # rows of state.recovered(n) for n = lo..hi-1
-        coeffs = state.ubar[lo:hi] + t[lo:hi, None] * state.phu1
-        exact = [scales[lo:hi, None, None] * shape_k for shape_k in shape]
-        errors.extend(h1_seminorm_errors(smesh, coeffs, exact).tolist())
+        block = slice(lo, min(lo + size, t.size))
+        gn = g(t[block])
+        # phi_n for the rows of state.recovered(n), n in the block
+        phi = gn[:, None] * ritz.coeffs - state.ubar[block] - t[block, None] * state.phu1
+        energy = np.einsum("ij,ij->i", phi, state.stiffness @ phi)
+        squares = gn**2 * c0 + 2.0 * gn * (phi @ k) + energy
+        errors.extend(np.sqrt(np.maximum(squares, 0.0)).tolist())
     return errors
 
 

@@ -259,10 +259,11 @@ def test_criterion_3_tables_2d():
     if elapsed > 1800.0:
         failures.append(f"2D studies took {elapsed:.0f}s, budget 1800s")
 
-    # the default-rule rows are the errors the CLI prints
+    # the default-rule rows are the errors the CLI prints, which it takes
+    # through the Ritz split of the same seminorm, equal to rounding
     first = spatial[DEFAULT_RULE][0]
     row = run_single_case(get_case("ex2", first["alpha"]), first["N"], first["Ms"])
-    if row.error != first["error"]:
+    if abs(row.error - first["error"]) > 1e-12 * first["error"]:
         failures.append(
             f"3-point error {first['error']!r} differs from run_single_case {row.error!r}"
         )

@@ -417,6 +417,7 @@ def test_bound_report_repeated_n_fails_before_any_solve(tmp_path, capsys, monkey
         ("command=caputo-check example=ex2 beta=0.7 sigma=0.7 N=8,16", "example"),
         ("command=caputo-check beta=0.7 sigma=0.7 N=8,16 alpha=1.4", "alpha"),
         ("command=solve example=ex1 alpha=1.5 N=8 timing=wall", "timing"),
+        ("command=solve alpha=1.5 N=4 threads=4", "threads"),
     ],
 )
 def test_unread_problem_key_fails_before_any_solve(line, key, tmp_path, capsys, monkeypatch):

@@ -228,11 +228,14 @@ def test_band_product_equals_the_csr_product_bit_for_bit(domain, ms):
     import scipy.sparse as sp
 
     mesh = build_spatial_mesh(domain, ms)
-    x = np.random.default_rng(ms).standard_normal(mesh.num_interior)
+    block = np.random.default_rng(ms).standard_normal((3, mesh.num_interior))
+    x = block[0]
     for band in (assemble_mass(mesh), assemble_stiffness(mesh), 6.0 * assemble_mass(mesh)):
         rows, cols, vals = _band_entries(band)
         csr = sp.csr_matrix((vals, (rows, cols)), shape=band.shape)
         np.testing.assert_array_equal(band @ x, csr @ x)
+        # a block of vectors, one per row, is multiplied row by row
+        np.testing.assert_array_equal(band @ block, (csr @ block.T).T)
 
 
 @pytest.mark.parametrize("domain,ms", [(("interval", 0.0, 1.0), 9), (("unit_square",), 6)])

@@ -1,11 +1,16 @@
 """Manufactured cases, parameter couplings, single-case runs and the package exports."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fracwave import mms_harness
 from fracwave.caputo_l1 import exact_caputo_power
+from fracwave.fem_space import build_spatial_mesh, h1_seminorm_error, ritz_projection
+from fracwave.graded_time import build_graded_mesh
+from fracwave.kirchhoff_solver import initialize, solve_all, step
 from fracwave.mms_harness import (
     coupled_ms,
     coupled_n,
@@ -145,10 +150,6 @@ def test_errors_shrink_under_coupled_refinement():
 
 
 def test_trajectory_rows_cover_all_levels():
-    from fracwave.fem_space import build_spatial_mesh
-    from fracwave.graded_time import build_graded_mesh
-    from fracwave.kirchhoff_solver import solve_all
-
     case = example1_case(1.5)
     tmesh = build_graded_mesh(1.0, 4, 1.6)
     smesh = build_spatial_mesh(case.domain, 8)
@@ -163,6 +164,23 @@ def test_trajectory_rows_cover_all_levels():
         assert math.isfinite(h1) and math.isfinite(l2) and math.isfinite(bound)
 
 
+def _split_rtol(smesh):
+    """Largest per-level relative difference allowed between the Ritz split
+    of _h1_errors and h1_seminorm_error.  On 1D meshes finer than 256
+    elements phi . A phi of a smooth phi loses digits to cancellation in
+    the stiffness product (4.9e-11 measured at Ms = 3,326, 1.1e-11 at
+    8,192); elsewhere the two agree to 3e-14."""
+    return 2e-10 if smesh.dimension == 1 and smesh.subdivisions > 256 else 1e-12
+
+
+def _per_level_errors(case, state):
+    g, grad_shape = case.grad_parts
+    return [
+        h1_seminorm_error(state.recovered_fn(n), lambda *x, gn=g(tn): gn * grad_shape(*x))
+        for n, tn in enumerate(state.tmesh.t[: state.n_done + 1])
+    ]
+
+
 @pytest.mark.parametrize(
     "case, ms",
     [(example1_case(1.5), 37), (example1_case(1.5), 8192),
@@ -170,10 +188,6 @@ def test_trajectory_rows_cover_all_levels():
     ids=["1d-37", "1d-8192", "2d-32", "2d-182"],
 )
 def test_cached_gradient_errors_match_the_callable_path(case, ms):
-    from fracwave.fem_space import build_spatial_mesh, h1_seminorm_error
-    from fracwave.graded_time import build_graded_mesh
-    from fracwave.kirchhoff_solver import solve_all
-
     def closed_form_gradient(t):
         g = t**3 + t**case.alpha
         if case.name == "ex1":
@@ -185,39 +199,74 @@ def test_cached_gradient_errors_match_the_callable_path(case, ms):
     state = solve_all(case.problem_spec(), tmesh, smesh)
     for n, tn, h1, _, _ in trajectory_rows(case, state):
         expected = h1_seminorm_error(state.recovered_fn(n), closed_form_gradient(tn))
-        assert h1 == pytest.approx(expected, rel=1e-14, abs=0.0)
+        assert h1 == pytest.approx(expected, rel=_split_rtol(smesh), abs=0.0)
     worst = max(row[2] for row in trajectory_rows(case, state)[1:])
     assert run_single_case(case, 4, ms, r=1.6).error == worst
 
 
 @pytest.mark.parametrize(
     "case, ms, n_done",
-    [(example1_case(1.8), 37, 546), (example1_case(1.8), 37, 300), (example1_case(1.5), 8192, 5),
-     (example2_case(1.5), 8, 40), (example2_case(1.5), 182, 4)],
-    ids=["1d-37", "1d-37-partial", "1d-8192", "2d-8", "2d-182-partial"],
+    [(example1_case(1.8), 37, 546), (example1_case(1.8), 37, 300), (example1_case(1.5), 128, 300),
+     (example1_case(1.5), 3326, 40), (example1_case(1.5), 8192, 5),
+     (example2_case(1.5), 8, 40), (example2_case(1.5), 32, 64), (example2_case(1.5), 182, 4)],
+    ids=["1d-37", "1d-37-partial", "1d-128", "1d-3326", "1d-8192", "2d-8", "2d-32",
+         "2d-182-partial"],
 )
-def test_block_h1_errors_equal_the_per_level_errors_bit_for_bit(case, ms, n_done):
-    from fracwave import mms_harness
-    from fracwave.fem_space import DEFAULT_QUAD_ORDER, build_spatial_mesh, h1_seminorm_error
-    from fracwave.graded_time import build_graded_mesh
-    from fracwave.kirchhoff_solver import initialize, step
-
+def test_split_h1_errors_match_the_per_level_errors(case, ms, n_done, monkeypatch):
     N = max(n_done, 6)
     tmesh = build_graded_mesh(case.T, N, 1.5)
     smesh = build_spatial_mesh(case.domain, ms)
     state = initialize(case.problem_spec(), tmesh, smesh)
     for n in range(2, n_done + 1):
         step(state, n)
-    # the levels do not fill a whole number of blocks, except a block of one
-    _, _, wq = smesh.quadrature(DEFAULT_QUAD_ORDER)
-    size = max(1, mms_harness._H1_BLOCK_ENTRIES // wq.size)
-    assert size == 1 or (n_done + 1) % size != 0
+    expected = _per_level_errors(case, state)
+    assert expected[0] == 0.0 and min(expected[1:]) > 0.0
+    # the default blocks, then blocks of 7 levels that leave a partial one
+    for entries in (mms_harness._LEVEL_BLOCK_ENTRIES, 7 * smesh.num_interior):
+        monkeypatch.setattr(mms_harness, "_LEVEL_BLOCK_ENTRIES", entries)
+        got = mms_harness._h1_errors(case, state)
+        assert len(got) == len(expected)
+        assert got == pytest.approx(expected, rel=_split_rtol(smesh), abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "case, ms",
+    [(example1_case(1.5), 128), (example1_case(1.5), 3326), (example2_case(1.5), 32)],
+    ids=["1d-128", "1d-3326", "2d-32"],
+)
+def test_split_is_an_identity_for_any_coefficients(case, ms):
+    # the split holds for every P1 function, not only for a solution close
+    # to g R: levels g(t_n) R plus unit-normal noise scaled 1e-8 .. 1e-1
+
+    N = 8
+    tmesh = build_graded_mesh(case.T, N, 1.5)
+    smesh = build_spatial_mesh(case.domain, ms)
+    state = initialize(case.problem_spec(), tmesh, smesh)
     g, grad_shape = case.grad_parts
-    expected = [
-        h1_seminorm_error(state.recovered_fn(n), lambda *x, gn=g(tn): gn * grad_shape(*x))
-        for n, tn in enumerate(tmesh.t[: n_done + 1])
-    ]
-    assert mms_harness._h1_errors(case, state) == expected
+    ritz = ritz_projection(smesh, grad_shape).coeffs
+    rng = np.random.default_rng(ms)
+    for n, scale in zip(range(1, N + 1), np.logspace(-8.0, -1.0, N)):
+        noise = rng.standard_normal(smesh.num_interior)
+        state.ubar[n] = g(tmesh.t[n]) * ritz + scale * noise
+    state.n_done = N
+    got = mms_harness._h1_errors(case, state)
+    assert got == pytest.approx(_per_level_errors(case, state), rel=1e-11, abs=0.0)
+
+
+def test_h1_error_evaluation_peak_memory():
+    # the quadrature loop this evaluation replaced peaked 10.4 MB above the
+    # solved state of this run (2D, Ms = 182, N = 64); the split must not
+    # hold more, or ex2 runs would need more memory for their errors
+    case = example2_case(1.5)
+    tmesh = build_graded_mesh(case.T, 64, 5.0 / 3.0)
+    state = solve_all(case.problem_spec(), tmesh, build_spatial_mesh(case.domain, 182))
+    tracemalloc.start()
+    try:
+        mms_harness._h1_errors(case, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.4e6
 
 
 def test_every_exported_name_resolves():
