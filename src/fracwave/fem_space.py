@@ -670,11 +670,11 @@ def h1_seminorm_error(u, exact_grad, quad_order=DEFAULT_QUAD_ORDER):
     return math.sqrt(max(float(squares.sum()), 0.0))
 
 
-def ritz_residual(u, grad, quad_order=DEFAULT_QUAD_ORDER):
-    """(grad g - grad u, grad phi_i) on the interior unknowns, zero up to
-    rounding when u is the Ritz projection of g.  Taking the difference on
-    each element keeps digits that the load minus A u would lose."""
-    _, xq, wq = u.mesh.quadrature(quad_order)
+def ritz_residual(u, grad):
+    """(grad g - grad u, grad phi_i) on the interior unknowns, under the rule
+    of ritz_projection: zero up to rounding when u is g's projection.  The
+    difference per element keeps digits that the load minus A u loses."""
+    _, xq, wq = u.mesh.quadrature(DEFAULT_QUAD_ORDER)
     axes = zip(_axes(grad(*xq), xq.shape), _element_gradients(u))
     return _grad_load(u.mesh, [_dot(wq.T, g.T) - u.mesh.measure * gu for g, gu in axes])
 

@@ -254,9 +254,10 @@ def test_split_is_an_identity_for_any_coefficients(case, ms):
 
 
 def test_h1_error_evaluation_peak_memory():
-    # the quadrature loop this evaluation replaced peaked 10.4 MB above the
-    # solved state of this run (2D, Ms = 182, N = 64); the split must not
-    # hold more, or ex2 runs would need more memory for their errors
+    # the per-level quadrature loop this evaluation replaced peaked at
+    # 10,935,664 bytes above the solved state of this run (2D, Ms = 182,
+    # N = 64), the split at 10,072,616; it must not hold more than the
+    # loop, or ex2 runs would need more memory for their errors
     case = example2_case(1.5)
     tmesh = build_graded_mesh(case.T, 64, 5.0 / 3.0)
     state = solve_all(case.problem_spec(), tmesh, build_spatial_mesh(case.domain, 182))
@@ -266,7 +267,7 @@ def test_h1_error_evaluation_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 10.4e6
+    assert peak <= 10_935_664
 
 
 def test_every_exported_name_resolves():
