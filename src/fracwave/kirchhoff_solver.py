@@ -28,7 +28,6 @@ import numpy as np
 from .caputo_l1 import l1_row, l1_rows
 from .fem_space import (
     BandMatrix,
-    FeFunction,
     assemble_grad_load,
     assemble_load,
     assemble_mass,
@@ -138,9 +137,6 @@ class SolverState:
     def recovered(self, n):
         """Interior coefficients of the recovered displacement at level n."""
         return self.ubar[n] + self.tmesh.t[n] * self.phu1
-
-    def recovered_fn(self, n):
-        return FeFunction(self.recovered(n), self.smesh)
 
 
 def initialize(spec, tmesh, smesh):
@@ -290,9 +286,11 @@ def step(state, n):
     if not np.isfinite(rhs).all():
         raise ValueError(f"non-finite load or right-hand side at level {n}")
 
-    # mass and stiffness share their offsets (see initialize)
+    # mass and stiffness share their offsets (see initialize); adding in place saves a temporary
     c = kap / d1
-    system = BandMatrix(state.mass.offsets, d1 * state.mass.data + c * state.stiffness.data)
+    data = np.multiply(state.mass.data, d1)
+    data += c * state.stiffness.data
+    system = BandMatrix(state.mass.offsets, data)
     precond = state.smesh.preconditioner(d1, c)
     # in 1D any start takes one iteration and would move only the rounding
     x0 = state.ubar[n - 1]

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem_space import build_spatial_mesh, h1_seminorm_error, l2_error, ritz_projection
-from .fem_space import ritz_residual
+from .fem_space import FeFunction, build_spatial_mesh, h1_seminorm_error, l2_error
+from .fem_space import ritz_projection, ritz_residual
 from .graded_time import build_graded_mesh, recommended_grading
 from .kirchhoff_solver import ProblemSpec, apriori_bound_report, solve_all
 
@@ -309,6 +309,6 @@ def trajectory_rows(case, state):
     out = []
     for n, h1 in enumerate(_h1_errors(case, state)):
         tn = state.tmesh.t[n]
-        l2 = l2_error(state.recovered_fn(n), lambda *x: case.u(*x, tn))
+        l2 = l2_error(FeFunction(state.recovered(n), state.smesh), lambda *x: case.u(*x, tn))
         out.append((n, tn, h1, l2, bound[n]))
     return out

@@ -33,6 +33,7 @@ from fracwave.caputo_l1 import (
 )
 from fracwave.cli import DEFAULT_N_CAP, parse_config, run
 from fracwave.fem_space import (
+    FeFunction,
     assemble_mass,
     assemble_stiffness,
     build_spatial_mesh,
@@ -208,7 +209,7 @@ def _errors_2d(alpha, N, Ms):
     worst = dict.fromkeys((DEFAULT_RULE, REFERENCE_RULE), 0.0)
     for n in range(1, tmesh.N + 1):
         tn = tmesh.t[n]
-        uh = state.recovered_fn(n)
+        uh = FeFunction(state.recovered(n), smesh)
         for rule in worst:
             err = h1_seminorm_error(uh, lambda x, y: case.grad_u(x, y, tn), rule)
             worst[rule] = max(worst[rule], err)

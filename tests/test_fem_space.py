@@ -219,6 +219,64 @@ def test_interior_matrices_match_the_scipy_assembly_2d(ms):
         np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0)
 
 
+def _reference_matrices(mesh):
+    """{name: (offsets, data)} as one bincount over all elements, keyed on
+    (diagonal, row), built them before the element blocks."""
+    nv = mesh.dimension + 1
+    local = (np.ones((nv, nv)) + np.eye(nv)) / (nv * (nv + 1))
+    g = mesh.scaled_gradients.transpose(2, 0, 1)
+    scale = math.factorial(mesh.dimension) ** 2 * mesh.measure
+    element_values = {
+        "mass": mesh.measure[:, None, None] * local,
+        "stiffness": fem_space._dot(g[:, :, :, None], g[:, :, None, :]) / scale[:, None, None],
+    }
+    m = mesh.num_interior
+    el = np.where(mesh.boundary, -1, np.cumsum(~mesh.boundary) - 1)[mesh.elements]
+    rows = np.repeat(el, nv, axis=1).ravel()
+    cols = np.tile(el, (1, nv)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    rows, shift = rows[keep], (cols - rows)[keep] + (m - 1)
+    present = np.bincount(shift, minlength=2 * m - 1) > 0
+    diag = np.cumsum(present) - 1
+    offsets = np.flatnonzero(present) - (m - 1)
+    key = diag[shift] * m + rows
+    return {
+        name: (offsets, np.bincount(key, vals.ravel()[keep], offsets.size * m).reshape(-1, m))
+        for name, vals in element_values.items()
+    }
+
+
+@pytest.mark.parametrize("block", [fem_space._ELEMENT_BLOCK, 7])
+@pytest.mark.parametrize(
+    "domain,ms",
+    [(("interval", 0.0, math.pi), 37), (("interval", 0.0, math.pi), 8192),
+     (("unit_square",), 8), (("unit_square",), 76), (("unit_square",), 182)],
+)
+def test_blocked_matrices_equal_the_single_bincount_bit_for_bit(monkeypatch, domain, ms, block):
+    # with 7 elements per block, block boundaries fall inside every mesh
+    monkeypatch.setattr(fem_space, "_ELEMENT_BLOCK", block)
+    mesh = build_spatial_mesh(domain, ms)
+    for which, (offsets, data) in _reference_matrices(mesh).items():
+        band = fem_space._get_matrix(mesh, which)
+        assert np.array_equal(band.offsets, offsets)
+        assert np.array_equal(band.data, data)
+
+
+def test_assembly_peak_memory_is_bounded_by_the_block():
+    # one bincount over all 66,248 elements of this mesh peaked at
+    # 43,005,161 bytes; blocks of _ELEMENT_BLOCK elements at 7,884,912
+    import tracemalloc
+
+    mesh = build_spatial_mesh(("unit_square",), 182)
+    tracemalloc.start()
+    try:
+        assemble_mass(mesh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12_000_000
+
+
 @pytest.mark.parametrize(
     "domain,ms",
     [(("interval", 0.0, math.pi), 128), (("interval", 0.0, math.pi), 8192),
@@ -602,6 +660,27 @@ def test_quadrature_kernels_equal_the_broadcast_formulation_bit_for_bit(domain, 
                 )
                 assert h1_seminorm_error(u, g, q) == _reference_h1_error(u, g, q)
             assert l2_error(u, exact, q) == _reference_l2_error(u, exact, q)
+
+
+@pytest.mark.parametrize(
+    "domain,ms",
+    [
+        (("interval", 0.0, math.pi), 37),
+        (("interval", 0.0, math.pi), 8192),
+        (("unit_square",), 32),
+        (("unit_square",), 76),
+    ],
+)
+def test_quadrature_kernels_in_blocks_of_7_elements_change_no_bit(monkeypatch, domain, ms):
+    # block boundaries then fall inside every mesh
+    mesh = build_spatial_mesh(domain, ms)
+    u = FeFunction(np.random.default_rng(ms).standard_normal(mesh.num_interior), mesh)
+    case = example1_case(1.5) if mesh.dimension == 1 else example2_case(1.5)
+    grad = case.grad_parts[1]
+    residual = fem_space.ritz_residual(u, grad)
+    monkeypatch.setattr(fem_space, "_ELEMENT_BLOCK", 7)
+    assert np.array_equal(fem_space.ritz_residual(u, grad), residual)
+    test_quadrature_kernels_equal_the_broadcast_formulation_bit_for_bit(domain, ms)
 
 
 @pytest.mark.parametrize(

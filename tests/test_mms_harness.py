@@ -8,7 +8,12 @@ import pytest
 
 from fracwave import mms_harness
 from fracwave.caputo_l1 import exact_caputo_power
-from fracwave.fem_space import build_spatial_mesh, h1_seminorm_error, ritz_projection
+from fracwave.fem_space import (
+    FeFunction,
+    build_spatial_mesh,
+    h1_seminorm_error,
+    ritz_projection,
+)
 from fracwave.graded_time import build_graded_mesh
 from fracwave.kirchhoff_solver import initialize, solve_all, step
 from fracwave.mms_harness import (
@@ -176,7 +181,10 @@ def _split_rtol(smesh):
 def _per_level_errors(case, state):
     g, grad_shape = case.grad_parts
     return [
-        h1_seminorm_error(state.recovered_fn(n), lambda *x, gn=g(tn): gn * grad_shape(*x))
+        h1_seminorm_error(
+            FeFunction(state.recovered(n), state.smesh),
+            lambda *x, gn=g(tn): gn * grad_shape(*x),
+        )
         for n, tn in enumerate(state.tmesh.t[: state.n_done + 1])
     ]
 
@@ -198,7 +206,8 @@ def test_cached_gradient_errors_match_the_callable_path(case, ms):
     smesh = build_spatial_mesh(case.domain, ms)
     state = solve_all(case.problem_spec(), tmesh, smesh)
     for n, tn, h1, _, _ in trajectory_rows(case, state):
-        expected = h1_seminorm_error(state.recovered_fn(n), closed_form_gradient(tn))
+        uh = FeFunction(state.recovered(n), smesh)
+        expected = h1_seminorm_error(uh, closed_form_gradient(tn))
         assert h1 == pytest.approx(expected, rel=_split_rtol(smesh), abs=0.0)
     worst = max(row[2] for row in trajectory_rows(case, state)[1:])
     assert run_single_case(case, 4, ms, r=1.6).error == worst
@@ -254,10 +263,11 @@ def test_split_is_an_identity_for_any_coefficients(case, ms):
 
 
 def test_h1_error_evaluation_peak_memory():
-    # the per-level quadrature loop this evaluation replaced peaked at
-    # 10,935,664 bytes above the solved state of this run (2D, Ms = 182,
-    # N = 64), the split at 10,072,616; it must not hold more than the
-    # loop, or ex2 runs would need more memory for their errors
+    # above the solved state of this run (2D, Ms = 182, N = 64) the split
+    # peaked at 10,072,616 bytes while its quadratures evaluated grad_shape
+    # at all 198,744 points at once, and at 3,010,344 bytes with element
+    # blocks; the bound keeps the error evaluation's temporaries at the
+    # scale of a block, not of the mesh
     case = example2_case(1.5)
     tmesh = build_graded_mesh(case.T, 64, 5.0 / 3.0)
     state = solve_all(case.problem_spec(), tmesh, build_spatial_mesh(case.domain, 182))
@@ -267,7 +277,7 @@ def test_h1_error_evaluation_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 10_935_664
+    assert peak <= 4_000_000
 
 
 def test_every_exported_name_resolves():
