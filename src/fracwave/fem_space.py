@@ -15,17 +15,20 @@ on the interior unknowns only.  The 2D mesh is the structured triangulation
 of the unit square obtained by cutting each cell of an Ms x Ms grid along
 the same diagonal, giving 2*Ms**2 right triangles.  The discrete Laplacian
 is never formed; inner products against it are taken through the stiffness
-matrix.  On that grid the stiffness is the 5-point Laplacian, which the
-orthonormal sine transform (DST-I) diagonalizes; SpatialMesh.preconditioner
-applies it, as products with the mesh's cached sine matrix, to precondition
-CG.  On the uniform interval the DST-I diagonalizes the mass and stiffness
-exactly, so there the same preconditioner is the exact inverse of every
-system the solver forms; it multiplies by the sine matrix on small meshes
-and calls the FFT-based dst1 on large ones.  A BandMatrix multiplies a
-block of functions, one per row, in one product.
+matrix.  A BandMatrix multiplies a block of functions, one per row, in one
+product.  Systems a M + b A are solved in the orthonormal sine basis (DST-I;
+fast diagonalization, Lynch, Rice and Thomas 1964), which diagonalizes the
+uniform interval's M and A and the unit square's stiffness, the 5-point
+Laplacian; there the mass is M = Mhat + (h^2/24) D (x) D, D = tridiag(-1,
+0, 1), with Mhat diagonal.  CG runs on the resulting diagonal plus one
+Kronecker term, preconditioned by its diagonal, for the correction of an
+approximate solution from its defect under the assembled matrices (defect
+correction; Stetter 1978).
 """
 
+import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,17 +55,34 @@ def dst1(x):
     return np.fft.rfft(ext, axis=-1).imag[..., 1 : n + 1] * -math.sqrt(0.5 / (n + 1))
 
 
+@functools.cache
 def _gauss_rule(npoints):
     nodes, weights = np.polynomial.legendre.leggauss(npoints)
     # reference element [0, 1] in barycentric form
     lam = 0.5 * (nodes + 1.0)
-    return np.column_stack([1.0 - lam, lam]), 0.5 * weights
+    return _read_only(np.column_stack([1.0 - lam, lam]), 0.5 * weights)
+
+
+class _GaussRules(Mapping):
+    """The Gauss-Legendre rules with 1 to 7 points, each built on first use:
+    a 2D run never imports numpy.polynomial (8 modules, 1.7 MB)."""
+
+    def __getitem__(self, npoints):
+        if npoints not in range(1, 8):
+            raise KeyError(npoints)
+        return _gauss_rule(npoints)
+
+    def __iter__(self):
+        return iter(range(1, 8))
+
+    def __len__(self):
+        return 7
 
 
 # {dimension: {points per element: (barycentric points (nq, d+1), weights)}};
 # the weights sum to 1 and are scaled by the element measure.
 QUADRATURE_RULES = {
-    1: {npoints: _gauss_rule(npoints) for npoints in range(1, 8)},
+    1: _GaussRules(),
     2: {
         1: (np.array([[1.0, 1.0, 1.0]]) / 3.0, np.array([1.0])),
         3: (
@@ -134,15 +154,13 @@ QUADRATURE_RULES = {
         ),
     },
 }
-_read_only(
-    *(arr for rules in QUADRATURE_RULES.values() for rule in rules.values() for arr in rule)
-)
+_read_only(*(arr for rule in QUADRATURE_RULES[2].values() for arr in rule))
 # the rule and the CG stopping tolerance (relative residual) the solver
 # always uses; only an error evaluation may pick another rule
 DEFAULT_QUAD_ORDER = 3
 DEFAULT_TOL = 1e-12
-# the largest interval mesh whose preconditioner applies the sine
-# transform as a dense matrix product instead of dst1
+# the largest interval mesh whose sine basis applies the transform as a
+# dense matrix product instead of dst1
 _DENSE_SINE_MAX_MS = 256
 # elements per block of every element loop (Cuvelier, Japhet, Scarella 2016)
 _ELEMENT_BLOCK = 4096
@@ -158,7 +176,7 @@ class SpatialMesh:
     """Conforming P1 simplex mesh with Dirichlet boundary flags.
 
     The element geometry is computed on construction, the quadrature
-    points on first use of each rule and the sine matrix on first use;
+    points on first use of each rule and the sine basis on first use;
     every cached array is read-only.
 
     Attributes
@@ -224,24 +242,6 @@ class SpatialMesh:
         _read_only(self.measure, self.scaled_gradients)
         self._quadrature = {}
         self._matrices = {}
-        # the symbols the orthonormal DST-I gives the mass and stiffness on
-        # the interior grid, with c_k = cos(k pi / Ms) (see preconditioner);
-        # the sine matrix is built on first use, so intervals that keep
-        # dst1 never build it
-        self._sine = self._mass_symbol = self._stiffness_symbol = None
-        ms = self.subdivisions
-        c = np.cos(np.arange(1, ms) * math.pi / ms)
-        if domain[0] == "interval":
-            h = (domain[2] - domain[1]) / ms
-            self._mass_symbol, self._stiffness_symbol = _read_only(
-                h / 6.0 * (4.0 + 2.0 * c), (2.0 - 2.0 * c) / h
-            )
-        elif domain[0] == "unit_square":
-            ci, cj = c[:, None], c[None, :]
-            self._mass_symbol, self._stiffness_symbol = _read_only(
-                (6.0 + 2.0 * ci + 2.0 * cj + 2.0 * ci * cj) / (12.0 * ms**2),
-                4.0 - 2.0 * ci - 2.0 * cj,
-            )
 
     def _edges(self):
         """Per axis, vertex 0 of every element and the edges leaving it.
@@ -254,18 +254,6 @@ class SpatialMesh:
         for coord in self.vertices.reshape(self.vertices.shape[0], -1).T:
             p = coord[self.elements.T]
             yield p[0], p[1:] - p[0]
-
-    def _sine_matrix(self):
-        """The symmetric orthonormal DST-I matrix of size Ms - 1, cached."""
-        if self._sine is None:
-            ms = self.subdivisions
-            k = np.arange(1, ms)
-            # reducing j * k mod 2 Ms first keeps each entry within about
-            # one ulp: S @ S - I is 2e-15 at Ms = 182, 8e-15 unreduced
-            (self._sine,) = _read_only(
-                math.sqrt(2.0 / ms) * np.sin(np.pi * (np.outer(k, k) % (2 * ms)) / ms)
-            )
-        return self._sine
 
     def quadrature(self, npoints):
         """Cached rule with npoints points per element.
@@ -295,51 +283,94 @@ class SpatialMesh:
             self._quadrature[npoints] = _read_only(lam, xq, wq)
         return self._quadrature[npoints]
 
-    def preconditioner(self, a, b):
-        """Inverse of a * M + b * A for spd_solve, exact in 1D, or None.
+    @functools.cached_property
+    def sine_basis(self):
+        """The mesh's SineBasis, built on first use."""
+        return SineBasis(self)
 
-        On the uniform interval the DST-I diagonalizes both matrices
-        (Buzbee, Golub and Nielson 1970): the mass h/6 (1, 4, 1) has symbols
-        h/6 (4 + 2 c_k), the stiffness (1/h) (-1, 2, -1) has (2 - 2 c_k) / h,
-        c_k = cos(k pi / Ms), h = (b - a) / Ms; CG stops after one iteration.
-        Up to _DENSE_SINE_MAX_MS elements the transform is a product with
-        the cached sine matrix S, r -> S ((S r) / symbols), because dst1
-        pays a fixed cost of several us per call in numpy's FFT wrapper.
-        One apply took 9 us against 30 us with dst1 at Ms = 128, 26 against
-        35 us at Ms = 256 and 109 against 30 us at Ms = 512 (2 vCPUs, best
-        of 5 x 2000 calls).  Larger meshes keep dst1: O(Ms log Ms) per
-        apply and no Ms^2 matrix.
 
-        On the unit square's grid it applies (a * Mhat + b * Lhat)^(-1) by
-        a DST-I along both axes of the row-major (Ms-1) x (Ms-1) interior
-        grid.  Lhat is the stiffness itself (the 5-point Laplacian), with
-        symbols (2 - 2 c_i) + (2 - 2 c_j).  Mhat is the consistent mass
-        stencil with its NE/SW coupling spread evenly over both diagonals,
-        symbols h^2/12 (6 + 2 c_i + 2 c_j + 2 c_i c_j) with h = 1 / Ms; its
-        stencil sums to h^2, as the consistent one does.  A mesh on any
-        other domain gets None, which spd_solve takes as Jacobi.
+class SineBasis:
+    """The orthonormal DST-I basis T of a uniform mesh's interior unknowns.
 
-        The 2D transform is the matrix form of fast diagonalization (Lynch,
-        Rice and Thomas 1964): with S the cached symmetric sine matrix, a
-        residual R on the grid maps to S ((S R S) / symbols) S.  Four dense
-        products cost O(Ms^3) per apply against O(Ms^2 log Ms) for FFTs
-        (dst1), but on 2 vCPUs one 2D transform takes 0.4 ms against
-        1.3 ms at Ms = 182, the two are about even at Ms = 512, and the
-        FFTs win past Ms of about 1000.
-        """
-        if self._mass_symbol is None:
-            return None
-        inverse = 1.0 / (a * self._mass_symbol + b * self._stiffness_symbol)
-        if self.dimension == 1 and self.subdivisions > _DENSE_SINE_MAX_MS:
-            return lambda r: dst1(dst1(r) * inverse)
-        s = self._sine_matrix()
-        if self.dimension == 1:
-            return lambda r: s @ ((s @ r) * inverse)
+    On the interval, with c_k = cos(k pi / Ms) and h = (b - a) / Ms, T
+    diagonalizes the mass h/6 (1, 4, 1), symbols h/6 (4 + 2 c_k), and the
+    stiffness (1/h) (-1, 2, -1), symbols (2 - 2 c_k) / h (Buzbee, Golub and
+    Nielson 1970).  Up to _DENSE_SINE_MAX_MS elements T is a product with
+    the dense sine matrix S, since dst1 costs several us per call in numpy's
+    FFT wrapper (9 against 30 us at Ms = 128, 109 against 30 at Ms = 512);
+    larger meshes call dst1 and keep no Ms^2 matrix.
 
-        def apply(r):
-            return (s @ ((s @ r.reshape(s.shape) @ s) * inverse) @ s).ravel()
+    On the unit square T maps the row-major (Ms-1) x (Ms-1) grid X to
+    S X S^T, the modes in odd-then-even order.  The stiffness has symbols
+    (2 - 2 c_i) + (2 - 2 c_j), Mhat has h^2/12 (6 + 2 c_i + 2 c_j + 2 c_i c_j),
+    and T M T^T adds (h^2/24) Shat (x) Shat, Shat = S D S^T.  Shat couples
+    only modes of opposite parity, so it is [[0, B], [-B^T, 0]] and
+    Shat E Shat^T takes four pairs of half-size products (0.31 ms at
+    Ms = 182 against 0.37 ms for the dense one; 2 vCPUs).
 
-        return apply
+    Attributes (read-only): sine, S with its rows in mode order, or None
+    where dst1 is used; mass_symbol and stiffness_symbol, the diagonals of
+    T M T^T and T A T^T, flattened in 2D; block, B in 2D, None in 1D.
+    """
+
+    def __init__(self, mesh):
+        ms, domain = mesh.subdivisions, mesh.domain
+        if domain[0] not in ("interval", "unit_square"):
+            raise ValueError(f"no sine basis on the domain {domain!r}")
+        j = np.arange(1, ms)
+        k = j if domain[0] == "interval" else np.concatenate([j[::2], j[1::2]])
+        c = np.cos(k * math.pi / ms)
+        self.sine = self.block = None
+        if domain[0] == "unit_square" or ms <= _DENSE_SINE_MAX_MS:
+            # reducing j * k mod 2 Ms first keeps each entry within about
+            # one ulp: S @ S - I is 2e-15 at Ms = 182, 8e-15 unreduced
+            self.sine = math.sqrt(2.0 / ms) * np.sin(np.pi * (np.outer(k, j) % (2 * ms)) / ms)
+        if domain[0] == "interval":
+            h = (domain[2] - domain[1]) / ms
+            self.mass_symbol = h / 6.0 * (4.0 + 2.0 * c)
+            self.stiffness_symbol = (2.0 - 2.0 * c) / h
+        else:
+            ci, cj = c[:, None], c[None, :]
+            self.mass_symbol = ((6.0 + 2.0 * ci + 2.0 * cj + 2.0 * ci * cj) / (12 * ms**2)).ravel()
+            self.stiffness_symbol = (4.0 - 2.0 * ci - 2.0 * cj).ravel()
+            self._fold_scale = 1.0 / (24.0 * ms**2)
+            # B = S_odd D S_even^T; row i of D Y is row i + 1 minus row i - 1 of Y
+            padded = np.pad(self.sine[ms // 2 :].T, ((1, 1), (0, 0)))
+            self.block = self.sine[: ms // 2] @ (padded[2:] - padded[:-2])
+        _read_only(*(a for a in vars(self).values() if isinstance(a, np.ndarray)))
+
+    def to_sine(self, x):
+        """The sine coefficients T x of the nodal coefficients x."""
+        if self.block is not None:
+            return (self.sine @ x.reshape(self.sine.shape) @ self.sine.T).ravel()
+        return dst1(x) if self.sine is None else self.sine @ x
+
+    def from_sine(self, e):
+        """The nodal coefficients T^T e; the 1D T is symmetric."""
+        if self.block is not None:
+            return (self.sine.T @ e.reshape(self.sine.shape) @ self.sine).ravel()
+        return self.to_sine(e)
+
+    def _fold(self, e):
+        """Shat E Shat^T for the grid E of sine coefficients, by blocks."""
+        b, o = self.block, self.block.shape[0]
+        e = e.reshape(self.sine.shape)
+        out = np.empty(e.shape)
+        np.matmul(b @ e[o:, o:], b.T, out=out[:o, :o])
+        np.negative(b @ e[o:, :o] @ b, out=out[:o, o:])
+        np.negative(b.T @ e[:o, o:] @ b.T, out=out[o:, :o])
+        np.matmul(b.T @ e[:o, :o], b, out=out[o:, o:])
+        return out.ravel()
+
+    def system(self, a, b):
+        """T (a M + b A) T^T as a function for spd_solve, and the inverse of
+        its diagonal as the preconditioner: the exact inverse in 1D."""
+        symbols = a * self.mass_symbol + b * self.stiffness_symbol
+        inverse = 1.0 / symbols
+        if self.block is None:
+            return lambda e: symbols * e, lambda r: inverse * r
+        scale = a * self._fold_scale
+        return lambda e: scale * self._fold(e) + symbols * e, lambda r: inverse * r
 
 
 def build_mesh_1d(a, b, subdivisions):
@@ -418,18 +449,7 @@ class BandMatrix:
             out[rows] += entries * x[cols]
         return out
 
-    def __mul__(self, scalar):
-        if np.ndim(scalar) != 0:
-            return NotImplemented
-        return BandMatrix(self.offsets, scalar * self.data)
-
-    __rmul__ = __mul__
-    __array_ufunc__ = None  # numpy operands defer to these methods or fail
-
-    def __add__(self, other):
-        if self.offsets.tolist() != other.offsets.tolist():
-            raise ValueError("band matrices with different diagonals cannot be added")
-        return BandMatrix(self.offsets, self.data + other.data)
+    __array_ufunc__ = None  # numpy operands fail instead of broadcasting into it
 
     def diagonal(self, k=0):
         for offset, entries, _, _ in self._diagonals:
@@ -599,9 +619,10 @@ class FeFunction:
 def spd_solve(matrix, rhs, tol=DEFAULT_TOL, x0=None, max_iter=None, precond=None):
     """Preconditioned conjugate gradients for SPD systems.
 
-    precond maps a residual to its preconditioned vector (an SPD
-    approximate inverse, such as SpatialMesh.preconditioner); None means
-    Jacobi, the inverse diagonal of the matrix.  Iterates until
+    matrix is a matrix with products matrix @ x, or a function x -> A x
+    such as the operator of SineBasis.system.  precond maps a residual to its
+    preconditioned vector (an SPD approximate inverse); None means Jacobi,
+    the inverse diagonal of the matrix.  Iterates until
     ||rhs - A x|| <= tol * ||rhs||.  Deterministic: fixed iteration order,
     no randomization.  Returns (x, iterations) and raises RuntimeError with
     the final residual if max_iter is exhausted, or naming the iteration at
@@ -609,6 +630,7 @@ def spd_solve(matrix, rhs, tol=DEFAULT_TOL, x0=None, max_iter=None, precond=None
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
+    apply = matrix if callable(matrix) else matrix.__matmul__
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
         return np.zeros(n), 0
@@ -623,7 +645,7 @@ def spd_solve(matrix, rhs, tol=DEFAULT_TOL, x0=None, max_iter=None, precond=None
         r = rhs.copy()
     else:
         x = np.array(x0, dtype=float)
-        r = rhs - matrix @ x
+        r = rhs - apply(x)
     target = tol * bnorm
     if max_iter is None:
         max_iter = 10 * n + 100
@@ -634,7 +656,7 @@ def spd_solve(matrix, rhs, tol=DEFAULT_TOL, x0=None, max_iter=None, precond=None
     p = z.copy()
     rz = r @ z
     for it in range(1, max_iter + 1):
-        ap = matrix @ p
+        ap = apply(p)
         curvature = p @ ap
         if not 0.0 < curvature < math.inf:
             raise RuntimeError(
@@ -657,11 +679,17 @@ def spd_solve(matrix, rhs, tol=DEFAULT_TOL, x0=None, max_iter=None, precond=None
     )
 
 
+def _sine_solve(mesh, a, b, load):
+    """The solution of (a M + b A) x = load by CG in the sine basis from 0."""
+    basis = mesh.sine_basis
+    operator, precond = basis.system(a, b)
+    e, _ = spd_solve(operator, basis.to_sine(load), precond=precond)
+    return FeFunction(basis.from_sine(e), mesh)
+
+
 def l2_projection(mesh, g):
     """L2 projection of g onto the P1 space with zero boundary values."""
-    b = assemble_load(mesh, g)
-    x, _ = spd_solve(assemble_mass(mesh), b, precond=mesh.preconditioner(1.0, 0.0))
-    return FeFunction(x, mesh)
+    return _sine_solve(mesh, 1.0, 0.0, assemble_load(mesh, g))
 
 
 def ritz_projection(mesh, grad):
@@ -670,9 +698,7 @@ def ritz_projection(mesh, grad):
     Solves (grad u_h, grad phi_i) = (grad g, grad phi_i) for all interior i;
     on a 1D mesh this reproduces the nodal interpolant of g.
     """
-    b = assemble_grad_load(mesh, grad)
-    x, _ = spd_solve(assemble_stiffness(mesh), b, precond=mesh.preconditioner(0.0, 1.0))
-    return FeFunction(x, mesh)
+    return _sine_solve(mesh, 0.0, 1.0, assemble_grad_load(mesh, grad))
 
 
 def _element_gradients(mesh, nodal, blk):

@@ -16,8 +16,8 @@ block of _BLOCK levels, is one GEMM per history for the whole block when
 its first level is stepped, and is parked in the block's own unsolved
 rows; each level adds the near part, the at most _BLOCK - 1 levels of its
 block before it, with weights from the leading coefficients of its L1 row
-alone.  A level's own work is thus O(_BLOCK) coefficients plus one system
-of the banded mass and stiffness, formed as a single BandMatrix.
+alone.  A level's own work is thus O(_BLOCK) coefficients, three products
+with the banded mass and stiffness and one solve in the mesh's sine basis.
 """
 
 import math
@@ -27,7 +27,7 @@ import numpy as np
 
 from .caputo_l1 import l1_row, l1_rows
 from .fem_space import (
-    BandMatrix,
+    DEFAULT_TOL,
     assemble_grad_load,
     assemble_load,
     assemble_mass,
@@ -115,9 +115,9 @@ class SolverState:
     n_done are not solutions: the rows of the current block of levels
     hold their far L1 history sums, later rows are zero.  kappa[n] records
     the frozen coefficient used at level n (levels 0 and 1 come from
-    initialization and have none).  loads holds the (c_k, b_k) pairs of
-    a separable forcing, b_k the assembled load of phi_k, and is empty
-    when f is a callable.
+    initialization and have none).  loads holds the (c_k, b_k) pairs of a
+    separable forcing, b_k the assembled load of phi_k, and is empty when f
+    is a callable.  stiffness_phu1 is A phu1.
     """
 
     spec: ProblemSpec
@@ -126,6 +126,7 @@ class SolverState:
     mass: object
     stiffness: object
     phu1: np.ndarray
+    stiffness_phu1: np.ndarray
     lap_load: np.ndarray
     ubar: np.ndarray
     v: np.ndarray
@@ -149,7 +150,6 @@ def initialize(spec, tmesh, smesh):
     Loads and projections take the fem_space defaults DEFAULT_QUAD_ORDER
     and DEFAULT_TOL.
     """
-    # both share one pattern's offsets, so step forms every level's system on it
     mass = assemble_mass(smesh)
     stiffness = assemble_stiffness(smesh)
     m = smesh.num_interior
@@ -187,6 +187,7 @@ def initialize(spec, tmesh, smesh):
         mass=mass,
         stiffness=stiffness,
         phu1=phu1,
+        stiffness_phu1=stiffness @ phu1,
         lap_load=lap_load,
         ubar=ubar,
         v=v,
@@ -241,19 +242,24 @@ def step(state, n):
     The SPD system for the new ubar coefficients is
 
         (d_{n,1} B + (kappa / d_{n,1}) A) x =
-            (F^n + t_n kappa E) / d_{n,1} - (B G) / d_{n,1} - B H,
+            (F^n + t_n kappa E) / d_{n,1} - B (G / d_{n,1} + H),
 
     where G and H are the L1 history combinations of v and ubar (far part
     per block of levels, near part per level; see _history_sums), E is the
     load of Lap u1, and kappa is the coefficient frozen at the two-level
-    extrapolant of the recovered displacement.  The load F^n is
-    sum_k c_k(t_n) b_k for a separable forcing, from the loads b_k that
-    initialize assembled, and one assemble_load of f(., t_n) otherwise.
-    The velocity update v^n = d_{n,1} x + H never touches an inverse mass
-    matrix.  CG uses the mesh's preconditioner: the exact DST-I inverse on
-    an interval, so one iteration from ubar^{n-1}, and the DST-I of the
-    5-point stencils on the unit square, from the extrapolant of ubar.  A
-    non-finite load or right-hand side raises ValueError before the solve.
+    extrapolant u_hat = x0 + t_hat phu1 of the recovered displacement, x0
+    that of ubar.  The load F^n is sum_k c_k(t_n) b_k for a separable
+    forcing, from the loads b_k that initialize assembled, and one
+    assemble_load of f(., t_n) otherwise.  The velocity update
+    v^n = d_{n,1} x + H never touches an inverse mass matrix.  A non-finite
+    load or right-hand side raises ValueError before the solve.
+
+    Solved by defect correction (Stetter 1978) in the sine basis T (fast
+    diagonalization; Lynch, Rice and Thomas 1964), where the 2D mass is
+    Mhat + (h^2/24) D (x) D: CG solves (Lambda + d_{n,1} h^2/24 Shat (x) Shat)
+    e = T r0 for the defect r0 of x0, preconditioned by Lambda^(-1), and
+    x = x0 + T^T e; it stops at ||r|| <= DEFAULT_TOL ||rhs||.  A x0 serves
+    ell and r0: three band products per level.
     """
     if n != state.n_done + 1:
         raise ValueError(f"levels must advance in order; expected {state.n_done + 1}, got {n}")
@@ -264,8 +270,10 @@ def step(state, n):
     tn = tmesh.t[n]
 
     w1, w2 = extrapolation_weights(tmesh, n)
-    u_hat = w1 * state.recovered(n - 1) + w2 * state.recovered(n - 2)
-    ell = float(u_hat @ (state.stiffness @ u_hat))
+    x0 = w1 * state.ubar[n - 1] + w2 * state.ubar[n - 2]
+    a_x0 = state.stiffness @ x0
+    t_hat = w1 * tmesh.t[n - 1] + w2 * tmesh.t[n - 2]
+    ell = float((x0 + t_hat * state.phu1) @ (a_x0 + t_hat * state.stiffness_phu1))
     kap = float(spec.a(ell))
     slack = 1e-12 * max(1.0, abs(spec.m2))
     if not (spec.m1 - slack <= kap <= spec.m2 + slack):
@@ -281,22 +289,18 @@ def step(state, n):
     else:
         fn = assemble_load(state.smesh, lambda *x: spec.f(*x, tn))
     rhs = (fn + tn * kap * state.lap_load) / d1
-    rhs -= (state.mass @ g_hist) / d1
-    rhs -= state.mass @ h_hist
+    rhs -= state.mass @ (g_hist / d1 + h_hist)
     if not np.isfinite(rhs).all():
         raise ValueError(f"non-finite load or right-hand side at level {n}")
 
-    # mass and stiffness share their offsets (see initialize); adding in place saves a temporary
     c = kap / d1
-    data = np.multiply(state.mass.data, d1)
-    data += c * state.stiffness.data
-    system = BandMatrix(state.mass.offsets, data)
-    precond = state.smesh.preconditioner(d1, c)
-    # in 1D any start takes one iteration and would move only the rounding
-    x0 = state.ubar[n - 1]
-    if state.smesh.dimension == 2:
-        x0 = w1 * x0 + w2 * state.ubar[n - 2]
-    x, iters = spd_solve(system, rhs, x0=x0, precond=precond)
+    basis = state.smesh.sine_basis
+    defect = basis.to_sine(rhs - d1 * (state.mass @ x0) - c * a_x0)
+    size = np.linalg.norm(defect)
+    tol = DEFAULT_TOL * np.linalg.norm(rhs) / size if size else DEFAULT_TOL
+    operator, precond = basis.system(d1, c)
+    e, iters = spd_solve(operator, defect, tol, precond=precond)
+    x = x0 + basis.from_sine(e)
 
     state.ubar[n] = x
     state.v[n] = d1 * x + h_hist

@@ -288,7 +288,8 @@ def test_band_product_equals_the_csr_product_bit_for_bit(domain, ms):
     mesh = build_spatial_mesh(domain, ms)
     block = np.random.default_rng(ms).standard_normal((3, mesh.num_interior))
     x = block[0]
-    for band in (assemble_mass(mesh), assemble_stiffness(mesh), 6.0 * assemble_mass(mesh)):
+    mass = assemble_mass(mesh)
+    for band in (mass, assemble_stiffness(mesh), BandMatrix(mass.offsets, 6.0 * mass.data)):
         rows, cols, vals = _band_entries(band)
         csr = sp.csr_matrix((vals, (rows, cols)), shape=band.shape)
         np.testing.assert_array_equal(band @ x, csr @ x)
@@ -306,23 +307,10 @@ def test_band_product_matches_the_dense_product(domain, ms):
         assert np.all(np.abs(dense @ x - band @ x) <= bound)
         for k in range(-ms, ms + 1):
             np.testing.assert_array_equal(band.diagonal(k), np.diag(dense, k))
-
-
-@pytest.mark.parametrize("domain,ms", [(("interval", 0.0, 1.0), 64), (("unit_square",), 32)])
-def test_band_sum_is_the_sum_of_the_diagonals(domain, ms):
-    mesh = build_spatial_mesh(domain, ms)
-    mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)
-    d1, c = 112.3, 1.3 / 112.3
-    system = d1 * mass + c * stiff
-    assert system.offsets is mass.offsets
-    np.testing.assert_array_equal(system.data, d1 * mass.data + c * stiff.data)
-    with pytest.raises(ValueError, match="different diagonals"):
-        mass + BandMatrix(mass.offsets[:1], mass.data[:1])
-    # only scalars scale a band matrix; an array is not broadcast into it
-    for vector_times in (lambda: mass * np.ones(mesh.num_interior),
-                         lambda: np.ones(mesh.num_interior) * mass):
-        with pytest.raises(TypeError):
-            vector_times()
+        # an array is not broadcast into a band matrix
+        for vector_times in (lambda: band * x, lambda: x * band):
+            with pytest.raises(TypeError):
+                vector_times()
 
 
 def test_load_constant_1d():
@@ -496,8 +484,11 @@ def test_2d_projections_with_the_grid_preconditioner_match_jacobi(ms):
     for proj, matrix, load in pairs:
         jacobi, _ = spd_solve(matrix, load)
         assert np.linalg.norm(proj.coeffs - jacobi) <= 1e-10 * np.linalg.norm(jacobi)
-    # the grid preconditioner is the exact inverse of the 5-point stiffness
-    _, iters = spd_solve(pairs[1][1], pairs[1][2], precond=mesh.preconditioner(0.0, 1.0))
+    # the sine basis diagonalizes the 5-point stiffness, so the grid
+    # preconditioner is the exact inverse there
+    basis = mesh.sine_basis
+    operator, precond = basis.system(0.0, 1.0)
+    _, iters = spd_solve(operator, basis.to_sine(pairs[1][2]), precond=precond)
     assert iters == 1
 
 
@@ -786,7 +777,7 @@ def _grid_operators(ms):
 
     n = ms - 1
     eye = sp.identity(n)
-    shift = sp.diags([np.ones(n - 1), np.ones(n - 1)], [-1, 1])
+    shift = sp.diags([np.ones(n - 1), np.ones(n - 1)], [-1, 1], shape=(n, n))
     tri = 2.0 * eye - shift
     lap = sp.kron(eye, tri) + sp.kron(tri, eye)
     mass = (6.0 * sp.identity(n * n) + sp.kron(eye, shift) + sp.kron(shift, eye)
@@ -806,10 +797,13 @@ def test_preconditioner_inverts_its_grid_operator(ms):
     for mass in (mass_hat, assemble_mass(mesh)):
         row_sums = mass @ np.ones(mesh.num_interior)
         np.testing.assert_allclose(row_sums[deep], ms**-2.0, rtol=1e-13)
+    # in the sine basis the preconditioner inverts a Mhat + b Lhat
+    basis = mesh.sine_basis
     x = np.random.default_rng(3).standard_normal(mesh.num_interior)
     for a, b in [(6.0, 0.2), (1e4, 1e-4), (0.0, 1.0)]:
-        apply = mesh.preconditioner(a, b)
-        np.testing.assert_allclose(apply((a * mass_hat + b * lap_hat) @ x), x, rtol=0, atol=1e-11)
+        _, precond = basis.system(a, b)
+        y = basis.from_sine(precond(basis.to_sine((a * mass_hat + b * lap_hat) @ x)))
+        np.testing.assert_allclose(y, x, rtol=0, atol=1e-11)
 
 
 def _fft_preconditioner(ms, a, b):
@@ -825,28 +819,115 @@ def _fft_preconditioner(ms, a, b):
     return lambda r: dst2(dst2(r.reshape(inverse.shape)) * inverse).ravel()
 
 
+def _mode_order(ms):
+    """Grid indices of the sine modes 1, 3, 5, ... then 2, 4, ..., the order
+    of the 2D sine basis."""
+    return np.concatenate([np.arange(0, ms - 1, 2), np.arange(1, ms - 1, 2)])
+
+
 @pytest.mark.parametrize("ms", [2, 3, 9, 32, 182])
 def test_sine_matrix_preconditioner_equals_the_fft_transform(ms):
     mesh = build_spatial_mesh(("unit_square",), ms)
+    basis = mesh.sine_basis
+    order = _mode_order(ms)
     rng = np.random.default_rng(ms)
     for a, b in [(6.0, 0.2), (1e4, 1e-4), (1.0, 0.0), (0.0, 1.0)]:
         r = rng.standard_normal(mesh.num_interior)
+        grid = dst1(dst1(r.reshape(ms - 1, ms - 1)).T).T
+        transform = basis.to_sine(r)
+        expected = grid[np.ix_(order, order)].ravel()
+        assert np.linalg.norm(transform - expected) <= 1e-13 * np.linalg.norm(expected)
+        # T^T Lambda^(-1) T, the preconditioner in nodal form
         expected = _fft_preconditioner(ms, a, b)(r)
-        actual = mesh.preconditioner(a, b)(r)
+        _, precond = basis.system(a, b)
+        actual = basis.from_sine(precond(transform))
         assert np.linalg.norm(actual - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("ms", [2, 9, 182, 512])
 def test_sine_matrix_is_read_only_symmetric_and_orthonormal(ms):
     mesh = build_spatial_mesh(("unit_square",), ms)
-    assert mesh._sine is None  # built on first use, then cached
-    sine = mesh._sine_matrix()
-    assert mesh._sine_matrix() is sine
-    assert sine.shape == (ms - 1, ms - 1)
-    assert not sine.flags.writeable
+    assert "sine_basis" not in vars(mesh)  # built on first use, then cached
+    basis = mesh.sine_basis
+    assert mesh.sine_basis is basis
+    arrays = (basis.sine, basis.mass_symbol, basis.stiffness_symbol, basis.block)
+    assert not any(arr.flags.writeable for arr in arrays)
+    assert basis.sine.shape == (ms - 1, ms - 1)
+    # its rows are those of S in odd-then-even mode order
+    sine = basis.sine[np.argsort(_mode_order(ms))]
     assert np.array_equal(sine, sine.T)
     np.testing.assert_allclose(sine @ sine, np.eye(ms - 1), rtol=0, atol=1e-14)
     np.testing.assert_allclose(sine, dst1(np.eye(ms - 1)), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("ms", [2, 3, 8, 9, 76, 182])
+def test_mass_is_mhat_plus_one_kronecker_term_that_folds_by_parity(ms):
+    # M = Mhat + (h^2/24) D (x) D with D = tridiag(-1, 0, 1); 2 and 3 give
+    # parity blocks that are empty or hold one mode
+    import scipy.sparse as sp
+
+    mesh = build_spatial_mesh(("unit_square",), ms)
+    n = ms - 1
+    mass_hat, _ = _grid_operators(ms)
+    d = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [-1, 1], shape=(n, n)).toarray()
+    x = np.random.default_rng(ms).standard_normal(mesh.num_interior)
+    grid = x.reshape(n, n)
+    expected = mass_hat @ x + (d @ grid @ d.T).ravel() / (24.0 * ms**2)
+    mx = assemble_mass(mesh) @ x
+    assert np.linalg.norm(mx - expected) <= 1e-13 * np.linalg.norm(mx)
+    # Shat = S D S^T couples only modes of opposite parity; the folded
+    # product by the odd-even block B equals the dense one
+    basis = mesh.sine_basis
+    shat = basis.sine @ d @ basis.sine.T
+    odd = ms // 2
+    assert np.abs(shat[:odd, :odd]).max(initial=0.0) <= 1e-15
+    assert np.abs(shat[odd:, odd:]).max(initial=0.0) <= 1e-15
+    np.testing.assert_allclose(shat[:odd, odd:], basis.block, rtol=0, atol=1e-14)
+    dense = (shat @ grid @ shat.T).ravel()
+    assert np.linalg.norm(basis._fold(x) - dense) <= 1e-14 * max(np.linalg.norm(dense), 1e-300)
+
+
+def test_gauss_rules_equal_leggauss_bit_for_bit():
+    rules = QUADRATURE_RULES[1]
+    assert list(rules) == list(range(1, 8))
+    for npoints, (lam, w) in rules.items():
+        nodes, weights = np.polynomial.legendre.leggauss(npoints)
+        assert np.array_equal(lam[:, 1], 0.5 * (nodes + 1.0))
+        assert np.array_equal(lam[:, 0], 1.0 - 0.5 * (nodes + 1.0))
+        assert np.array_equal(w, 0.5 * weights)
+        assert rules[npoints] is rules[npoints] and not lam.flags.writeable
+    for missing in (0, 8):
+        assert missing not in rules
+        with pytest.raises(ValueError, match="available: \\[1, 2, 3, 4, 5, 6, 7\\]"):
+            build_spatial_mesh(("interval", 0.0, 1.0), 4).quadrature(missing)
+
+
+_NO_POLYNOMIAL_SCRIPT = """
+import sys
+from fracwave.mms_harness import example2_case, run_single_case
+run_single_case(example2_case(1.5), 4, 8)
+print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
+"""
+
+
+def test_a_2d_run_never_imports_numpy_polynomial():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fem_space.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_POLYNOMIAL_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _band_system(mesh, a, b):
+    """a M + b A as one BandMatrix on the shared diagonals."""
+    mass, stiffness = assemble_mass(mesh), assemble_stiffness(mesh)
+    return BandMatrix(mass.offsets, a * mass.data + b * stiffness.data)
 
 
 @pytest.mark.parametrize("ms", [8, 256, 257, 8192])
@@ -857,16 +938,29 @@ def test_interval_preconditioner_is_the_exact_inverse(ms):
     # element lengths of a (0, pi) mesh differ from h by up to 1e-13);
     # 256 and 257 straddle the switch from the sine matrix to dst1
     mesh = build_spatial_mesh(("interval", 0.0, math.pi), ms)
-    mesh.preconditioner(1.0, 1.0)
-    assert (mesh._sine is not None) == (ms <= fem_space._DENSE_SINE_MAX_MS)
+    basis = mesh.sine_basis
+    assert (basis.sine is not None) == (ms <= fem_space._DENSE_SINE_MAX_MS)
+    assert basis.block is None
     rng = np.random.default_rng(ms)
     for a, b in [(1.0, 0.0), (0.0, 1.0), (6.0, 0.2), (1e4, 1e-4), (1e-4, 1e4)]:
-        system = a * assemble_mass(mesh) + b * assemble_stiffness(mesh)
+        system = _band_system(mesh, a, b)
         r = rng.standard_normal(mesh.num_interior)
-        y = mesh.preconditioner(a, b)(r)
+        _, precond = basis.system(a, b)
+        y = basis.from_sine(precond(basis.to_sine(r)))
         system_norm = np.abs(system.data).sum(axis=0).max()
         scale = system_norm * np.abs(y).max() + np.abs(r).max()
         assert np.abs(r - system @ y).max() <= 1e-12 * scale
+
+
+def _sine_defect_solve(mesh, a, b, rhs, x0):
+    """x0 plus the correction from its defect, solved in the sine basis to
+    ||r|| <= 1e-12 ||rhs||, as step solves a level."""
+    basis = mesh.sine_basis
+    defect = basis.to_sine(rhs - _band_system(mesh, a, b) @ x0)
+    operator, precond = basis.system(a, b)
+    tol = 1e-12 * np.linalg.norm(rhs) / np.linalg.norm(defect)
+    e, iters = spd_solve(operator, defect, tol, precond=precond)
+    return x0 + basis.from_sine(e), iters
 
 
 @pytest.mark.parametrize("ms", [32, 76])
@@ -874,14 +968,14 @@ def test_interval_preconditioner_is_the_exact_inverse(ms):
 def test_dst_pcg_agrees_with_jacobi_pcg(ms, d1):
     mesh = build_spatial_mesh(("unit_square",), ms)
     kap = 1.3
-    system = d1 * assemble_mass(mesh) + (kap / d1) * assemble_stiffness(mesh)
+    system = _band_system(mesh, d1, kap / d1)
     rng = np.random.default_rng(int(d1) + ms)
     x_true = np.sin(0.01 * np.arange(mesh.num_interior))
     x_true += 0.01 * rng.standard_normal(mesh.num_interior)
     rhs = system @ x_true
     x0 = x_true + 0.1 * rng.standard_normal(mesh.num_interior)
     x_jacobi, _ = spd_solve(system, rhs, x0=x0)
-    x_dst, iters = spd_solve(system, rhs, x0=x0, precond=mesh.preconditioner(d1, kap / d1))
+    x_dst, iters = _sine_defect_solve(mesh, d1, kap / d1, rhs, x0)
     assert np.linalg.norm(x_dst - x_jacobi) <= 1e-9 * np.linalg.norm(x_jacobi)
     assert 1 <= iters <= 20
 
@@ -891,14 +985,14 @@ def test_dst_pcg_agrees_with_jacobi_pcg(ms, d1):
 def test_exact_interval_solve_agrees_with_jacobi_pcg(ms, d1):
     mesh = build_spatial_mesh(("interval", 0.0, math.pi), ms)
     kap = 1.3
-    system = d1 * assemble_mass(mesh) + (kap / d1) * assemble_stiffness(mesh)
+    system = _band_system(mesh, d1, kap / d1)
     rng = np.random.default_rng(int(d1) + ms)
     x_true = np.sin(0.01 * np.arange(mesh.num_interior))
     x_true += 0.01 * rng.standard_normal(mesh.num_interior)
     rhs = system @ x_true
     x0 = x_true + 0.1 * rng.standard_normal(mesh.num_interior)
     x_jacobi, _ = spd_solve(system, rhs, x0=x0)
-    x_dst, iters = spd_solve(system, rhs, x0=x0, precond=mesh.preconditioner(d1, kap / d1))
+    x_dst, iters = _sine_defect_solve(mesh, d1, kap / d1, rhs, x0)
     assert np.linalg.norm(x_dst - x_jacobi) <= 1e-9 * np.linalg.norm(x_jacobi)
     assert np.linalg.norm(x_dst - x_true) <= 1e-10 * np.linalg.norm(x_true)
     # one iteration, a second where rounding leaves the residual above tol
