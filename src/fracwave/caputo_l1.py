@@ -189,8 +189,8 @@ def exact_caputo_power(sigma, order, t):
     return out
 
 
-def truncation_study(beta, sigma, n_list, r, T=1.0):
-    """Weighted max-node L1 truncation errors for w(t) = t**sigma.
+def truncation_study(beta, sigma, n_list, r):
+    """Weighted max-node L1 truncation errors for w(t) = t**sigma on (0, 1].
 
     For each N the study builds the graded mesh with exponent r, applies the
     L1 formula to the sampled power function at every level, and records
@@ -205,7 +205,7 @@ def truncation_study(beta, sigma, n_list, r, T=1.0):
     _check_beta(beta)
     results = []
     for N in n_list:
-        mesh = build_graded_mesh(T, N, r)
+        mesh = build_graded_mesh(1.0, N, r)
         w = mesh.t**sigma
         exact = exact_caputo_power(sigma, beta, mesh.t[1:])
         worst = 0.0

@@ -16,14 +16,8 @@ of the unit square obtained by cutting each cell of an Ms x Ms grid along
 the same diagonal, giving 2*Ms**2 right triangles.  The discrete Laplacian
 is never formed; inner products against it are taken through the stiffness
 matrix.  A BandMatrix multiplies a block of functions, one per row, in one
-product.  Systems a M + b A are solved in the orthonormal sine basis (DST-I;
-fast diagonalization, Lynch, Rice and Thomas 1964), which diagonalizes the
-uniform interval's M and A and the unit square's stiffness, the 5-point
-Laplacian; there the mass is M = Mhat + (h^2/24) D (x) D, D = tridiag(-1,
-0, 1), with Mhat diagonal.  CG runs on the resulting diagonal plus one
-Kronecker term, preconditioned by its diagonal, for the correction of an
-approximate solution from its defect under the assembled matrices (defect
-correction; Stetter 1978).
+product.  Every linear system a M + b A is solved by spd_solve, in the
+mesh's sine basis.
 """
 
 import functools
@@ -289,6 +283,32 @@ class SpatialMesh:
         return SineBasis(self)
 
 
+def _is_uniform_grid(mesh):
+    """Whether the mesh is build_spatial_mesh's grid, checked on its own
+    arrays: per axis the np.linspace coordinates of the domain, x running
+    fastest; the (Ms - 1)^d inner nodes as the only unknowns; and d! Ms^d
+    elements whose node indices span (d - 1)(Ms + 1) + 1, as an interval
+    (j, j + 1) does and a triangle that holds its cell's lower-left to
+    upper-right diagonal."""
+    ms, d = mesh.subdivisions, mesh.dimension
+    if mesh.vertices.size != d * (ms + 1) ** d or mesh.num_interior != (ms - 1) ** d:
+        return False
+    # the span per column: 0.4 ms at Ms = 182, np.ptp over the short axis 4.5 ms
+    nodes = mesh.elements.T
+    span = functools.reduce(np.maximum, nodes) - functools.reduce(np.minimum, nodes)
+    if nodes.shape[1] != math.factorial(d) * ms**d or not (span == (d - 1) * (ms + 1) + 1).all():
+        return False
+    lo, hi = mesh.domain[1:] if d == 1 else (0.0, 1.0)
+    side = np.linspace(lo, hi, ms + 1)
+    grid = mesh.vertices.reshape((ms + 1,) * d + (d,))
+    # x runs fastest: coordinate k varies along grid axis d - 1 - k
+    if not all((grid[..., k] == side.reshape((-1,) + (1,) * k)).all() for k in range(d)):
+        return False
+    # (Ms - 1)^d unknowns and no inner node on the boundary: the unknowns
+    # are the inner nodes
+    return not mesh.boundary.reshape((ms + 1,) * d)[(slice(1, -1),) * d].any()
+
+
 class SineBasis:
     """The orthonormal DST-I basis T of a uniform mesh's interior unknowns.
 
@@ -311,12 +331,16 @@ class SineBasis:
     Attributes (read-only): sine, S with its rows in mode order, or None
     where dst1 is used; mass_symbol and stiffness_symbol, the diagonals of
     T M T^T and T A T^T, flattened in 2D; block, B in 2D, None in 1D.
+    Raises ValueError on a mesh that is not build_spatial_mesh's grid, whose
+    systems T does not diagonalize.
     """
 
     def __init__(self, mesh):
         ms, domain = mesh.subdivisions, mesh.domain
         if domain[0] not in ("interval", "unit_square"):
             raise ValueError(f"no sine basis on the domain {domain!r}")
+        if not _is_uniform_grid(mesh):
+            raise ValueError(f"no sine basis on a mesh that is not the uniform grid, Ms = {ms}")
         j = np.arange(1, ms)
         k = j if domain[0] == "interval" else np.concatenate([j[::2], j[1::2]])
         c = np.cos(k * math.pi / ms)
@@ -616,37 +640,19 @@ class FeFunction:
         return z
 
 
-def spd_solve(matrix, rhs, tol=DEFAULT_TOL, x0=None, max_iter=None, precond=None):
-    """Preconditioned conjugate gradients for SPD systems.
+def _cg(apply, precond, rhs, target, max_iter=None):
+    """Preconditioned conjugate gradients from zero for an SPD operator.
 
-    matrix is a matrix with products matrix @ x, or a function x -> A x
-    such as the operator of SineBasis.system.  precond maps a residual to its
-    preconditioned vector (an SPD approximate inverse); None means Jacobi,
-    the inverse diagonal of the matrix.  Iterates until
-    ||rhs - A x|| <= tol * ||rhs||.  Deterministic: fixed iteration order,
-    no randomization.  Returns (x, iterations) and raises RuntimeError with
-    the final residual if max_iter is exhausted, or naming the iteration at
-    a breakdown, where the curvature p @ A p is not positive and finite.
+    apply maps x to A x, precond maps a residual to its preconditioned
+    vector (an SPD approximate inverse).  Iterates until the residual
+    ||rhs - A x|| is at most target, an absolute value.  Returns
+    (x, iterations) and raises RuntimeError with the final residual if
+    max_iter is exhausted, or naming the iteration at a breakdown, where
+    the curvature p @ A p is not positive and finite.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    n = rhs.shape[0]
-    apply = matrix if callable(matrix) else matrix.__matmul__
-    bnorm = np.linalg.norm(rhs)
-    if bnorm == 0.0:
-        return np.zeros(n), 0
-    if precond is None:
-        dinv = 1.0 / matrix.diagonal()
-
-        def precond(r):
-            return dinv * r
-
-    if x0 is None:
-        x = np.zeros(n)
-        r = rhs.copy()
-    else:
-        x = np.array(x0, dtype=float)
-        r = rhs - apply(x)
-    target = tol * bnorm
+    r = np.array(rhs, dtype=float)
+    n = r.shape[0]
+    x = np.zeros(n)
     if max_iter is None:
         max_iter = 10 * n + 100
     res = np.linalg.norm(r)
@@ -674,22 +680,39 @@ def spd_solve(matrix, rhs, tol=DEFAULT_TOL, x0=None, max_iter=None, precond=None
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise RuntimeError(
-        f"CG did not reach tol={tol} within {max_iter} iterations; "
-        f"final relative residual {res / bnorm:.3e}"
+        f"CG did not reach the residual {target:.3e} within {max_iter} iterations; "
+        f"final residual {res:.3e}"
     )
 
 
-def _sine_solve(mesh, a, b, load):
-    """The solution of (a M + b A) x = load by CG in the sine basis from 0."""
+def spd_solve(mesh, a, b, r, target):
+    """The solution e of (a M + b A) e = r on the mesh's interior unknowns,
+    M and A the mass and stiffness, a, b >= 0 not both zero.
+
+    CG from zero runs in the mesh's sine basis T (fast diagonalization;
+    Lynch, Rice and Thomas 1964) on T r, with the operator T (a M + b A) T^T
+    of SineBasis.system: a diagonal, plus one Kronecker term from the 2D
+    mass, preconditioned by its diagonal, the exact inverse in 1D.  It
+    stops once the residual is at most target, an absolute value; T is
+    orthonormal, so in exact arithmetic the nodal residual has the same
+    norm.  Callers pass a load, or the defect of an approximate solution
+    under the assembled matrices and add e to it (defect correction;
+    Stetter 1978).  Returns (e, iterations); CG's RuntimeError at a
+    breakdown or after 10 n + 100 iterations propagates.
+    """
     basis = mesh.sine_basis
-    operator, precond = basis.system(a, b)
-    e, _ = spd_solve(operator, basis.to_sine(load), precond=precond)
-    return FeFunction(basis.from_sine(e), mesh)
+    apply, precond = basis.system(a, b)
+    rhs = basis.to_sine(r)
+    del r  # frees a caller's temporary nodal defect for the length of CG
+    e, iters = _cg(apply, precond, rhs, target)
+    return basis.from_sine(e), iters
 
 
 def l2_projection(mesh, g):
     """L2 projection of g onto the P1 space with zero boundary values."""
-    return _sine_solve(mesh, 1.0, 0.0, assemble_load(mesh, g))
+    load = assemble_load(mesh, g)
+    e, _ = spd_solve(mesh, 1.0, 0.0, load, DEFAULT_TOL * np.linalg.norm(load))
+    return FeFunction(e, mesh)
 
 
 def ritz_projection(mesh, grad):
@@ -698,7 +721,9 @@ def ritz_projection(mesh, grad):
     Solves (grad u_h, grad phi_i) = (grad g, grad phi_i) for all interior i;
     on a 1D mesh this reproduces the nodal interpolant of g.
     """
-    return _sine_solve(mesh, 0.0, 1.0, assemble_grad_load(mesh, grad))
+    load = assemble_grad_load(mesh, grad)
+    e, _ = spd_solve(mesh, 0.0, 1.0, load, DEFAULT_TOL * np.linalg.norm(load))
+    return FeFunction(e, mesh)
 
 
 def _element_gradients(mesh, nodal, blk):

@@ -17,7 +17,7 @@ its first level is stepped, and is parked in the block's own unsolved
 rows; each level adds the near part, the at most _BLOCK - 1 levels of its
 block before it, with weights from the leading coefficients of its L1 row
 alone.  A level's own work is thus O(_BLOCK) coefficients, three products
-with the banded mass and stiffness and one solve in the mesh's sine basis.
+with the banded mass and stiffness and one spd_solve.
 """
 
 import math
@@ -96,6 +96,12 @@ class ProblemSpec:
         ok = all(isinstance(p, tuple) and len(p) == 2 and all(map(callable, p)) for p in pairs)
         if not (callable(self.f) or (pairs and ok)):
             raise ValueError("f must be a callable or a non-empty tuple of (c_k, phi_k) pairs")
+        if not callable(self.a):
+            raise ValueError(f"a must be callable, got {self.a!r}")
+        for name in ("u0", "grad_u0", "u1", "grad_u1"):
+            value = getattr(self, name)
+            if not (value is None or callable(value)):
+                raise ValueError(f"{name} must be callable or None, got {value!r}")
         if self.u0 is not None and self.grad_u0 is None:
             raise ValueError("a nonzero u0 needs grad_u0 for its Ritz projection")
         if self.u1 is not None and self.grad_u1 is None:
@@ -254,12 +260,9 @@ def step(state, n):
     v^n = d_{n,1} x + H never touches an inverse mass matrix.  A non-finite
     load or right-hand side raises ValueError before the solve.
 
-    Solved by defect correction (Stetter 1978) in the sine basis T (fast
-    diagonalization; Lynch, Rice and Thomas 1964), where the 2D mass is
-    Mhat + (h^2/24) D (x) D: CG solves (Lambda + d_{n,1} h^2/24 Shat (x) Shat)
-    e = T r0 for the defect r0 of x0, preconditioned by Lambda^(-1), and
-    x = x0 + T^T e; it stops at ||r|| <= DEFAULT_TOL ||rhs||.  A x0 serves
-    ell and r0: three band products per level.
+    x = x0 + e, where spd_solve finds the correction e from the defect r0
+    of x0 until ||r|| <= DEFAULT_TOL ||rhs||.  A x0 serves ell and r0:
+    three band products per level.
     """
     if n != state.n_done + 1:
         raise ValueError(f"levels must advance in order; expected {state.n_done + 1}, got {n}")
@@ -294,13 +297,9 @@ def step(state, n):
         raise ValueError(f"non-finite load or right-hand side at level {n}")
 
     c = kap / d1
-    basis = state.smesh.sine_basis
-    defect = basis.to_sine(rhs - d1 * (state.mass @ x0) - c * a_x0)
-    size = np.linalg.norm(defect)
-    tol = DEFAULT_TOL * np.linalg.norm(rhs) / size if size else DEFAULT_TOL
-    operator, precond = basis.system(d1, c)
-    e, iters = spd_solve(operator, defect, tol, precond=precond)
-    x = x0 + basis.from_sine(e)
+    target = DEFAULT_TOL * np.linalg.norm(rhs)
+    e, iters = spd_solve(state.smesh, d1, c, rhs - d1 * (state.mass @ x0) - c * a_x0, target)
+    x = x0 + e
 
     state.ubar[n] = x
     state.v[n] = d1 * x + h_hist

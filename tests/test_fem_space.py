@@ -11,6 +11,7 @@ from fracwave.fem_space import (
     BandMatrix,
     FeFunction,
     SpatialMesh,
+    _cg,
     assemble_grad_load,
     assemble_load,
     assemble_mass,
@@ -482,13 +483,12 @@ def test_2d_projections_with_the_grid_preconditioner_match_jacobi(ms):
         (ritz_projection(mesh, grad), assemble_stiffness(mesh), assemble_grad_load(mesh, grad)),
     ]
     for proj, matrix, load in pairs:
-        jacobi, _ = spd_solve(matrix, load)
+        jacobi = _jacobi_pcg(matrix, load, np.zeros(mesh.num_interior))
         assert np.linalg.norm(proj.coeffs - jacobi) <= 1e-10 * np.linalg.norm(jacobi)
     # the sine basis diagonalizes the 5-point stiffness, so the grid
     # preconditioner is the exact inverse there
-    basis = mesh.sine_basis
-    operator, precond = basis.system(0.0, 1.0)
-    _, iters = spd_solve(operator, basis.to_sine(pairs[1][2]), precond=precond)
+    load = pairs[1][2]
+    _, iters = spd_solve(mesh, 0.0, 1.0, load, 1e-12 * np.linalg.norm(load))
     assert iters == 1
 
 
@@ -692,12 +692,26 @@ def test_quadrature_points_equal_the_einsum_bit_for_bit(domain, ms):
         assert np.array_equal(mesh.quadrature(q)[1], expected)
 
 
+def _jacobi_cg(matrix, rhs, target, **kwargs):
+    """_cg on a matrix, with its inverse diagonal as the preconditioner."""
+    inverse = 1.0 / matrix.diagonal()
+    return _cg(matrix.__matmul__, lambda r: inverse * r, rhs, target, **kwargs)
+
+
+def _jacobi_pcg(matrix, rhs, x0):
+    """x0 plus the Jacobi-PCG correction from its defect, to
+    ||rhs - matrix @ x|| <= 1e-12 ||rhs||: the nodal oracle of the
+    sine-basis solves."""
+    e, _ = _jacobi_cg(matrix, rhs - matrix @ x0, 1e-12 * np.linalg.norm(rhs))
+    return x0 + e
+
+
 def test_spd_solve_identity():
     import scipy.sparse as sp
 
     eye = sp.identity(6, format="csr")
     rhs = np.arange(6.0)
-    x, iters = spd_solve(eye, rhs)
+    x, iters = _jacobi_cg(eye, rhs, 1e-12 * np.linalg.norm(rhs))
     np.testing.assert_allclose(x, rhs, rtol=1e-13)
     assert iters <= 1
 
@@ -706,7 +720,7 @@ def test_spd_solve_stiffness_constructed():
     mesh = build_spatial_mesh(("interval", 0.0, 1.0), 12)
     a = assemble_stiffness(mesh)
     ones = np.ones(mesh.num_interior)
-    x, _ = spd_solve(a, a @ ones)
+    x, _ = _jacobi_cg(a, a @ ones, 1e-12 * np.linalg.norm(a @ ones))
     np.testing.assert_allclose(x, ones, atol=1e-10)
 
 
@@ -718,24 +732,28 @@ def test_spd_solve_against_dense_oracle():
     dense = m @ m.T + 50 * np.eye(50)
     rhs = rng.standard_normal(50)
     expected = np.linalg.solve(dense, rhs)
-    x, iters = spd_solve(sp.csr_matrix(dense), rhs)
+    x, iters = _jacobi_cg(sp.csr_matrix(dense), rhs, 1e-12 * np.linalg.norm(rhs))
     np.testing.assert_allclose(x, expected, atol=1e-10)
     assert iters >= 1
 
 
 def test_spd_solve_zero_rhs():
-    mesh = build_spatial_mesh(("interval", 0.0, 1.0), 4)
-    x, iters = spd_solve(assemble_stiffness(mesh), np.zeros(3))
+    def never(_):
+        raise AssertionError("CG applied an operator to a zero right-hand side")
+
+    x, iters = _cg(never, never, np.zeros(3), 0.0)
     assert iters == 0
-    np.testing.assert_allclose(x, 0.0)
+    np.testing.assert_array_equal(x, 0.0)
 
 
 def test_spd_solve_warm_start_skips_work():
+    # the defect of a solved system needs no iteration
     mesh = build_spatial_mesh(("interval", 0.0, 1.0), 12)
     a = assemble_stiffness(mesh)
     rhs = np.sin(np.arange(mesh.num_interior))
-    x, _ = spd_solve(a, rhs)
-    _, iters = spd_solve(a, rhs, x0=x)
+    target = 1e-12 * np.linalg.norm(rhs)
+    x, _ = _jacobi_cg(a, rhs, target)
+    _, iters = _jacobi_cg(a, rhs - a @ x, target)
     assert iters == 0
 
 
@@ -743,8 +761,8 @@ def test_spd_solve_reports_iteration_breach():
     mesh = build_spatial_mesh(("unit_square",), 8)
     a = assemble_stiffness(mesh)
     rhs = np.ones(mesh.num_interior)
-    with pytest.raises(RuntimeError):
-        spd_solve(a, rhs, max_iter=2)
+    with pytest.raises(RuntimeError, match="within 2 iterations"):
+        _jacobi_cg(a, rhs, 1e-12 * np.linalg.norm(rhs), max_iter=2)
 
 
 def test_spd_solve_stops_at_breakdown_without_warnings():
@@ -756,7 +774,38 @@ def test_spd_solve_stops_at_breakdown_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="iteration 1"):
-            spd_solve(sp.diags([1.0, -1.0]).tocsr(), np.array([1.0, 1.0]))
+            _jacobi_cg(sp.diags([1.0, -1.0]).tocsr(), np.array([1.0, 1.0]), 1e-12)
+
+
+@pytest.mark.parametrize("domain, ms", [(("interval", 0.0, math.pi), 37),
+                                        (("interval", 0.0, math.pi), 512),
+                                        (("unit_square",), 32)])
+def test_spd_solve_meets_its_target_in_nodal_form(domain, ms):
+    # the residual recomputed under the assembled matrices, not CG's
+    # recursive one, is at most the absolute target
+    mesh = build_spatial_mesh(domain, ms)
+    rng = np.random.default_rng(ms)
+    for a, b in [(1.0, 0.0), (0.0, 1.0), (112.0, 1.3 / 112.0)]:
+        system = _band_system(mesh, a, b)
+        r = rng.standard_normal(mesh.num_interior)
+        for rel in (1e-4, 1e-8, 1e-12):
+            target = rel * np.linalg.norm(r)
+            e, iters = spd_solve(mesh, a, b, r, target)
+            assert np.linalg.norm(r - system @ e) <= target
+            assert iters >= 1
+
+
+@pytest.mark.parametrize("domain", [("interval", 0.0, math.pi), ("unit_square",)])
+def test_spd_solve_of_zero_is_zero_without_applying_the_operator(domain, monkeypatch):
+    mesh = build_spatial_mesh(domain, 16)
+
+    def never(_):
+        raise AssertionError("the operator was applied to a zero right-hand side")
+
+    monkeypatch.setattr(mesh.sine_basis, "system", lambda a, b: (never, never))
+    e, iters = spd_solve(mesh, 1.0, 1.0, np.zeros(mesh.num_interior), 0.0)
+    assert iters == 0
+    np.testing.assert_array_equal(e, 0.0)
 
 
 def test_dst1_is_an_orthonormal_involution_equal_to_the_sine_matrix():
@@ -860,6 +909,36 @@ def test_sine_matrix_is_read_only_symmetric_and_orthonormal(ms):
     np.testing.assert_allclose(sine, dst1(np.eye(ms - 1)), rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("domain, ms", [(("interval", 0.0, 1.0), 16), (("unit_square",), 8)])
+def test_sine_basis_rejects_a_mesh_off_the_uniform_grid(domain, ms):
+    # the basis diagonalizes the uniform grid's systems only; on these moved
+    # interior nodes l2_projection used to return a vector with relative
+    # residual 0.09 (1D) or 0.10 (2D) under the mesh's own mass, and no error
+    grid = build_spatial_mesh(domain, ms)
+    g = lambda *x: np.ones_like(x[0])
+    moved = grid.vertices.copy()
+    shift = np.random.default_rng(ms).uniform(-0.2 / ms, 0.2 / ms, moved[grid.interior_nodes].shape)
+    moved[grid.interior_nodes] += shift
+    others = [
+        SpatialMesh(grid.dimension, moved, grid.elements, grid.boundary, domain, ms),
+        SpatialMesh(grid.dimension, grid.vertices, grid.elements, grid.boundary, domain, 2 * ms),
+        _all_node_mesh(grid),
+    ]
+    if grid.dimension == 2:
+        # every cell cut along its other diagonal, by mirroring the node
+        # numbers in x (residual 0.02 before)
+        mirror = np.arange(grid.vertices.shape[0]).reshape(ms + 1, ms + 1)[:, ::-1].ravel()
+        flipped = mirror[grid.elements]
+        others.append(SpatialMesh(2, grid.vertices, flipped, grid.boundary, domain, ms))
+    for mesh in others:
+        with pytest.raises(ValueError, match="not the uniform grid"):
+            l2_projection(mesh, g)
+    # the same grid built from copies of its arrays keeps its basis
+    copy = SpatialMesh(grid.dimension, grid.vertices.copy(), grid.elements.copy(),
+                       grid.boundary.copy(), domain, ms)
+    assert np.array_equal(l2_projection(copy, g).coeffs, l2_projection(grid, g).coeffs)
+
+
 @pytest.mark.parametrize("ms", [2, 3, 8, 9, 76, 182])
 def test_mass_is_mhat_plus_one_kronecker_term_that_folds_by_parity(ms):
     # M = Mhat + (h^2/24) D (x) D with D = tridiag(-1, 0, 1); 2 and 3 give
@@ -952,17 +1031,6 @@ def test_interval_preconditioner_is_the_exact_inverse(ms):
         assert np.abs(r - system @ y).max() <= 1e-12 * scale
 
 
-def _sine_defect_solve(mesh, a, b, rhs, x0):
-    """x0 plus the correction from its defect, solved in the sine basis to
-    ||r|| <= 1e-12 ||rhs||, as step solves a level."""
-    basis = mesh.sine_basis
-    defect = basis.to_sine(rhs - _band_system(mesh, a, b) @ x0)
-    operator, precond = basis.system(a, b)
-    tol = 1e-12 * np.linalg.norm(rhs) / np.linalg.norm(defect)
-    e, iters = spd_solve(operator, defect, tol, precond=precond)
-    return x0 + basis.from_sine(e), iters
-
-
 @pytest.mark.parametrize("ms", [32, 76])
 @pytest.mark.parametrize("d1", [6.0, 112.0, 1e4])
 def test_dst_pcg_agrees_with_jacobi_pcg(ms, d1):
@@ -974,8 +1042,9 @@ def test_dst_pcg_agrees_with_jacobi_pcg(ms, d1):
     x_true += 0.01 * rng.standard_normal(mesh.num_interior)
     rhs = system @ x_true
     x0 = x_true + 0.1 * rng.standard_normal(mesh.num_interior)
-    x_jacobi, _ = spd_solve(system, rhs, x0=x0)
-    x_dst, iters = _sine_defect_solve(mesh, d1, kap / d1, rhs, x0)
+    x_jacobi = _jacobi_pcg(system, rhs, x0)
+    e, iters = spd_solve(mesh, d1, kap / d1, rhs - system @ x0, 1e-12 * np.linalg.norm(rhs))
+    x_dst = x0 + e
     assert np.linalg.norm(x_dst - x_jacobi) <= 1e-9 * np.linalg.norm(x_jacobi)
     assert 1 <= iters <= 20
 
@@ -991,8 +1060,9 @@ def test_exact_interval_solve_agrees_with_jacobi_pcg(ms, d1):
     x_true += 0.01 * rng.standard_normal(mesh.num_interior)
     rhs = system @ x_true
     x0 = x_true + 0.1 * rng.standard_normal(mesh.num_interior)
-    x_jacobi, _ = spd_solve(system, rhs, x0=x0)
-    x_dst, iters = _sine_defect_solve(mesh, d1, kap / d1, rhs, x0)
+    x_jacobi = _jacobi_pcg(system, rhs, x0)
+    e, iters = spd_solve(mesh, d1, kap / d1, rhs - system @ x0, 1e-12 * np.linalg.norm(rhs))
+    x_dst = x0 + e
     assert np.linalg.norm(x_dst - x_jacobi) <= 1e-9 * np.linalg.norm(x_jacobi)
     assert np.linalg.norm(x_dst - x_true) <= 1e-10 * np.linalg.norm(x_true)
     # one iteration, a second where rounding leaves the residual above tol
