@@ -253,7 +253,26 @@ def _plan(cfg):
             for N in sorted(cfg.N):
                 Ms = cfg.Ms[0] if cfg.Ms else coupled_ms(N, beta)
                 tasks.append((alpha, N, Ms, r, False))
+    _check_history_memory(cfg, tasks)
     return tasks
+
+
+def _check_history_memory(cfg, tasks):
+    """Refuse tasks whose histories of ubar and v, 16 (N + 1) M bytes for M
+    unknowns, overfill physical memory with those threads= runs at once
+    (no check where the platform does not report it)."""
+    if "SC_PHYS_PAGES" not in getattr(os, "sysconf_names", {}):
+        return
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    dim = 1 if get_case(cfg.example, tasks[0][0]).domain[0] == "interval" else 2
+    sizes = sorted(((16 * (t[1] + 1) * (t[2] - 1) ** dim, t) for t in tasks), reverse=True)
+    total = sum(size for size, _ in sizes[: _workers(cfg.threads, len(tasks))])
+    if total > physical:
+        size, (alpha, N, Ms, _, _) = sizes[0]
+        raise ConfigError(
+            f"alpha={alpha:g} N={N} Ms={Ms} needs {size:,} bytes of level histories; with the "
+            f"tasks run at once, {total:,} bytes exceed the {physical:,} bytes of physical memory"
+        )
 
 
 def _study_task(args):
@@ -261,37 +280,46 @@ def _study_task(args):
 
     Returns (row, step_ok, levels): step_ok is the step condition of the
     time mesh for bound-report and solve, levels the trajectory rows for
-    solve; both are None where the command does not report them.
+    solve; both are None where the command does not report them.  A
+    MemoryError names the task.
     """
     cfg, (alpha, N, Ms, r, capped) = args
-    if cfg.command == "caputo-check":
+    try:
+        if cfg.command == "caputo-check":
+            start = time.perf_counter()
+            ((_, err),) = truncation_study(cfg.beta, cfg.sigma, [N], r)
+            elapsed = time.perf_counter() - start
+            return ReportRow(alpha, N, Ms, r, err, seconds=elapsed), None, None
+        case = get_case(cfg.example, alpha)
+        if cfg.command in REFINED_KEYS:
+            row = run_single_case(case, N, Ms, r)
+            row.capped = capped
+            return row, None, None
         start = time.perf_counter()
-        ((_, err),) = truncation_study(cfg.beta, cfg.sigma, [N], r)
+        tmesh = build_graded_mesh(case.T, N, r)
+        smesh = build_spatial_mesh(case.domain, Ms)
+        state = solve_all(case.problem_spec(), tmesh, smesh)
         elapsed = time.perf_counter() - start
-        return ReportRow(alpha, N, Ms, r, err, seconds=elapsed), None, None
-    case = get_case(cfg.example, alpha)
-    if cfg.command in REFINED_KEYS:
-        row = run_single_case(case, N, Ms, r)
-        row.capped = capped
-        return row, None, None
-    start = time.perf_counter()
-    tmesh = build_graded_mesh(case.T, N, r)
-    smesh = build_spatial_mesh(case.domain, Ms)
-    state = solve_all(case.problem_spec(), tmesh, smesh)
-    elapsed = time.perf_counter() - start
-    if cfg.command == "solve":
-        levels = trajectory_rows(case, state)
-        error = max(h1 for _, _, h1, _, _ in levels)
-    else:
-        levels, error = None, float(apriori_bound_report(state).max())
-    row = ReportRow(
-        alpha, N, Ms, r, error, seconds=elapsed, cg_iters=max(state.cg_iters, default=0)
-    )
-    return row, gronwall_step_condition(tmesh, 0.5 * alpha, 1.0), levels
+        if cfg.command == "solve":
+            levels = trajectory_rows(case, state)
+            error = max(h1 for _, _, h1, _, _ in levels)
+        else:
+            levels, error = None, float(apriori_bound_report(state).max())
+        row = ReportRow(
+            alpha, N, Ms, r, error, seconds=elapsed, cg_iters=max(state.cg_iters, default=0)
+        )
+        return row, gronwall_step_condition(tmesh, 0.5 * alpha, 1.0), levels
+    except MemoryError as exc:
+        raise MemoryError(f"alpha={alpha:g} N={N} Ms={Ms} ran out of memory: {exc}") from None
+
+
+def _workers(threads, count):
+    """Processes that run count tasks at once."""
+    return min(threads, count, os.cpu_count() or 1)
 
 
 def _run_tasks(tasks, threads):
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    workers = _workers(threads, len(tasks))
     if workers <= 1:
         return [_study_task(task) for task in tasks]
     # imported only when a pool runs: it adds 1.2 MB to every process
@@ -352,7 +380,10 @@ def run(cfg):
             fh.write(text)
         print(f"wrote {path}")
         return 0
-    except (ValueError, RuntimeError, OSError) as exc:
+    except ConfigError as exc:  # from _plan, before any solve
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,10 +14,11 @@ matrices, stored by their 3 (1D) or 7 (2D) diagonals, and load vectors live
 on the interior unknowns only.  The 2D mesh is the structured triangulation
 of the unit square obtained by cutting each cell of an Ms x Ms grid along
 the same diagonal, giving 2*Ms**2 right triangles.  The discrete Laplacian
-is never formed; inner products against it are taken through the stiffness
-matrix.  A BandMatrix multiplies a block of functions, one per row, in one
-product.  Every linear system a M + b A is solved by spd_solve, in the
-mesh's sine basis.
+is never formed.  On the uniform grid the mesh's SineBasis T maps the
+mass and stiffness to its symbols (plus one Kronecker term of the 2D mass),
+and every linear system a M + b A is solved by spd_solve on sine
+coefficients T x; the assembled BandMatrix forms remain as the reference
+that those symbols are checked against.
 """
 
 import functools
@@ -310,19 +311,23 @@ def _is_uniform_grid(mesh):
 
 
 class SineBasis:
-    """The orthonormal DST-I basis T of a uniform mesh's interior unknowns.
+    """The orthonormal DST-I basis T of a uniform mesh's interior unknowns,
+    in which the solver keeps its state: its symbols, and the fold in 2D,
+    are the mass and stiffness of every level's operator.
 
-    On the interval, with c_k = cos(k pi / Ms) and h = (b - a) / Ms, T
-    diagonalizes the mass h/6 (1, 4, 1), symbols h/6 (4 + 2 c_k), and the
-    stiffness (1/h) (-1, 2, -1), symbols (2 - 2 c_k) / h (Buzbee, Golub and
-    Nielson 1970).  Up to _DENSE_SINE_MAX_MS elements T is a product with
-    the dense sine matrix S, since dst1 costs several us per call in numpy's
-    FFT wrapper (9 against 30 us at Ms = 128, 109 against 30 at Ms = 512);
-    larger meshes call dst1 and keep no Ms^2 matrix.
+    On the interval, with c_k = cos(k pi / Ms), s_k = 2 - 2 c_k, taken as
+    4 sin^2(k pi / (2 Ms)) to keep the digits of the low modes, and
+    h = (b - a) / Ms, T diagonalizes the mass h/6 (1, 4, 1), symbols
+    h/6 (4 + 2 c_k), and the stiffness (1/h) (-1, 2, -1), symbols s_k / h
+    (Buzbee, Golub and Nielson 1970).  Up to _DENSE_SINE_MAX_MS elements T
+    is a product with the dense sine matrix S, since dst1 costs several us
+    per call in numpy's FFT wrapper (9 against 30 us at Ms = 128, 109
+    against 30 at Ms = 512); larger meshes call dst1 and keep no Ms^2
+    matrix.
 
     On the unit square T maps the row-major (Ms-1) x (Ms-1) grid X to
     S X S^T, the modes in odd-then-even order.  The stiffness has symbols
-    (2 - 2 c_i) + (2 - 2 c_j), Mhat has h^2/12 (6 + 2 c_i + 2 c_j + 2 c_i c_j),
+    s_i + s_j, Mhat has h^2/12 (6 + 2 c_i + 2 c_j + 2 c_i c_j),
     and T M T^T adds (h^2/24) Shat (x) Shat, Shat = S D S^T.  Shat couples
     only modes of opposite parity, so it is [[0, B], [-B^T, 0]] and
     Shat E Shat^T takes four pairs of half-size products (0.31 ms at
@@ -344,6 +349,7 @@ class SineBasis:
         j = np.arange(1, ms)
         k = j if domain[0] == "interval" else np.concatenate([j[::2], j[1::2]])
         c = np.cos(k * math.pi / ms)
+        s = 4.0 * np.sin(k * (0.5 * math.pi / ms)) ** 2
         self.sine = self.block = None
         if domain[0] == "unit_square" or ms <= _DENSE_SINE_MAX_MS:
             # reducing j * k mod 2 Ms first keeps each entry within about
@@ -352,11 +358,11 @@ class SineBasis:
         if domain[0] == "interval":
             h = (domain[2] - domain[1]) / ms
             self.mass_symbol = h / 6.0 * (4.0 + 2.0 * c)
-            self.stiffness_symbol = (2.0 - 2.0 * c) / h
+            self.stiffness_symbol = s / h
         else:
             ci, cj = c[:, None], c[None, :]
             self.mass_symbol = ((6.0 + 2.0 * ci + 2.0 * cj + 2.0 * ci * cj) / (12 * ms**2)).ravel()
-            self.stiffness_symbol = (4.0 - 2.0 * ci - 2.0 * cj).ravel()
+            self.stiffness_symbol = (s[:, None] + s[None, :]).ravel()
             self._fold_scale = 1.0 / (24.0 * ms**2)
             # B = S_odd D S_even^T; row i of D Y is row i + 1 minus row i - 1 of Y
             padded = np.pad(self.sine[ms // 2 :].T, ((1, 1), (0, 0)))
@@ -385,6 +391,11 @@ class SineBasis:
         np.negative(b.T @ e[:o, o:] @ b.T, out=out[o:, :o])
         np.matmul(b.T @ e[:o, :o], b, out=out[o:, o:])
         return out.ravel()
+
+    def mass(self, e):
+        """T M T^T e: the symbols, plus the Kronecker term in 2D."""
+        out = self.mass_symbol * e
+        return out if self.block is None else out + self._fold_scale * self._fold(e)
 
     def system(self, a, b):
         """T (a M + b A) T^T as a function for spd_solve, and the inverse of
@@ -449,10 +460,8 @@ class BandMatrix:
 
     data[k, i] = A[i, i + offsets[k]] on the sorted offsets, zero outside
     the pattern.  A product adds the diagonals to zeros in ascending offset
-    order, as a sorted CSR row is added, so the two agree bit for bit; but
-    the padding zeros spread a non-finite x entry to a neighbouring row as
-    0 * inf = nan (step rejects a non-finite right-hand side first).  It
-    multiplies every row of an operand of shape (levels, n) at once.
+    order, as a sorted CSR row is added, so the two agree bit for bit.  The
+    solver computes in the sine basis; these are the assembled reference.
     """
 
     def __init__(self, offsets, data):
@@ -686,33 +695,36 @@ def _cg(apply, precond, rhs, target, max_iter=None):
 
 
 def spd_solve(mesh, a, b, r, target):
-    """The solution e of (a M + b A) e = r on the mesh's interior unknowns,
-    M and A the mass and stiffness, a, b >= 0 not both zero.
+    """The sine coefficients e of the solution x = T^T e of (a M + b A) x = s,
+    for r = T s, M and A the mass and stiffness, a, b >= 0 not both zero.
 
-    CG from zero runs in the mesh's sine basis T (fast diagonalization;
-    Lynch, Rice and Thomas 1964) on T r, with the operator T (a M + b A) T^T
-    of SineBasis.system: a diagonal, plus one Kronecker term from the 2D
-    mass, preconditioned by its diagonal, the exact inverse in 1D.  It
-    stops once the residual is at most target, an absolute value; T is
-    orthonormal, so in exact arithmetic the nodal residual has the same
-    norm.  Callers pass a load, or the defect of an approximate solution
-    under the assembled matrices and add e to it (defect correction;
-    Stetter 1978).  Returns (e, iterations); CG's RuntimeError at a
-    breakdown or after 10 n + 100 iterations propagates.
+    In the sine basis T (fast diagonalization; Lynch, Rice and Thomas 1964)
+    the operator of SineBasis.system is a diagonal, plus in 2D one Kronecker
+    term, and CG from zero runs on it, preconditioned by the diagonal, until
+    the residual is at most target, an absolute value.  On intervals, where
+    the diagonal is the whole operator, e is one exact inverse, reported as
+    1 iteration.  A zero r takes 0.  Callers pass a load, or the defect of
+    an approximate solution and add e to it (defect correction; Stetter
+    1978).  Returns (e, iterations); CG's RuntimeError at a breakdown or
+    after 10 n + 100 iterations propagates.
     """
     basis = mesh.sine_basis
     apply, precond = basis.system(a, b)
-    rhs = basis.to_sine(r)
-    del r  # frees a caller's temporary nodal defect for the length of CG
-    e, iters = _cg(apply, precond, rhs, target)
-    return basis.from_sine(e), iters
+    if basis.block is None and np.linalg.norm(r) > target:
+        return precond(r), 1
+    return _cg(apply, precond, r, target)
+
+
+def _project(mesh, a, b, load):
+    """The FeFunction solving (a M + b A) x = load, to DEFAULT_TOL."""
+    basis = mesh.sine_basis
+    e, _ = spd_solve(mesh, a, b, basis.to_sine(load), DEFAULT_TOL * np.linalg.norm(load))
+    return FeFunction(basis.from_sine(e), mesh)
 
 
 def l2_projection(mesh, g):
     """L2 projection of g onto the P1 space with zero boundary values."""
-    load = assemble_load(mesh, g)
-    e, _ = spd_solve(mesh, 1.0, 0.0, load, DEFAULT_TOL * np.linalg.norm(load))
-    return FeFunction(e, mesh)
+    return _project(mesh, 1.0, 0.0, assemble_load(mesh, g))
 
 
 def ritz_projection(mesh, grad):
@@ -721,9 +733,7 @@ def ritz_projection(mesh, grad):
     Solves (grad u_h, grad phi_i) = (grad g, grad phi_i) for all interior i;
     on a 1D mesh this reproduces the nodal interpolant of g.
     """
-    load = assemble_grad_load(mesh, grad)
-    e, _ = spd_solve(mesh, 0.0, 1.0, load, DEFAULT_TOL * np.linalg.norm(load))
-    return FeFunction(e, mesh)
+    return _project(mesh, 0.0, 1.0, assemble_grad_load(mesh, grad))
 
 
 def _element_gradients(mesh, nodal, blk):

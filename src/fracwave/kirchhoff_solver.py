@@ -9,15 +9,18 @@ is reduced to a symmetric system of order beta in the shifted unknown
 ubar = u - t * u1 and its fractional velocity v = caputo^beta ubar.  Each
 time level solves one SPD linear system: the nonlocal coefficient is frozen
 at a two-level extrapolant of the recovered solution, so no nonlinear
-iteration is needed.  Histories of ubar and v are kept densely because the
-L1 operator couples every previous level.  Their L1 sums are split after
+iteration is needed.  The state is kept in the spatial mesh's sine basis
+(fem_space.SineBasis), where the mass and stiffness are its symbols (plus
+one Kronecker term of the 2D mass), so a level makes no transform and no
+banded product.  Histories of ubar and v are kept densely because the L1
+operator couples every previous level.  Their L1 sums are split after
 Hairer, Lubich & Schlichte (1985): the far part, over the levels before a
 block of _BLOCK levels, is one GEMM per history for the whole block when
 its first level is stepped, and is parked in the block's own unsolved
 rows; each level adds the near part, the at most _BLOCK - 1 levels of its
 block before it, with weights from the leading coefficients of its L1 row
-alone.  A level's own work is thus O(_BLOCK) coefficients, three products
-with the banded mass and stiffness and one spd_solve.
+alone.  A level's own work is thus O(_BLOCK) coefficients, two mass
+products and one spd_solve.
 """
 
 import math
@@ -30,8 +33,6 @@ from .fem_space import (
     DEFAULT_TOL,
     assemble_grad_load,
     assemble_load,
-    assemble_mass,
-    assemble_stiffness,
     l2_projection,
     ritz_projection,
     spd_solve,
@@ -114,25 +115,23 @@ class ProblemSpec:
 
 @dataclass
 class SolverState:
-    """Mutable per-run state: meshes, matrices, and dense level histories.
+    """Mutable per-run state: meshes and dense level histories.
 
-    ubar[n] and v[n] hold the interior coefficients of the shifted
+    Every vector is held as the sine coefficients T x of nodal interior
+    coefficients x, T = smesh.sine_basis.  ubar[n] and v[n] are the shifted
     displacement and the fractional velocity at level n.  Levels above
     n_done are not solutions: the rows of the current block of levels
     hold their far L1 history sums, later rows are zero.  kappa[n] records
     the frozen coefficient used at level n (levels 0 and 1 come from
     initialization and have none).  loads holds the (c_k, b_k) pairs of a
-    separable forcing, b_k the assembled load of phi_k, and is empty when f
-    is a callable.  stiffness_phu1 is A phu1.
+    separable forcing, b_k the load of phi_k, and is empty when f is a
+    callable.
     """
 
     spec: ProblemSpec
     tmesh: object
     smesh: object
-    mass: object
-    stiffness: object
     phu1: np.ndarray
-    stiffness_phu1: np.ndarray
     lap_load: np.ndarray
     ubar: np.ndarray
     v: np.ndarray
@@ -142,40 +141,39 @@ class SolverState:
     n_done: int = 0
 
     def recovered(self, n):
-        """Interior coefficients of the recovered displacement at level n."""
-        return self.ubar[n] + self.tmesh.t[n] * self.phu1
+        """Nodal interior coefficients of the recovered displacement at level n."""
+        return self.smesh.sine_basis.from_sine(self.ubar[n] + self.tmesh.t[n] * self.phu1)
 
 
 def initialize(spec, tmesh, smesh):
-    """Set up matrices and the two starting levels.
+    """Set up the loads and the two starting levels, in the sine basis.
 
     Level 0 is the Ritz projection of u0 with zero velocity; level 1 uses a
     Taylor start U^1 = U^0 + tau_1 * P_h u1.  In the shifted variable this
     makes ubar^1 equal ubar^0 exactly, and feeding that through the L1
     formula gives v^1 = 0 exactly as well; both are computed, not assumed.
     Loads and projections take the fem_space defaults DEFAULT_QUAD_ORDER
-    and DEFAULT_TOL.
+    and DEFAULT_TOL, and are transformed once; no matrix is assembled.
     """
-    mass = assemble_mass(smesh)
-    stiffness = assemble_stiffness(smesh)
+    to_sine = smesh.sine_basis.to_sine
     m = smesh.num_interior
     n_levels = tmesh.N + 1
 
     loads = ()
     if isinstance(spec.f, tuple):
-        loads = tuple((c, assemble_load(smesh, phi)) for c, phi in spec.f)
+        loads = tuple((c, to_sine(assemble_load(smesh, phi))) for c, phi in spec.f)
 
     if spec.u0 is None:
         u0 = np.zeros(m)
     else:
-        u0 = ritz_projection(smesh, spec.grad_u0).coeffs
+        u0 = to_sine(ritz_projection(smesh, spec.grad_u0).coeffs)
 
     if spec.u1 is None:
         phu1 = np.zeros(m)
         lap_load = np.zeros(m)
     else:
-        phu1 = l2_projection(smesh, spec.u1).coeffs
-        lap_load = -assemble_grad_load(smesh, spec.grad_u1)
+        phu1 = to_sine(l2_projection(smesh, spec.u1).coeffs)
+        lap_load = -to_sine(assemble_grad_load(smesh, spec.grad_u1))
 
     ubar = np.zeros((n_levels, m))
     v = np.zeros((n_levels, m))
@@ -190,10 +188,7 @@ def initialize(spec, tmesh, smesh):
         spec=spec,
         tmesh=tmesh,
         smesh=smesh,
-        mass=mass,
-        stiffness=stiffness,
         phu1=phu1,
-        stiffness_phu1=stiffness @ phu1,
         lap_load=lap_load,
         ubar=ubar,
         v=v,
@@ -255,14 +250,14 @@ def step(state, n):
     load of Lap u1, and kappa is the coefficient frozen at the two-level
     extrapolant u_hat = x0 + t_hat phu1 of the recovered displacement, x0
     that of ubar.  The load F^n is sum_k c_k(t_n) b_k for a separable
-    forcing, from the loads b_k that initialize assembled, and one
-    assemble_load of f(., t_n) otherwise.  The velocity update
+    forcing, from the loads b_k that initialize transformed, and one
+    transformed assemble_load of f(., t_n) otherwise.  The velocity update
     v^n = d_{n,1} x + H never touches an inverse mass matrix.  A non-finite
     load or right-hand side raises ValueError before the solve.
 
-    x = x0 + e, where spd_solve finds the correction e from the defect r0
-    of x0 until ||r|| <= DEFAULT_TOL ||rhs||.  A x0 serves ell and r0:
-    three band products per level.
+    All of it runs on sine coefficients, A the stiffness symbols and B the
+    SineBasis mass: x = x0 + e, where spd_solve finds e from the defect r0
+    of x0 until ||r|| <= DEFAULT_TOL ||rhs||.
     """
     if n != state.n_done + 1:
         raise ValueError(f"levels must advance in order; expected {state.n_done + 1}, got {n}")
@@ -270,13 +265,14 @@ def step(state, n):
         raise ValueError(f"step level must satisfy 2 <= n <= N={state.tmesh.N}, got {n}")
     spec = state.spec
     tmesh = state.tmesh
+    basis = state.smesh.sine_basis
     tn = tmesh.t[n]
 
     w1, w2 = extrapolation_weights(tmesh, n)
     x0 = w1 * state.ubar[n - 1] + w2 * state.ubar[n - 2]
-    a_x0 = state.stiffness @ x0
     t_hat = w1 * tmesh.t[n - 1] + w2 * tmesh.t[n - 2]
-    ell = float((x0 + t_hat * state.phu1) @ (a_x0 + t_hat * state.stiffness_phu1))
+    u_hat = x0 + t_hat * state.phu1
+    ell = float(u_hat @ (basis.stiffness_symbol * u_hat))
     kap = float(spec.a(ell))
     slack = 1e-12 * max(1.0, abs(spec.m2))
     if not (spec.m1 - slack <= kap <= spec.m2 + slack):
@@ -288,17 +284,21 @@ def step(state, n):
     d1, g_hist, h_hist = _history_sums(state, n)
 
     if state.loads:
-        fn = sum(c(tn) * b for c, b in state.loads)
+        ck = [c(tn) for c, _ in state.loads]
+        # a non-finite c_k is kept from the zero modes of b_k, where inf * 0 warns
+        finite = all(map(math.isfinite, ck))
+        fn = sum(k * b for k, (_, b) in zip(ck, state.loads)) if finite else np.nan
     else:
-        fn = assemble_load(state.smesh, lambda *x: spec.f(*x, tn))
+        fn = basis.to_sine(assemble_load(state.smesh, lambda *x: spec.f(*x, tn)))
     rhs = (fn + tn * kap * state.lap_load) / d1
-    rhs -= state.mass @ (g_hist / d1 + h_hist)
+    rhs -= basis.mass(g_hist / d1 + h_hist)
     if not np.isfinite(rhs).all():
         raise ValueError(f"non-finite load or right-hand side at level {n}")
 
     c = kap / d1
     target = DEFAULT_TOL * np.linalg.norm(rhs)
-    e, iters = spd_solve(state.smesh, d1, c, rhs - d1 * (state.mass @ x0) - c * a_x0, target)
+    defect = rhs - d1 * basis.mass(x0) - c * (basis.stiffness_symbol * x0)
+    e, iters = spd_solve(state.smesh, d1, c, defect, target)
     x = x0 + e
 
     state.ubar[n] = x
@@ -322,13 +322,14 @@ def apriori_bound_report(state):
 
     The continuous-level energy argument bounds exactly this combination,
     so a healthy run shows values that stay bounded as the mesh refines.
-    Returns an array over levels 0..n_done.
+    Both are taken in the sine basis.  Returns an array over levels 0..n_done.
     """
+    basis = state.smesh.sine_basis
     out = np.zeros(state.n_done + 1)
     for n in range(state.n_done + 1):
         vn = state.v[n]
         un = state.ubar[n]
-        v_l2 = math.sqrt(max(float(vn @ (state.mass @ vn)), 0.0))
-        u_h1 = math.sqrt(max(float(un @ (state.stiffness @ un)), 0.0))
+        v_l2 = math.sqrt(max(float(vn @ basis.mass(vn)), 0.0))
+        u_h1 = math.sqrt(max(float(un @ (basis.stiffness_symbol * un)), 0.0))
         out[n] = v_l2 + u_h1
     return out

@@ -278,13 +278,18 @@ def _h1_errors(case, state):
     splits (Wheeler 1973) as g(t_n)^2 C_0 + 2 g(t_n) k . phi_n + phi_n . A
     phi_n, with C_0 = |grad (s - R)|^2 and k = ritz_residual(R, s).  It is
     exact for any R: grad R and grad phi_n are constant on each element,
-    whose weights sum to its measure.  A level costs a stiffness product,
-    taken per block of _LEVEL_BLOCK_ENTRIES coefficients, not a quadrature.
+    whose weights sum to its measure.  phi_n is taken on the state's sine
+    coefficients, with T R and T k, so its energy is a sum over the
+    stiffness symbols; blocks of _LEVEL_BLOCK_ENTRIES coefficients bound
+    the temporaries.
     """
     g, grad_shape = case.grad_parts
+    to_sine = state.smesh.sine_basis.to_sine
+    symbols = state.smesh.sine_basis.stiffness_symbol
     ritz = ritz_projection(state.smesh, grad_shape)
     c0 = h1_seminorm_error(ritz, grad_shape) ** 2
-    k = ritz_residual(ritz, grad_shape)
+    k = to_sine(ritz_residual(ritz, grad_shape))
+    ritz = to_sine(ritz.coeffs)
     t = state.tmesh.t[: state.n_done + 1]
     size = max(1, _LEVEL_BLOCK_ENTRIES // state.smesh.num_interior)
     errors = []
@@ -292,8 +297,8 @@ def _h1_errors(case, state):
         block = slice(lo, min(lo + size, t.size))
         gn = g(t[block])
         # phi_n for the rows of state.recovered(n), n in the block
-        phi = gn[:, None] * ritz.coeffs - state.ubar[block] - t[block, None] * state.phu1
-        energy = np.einsum("ij,ij->i", phi, state.stiffness @ phi)
+        phi = gn[:, None] * ritz - state.ubar[block] - t[block, None] * state.phu1
+        energy = np.einsum("ij,ij->i", phi, symbols * phi)
         squares = gn**2 * c0 + 2.0 * gn * (phi @ k) + energy
         errors.extend(np.sqrt(np.maximum(squares, 0.0)).tolist())
     return errors

@@ -514,3 +514,67 @@ def test_library_and_every_command_run_without_scipy(tmp_path):
     )
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"codes": [0] * 6, "scipy": []}
+
+
+def _physical_memory(monkeypatch, nbytes):
+    """Report nbytes of physical memory, in pages of one byte."""
+    import fracwave.cli as cli_module
+
+    pages = {"SC_PHYS_PAGES": nbytes, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(cli_module.os, "sysconf_names", dict.fromkeys(pages, 0))
+    monkeypatch.setattr(cli_module.os, "sysconf", pages.__getitem__)
+
+
+def test_histories_beyond_physical_memory_are_refused_before_any_solve(tmp_path, capsys,
+                                                                      monkeypatch):
+    import fracwave.cli as cli_module
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a case was solved")
+
+    for name in ("run_single_case", "solve_all"):
+        monkeypatch.setattr(cli_module, name, must_not_run)
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 4)
+    # 16 (N + 1) (Ms - 1) bytes: 1,872 at N = 8, Ms = 14 and 8,432 at
+    # N = 16, Ms = 32; one task at a time fits in 9,000, two do not
+    _physical_memory(monkeypatch, 9000)
+    line = "command=temporal-study example=ex1 alpha=1.5 N=8,16"
+    assert len(cli_module._plan(parse_config(line))) == 2
+    out = tmp_path / "report.csv"
+    assert main(line.split() + ["threads=2", f"output={out}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: alpha=1.5 N=16 Ms=32 needs 8,432 bytes")
+    assert "10,304 bytes exceed the 9,000 bytes" in err
+    assert not out.exists()
+    # the 2D histories count (Ms - 1)^2 unknowns: 16 * 4097 * 511^2 bytes
+    assert main("command=solve example=ex2 alpha=1.5 N=4096 Ms=512".split()) == 2
+    assert "needs 17,117,003,792 bytes" in capsys.readouterr().err
+
+
+def test_plan_skips_the_memory_check_where_the_platform_has_no_page_count(monkeypatch):
+    import fracwave.cli as cli_module
+
+    monkeypatch.setattr(cli_module.os, "sysconf_names", {})
+    monkeypatch.setattr(cli_module.os, "sysconf", None)
+    cfg = parse_config("command=solve example=ex2 alpha=1.5 N=4096 Ms=512")
+    assert len(cli_module._plan(cfg)) == 1
+
+
+@pytest.mark.parametrize(
+    "line, solver",
+    [("command=temporal-study example=ex1 alpha=1.5 N=8,16", "run_single_case"),
+     ("command=solve example=ex2 alpha=1.5 N=8", "solve_all")],
+)
+def test_an_allocation_that_fails_names_its_task(line, solver, tmp_path, capsys, monkeypatch):
+    import fracwave.cli as cli_module
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.97 GiB for an array")
+
+    monkeypatch.setattr(cli_module, solver, no_memory)
+    out = tmp_path / "report.csv"
+    assert main(line.split() + [f"output={out}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha=1.5 N=8 Ms=")
+    assert "ran out of memory: Unable to allocate 7.97 GiB" in err and "Traceback" not in err
+    assert not out.exists()

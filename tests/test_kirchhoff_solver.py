@@ -8,8 +8,22 @@ import numpy as np
 import pytest
 
 import fracwave.kirchhoff_solver as ks
+from fracwave import mms_harness
 from fracwave.caputo_l1 import l1_row
-from fracwave.fem_space import BandMatrix, _cg, assemble_load, build_spatial_mesh, dst1, spd_solve
+from fracwave.fem_space import (
+    BandMatrix,
+    SineBasis,
+    _cg,
+    assemble_load,
+    assemble_mass,
+    assemble_stiffness,
+    build_spatial_mesh,
+    dst1,
+    h1_seminorm_error,
+    ritz_projection,
+    ritz_residual,
+    spd_solve,
+)
 from fracwave.graded_time import build_graded_mesh, recommended_grading
 from fracwave.kirchhoff_solver import (
     ProblemSpec,
@@ -87,7 +101,7 @@ def test_initialize_projects_initial_displacement():
     smesh = build_spatial_mesh(case.domain, 16)
     state = initialize(spec, tmesh, smesh)
     expected = np.sin(smesh.vertices[smesh.interior_nodes])
-    np.testing.assert_allclose(state.ubar[0], expected, atol=1e-7)
+    np.testing.assert_allclose(state.recovered(0), expected, atol=1e-7)
     np.testing.assert_allclose(state.v[0], 0.0)
 
 
@@ -105,7 +119,8 @@ def test_initialize_velocity_start_is_exact():
     np.testing.assert_allclose(state.v[1], 0.0, atol=1e-12)
     recovered = state.recovered(1)
     np.testing.assert_allclose(
-        recovered, state.ubar[0] + tmesh.tau[0] * state.phu1, atol=1e-15
+        recovered, smesh.sine_basis.from_sine(state.ubar[0] + tmesh.tau[0] * state.phu1),
+        atol=1e-15,
     )
 
 
@@ -184,7 +199,8 @@ def test_recovered_equals_shifted_for_zero_velocity():
     smesh = build_spatial_mesh(case.domain, 8)
     state = solve_all(case.problem_spec(), tmesh, smesh)
     for n in range(state.n_done + 1):
-        np.testing.assert_allclose(state.recovered(n), state.ubar[n], atol=1e-15)
+        nodal = smesh.sine_basis.from_sine(state.ubar[n])
+        np.testing.assert_allclose(state.recovered(n), nodal, atol=1e-15)
 
 
 def test_system_matrix_positive_definite_spot_check():
@@ -196,10 +212,11 @@ def test_system_matrix_positive_definite_spot_check():
     state = solve_all(case.problem_spec(), tmesh, smesh)
     d1 = l1_row(tmesh, 0.75, 5).d[0]
     c = state.kappa[5] / d1
+    mass, stiffness = assemble_mass(smesh), assemble_stiffness(smesh)
     rng = np.random.default_rng(4)
     for _ in range(5):
         x = rng.standard_normal(smesh.num_interior)
-        assert x @ (d1 * (state.mass @ x) + c * (state.stiffness @ x)) > 0
+        assert x @ (d1 * (mass @ x) + c * (stiffness @ x)) > 0
 
 
 @pytest.mark.parametrize(
@@ -217,6 +234,7 @@ def test_step_operator_is_the_transformed_mass_stiffness_sum(case, ms, monkeypat
     smesh = build_spatial_mesh(case.domain, ms)
     state = solve_all(case.problem_spec(), tmesh, smesh)
     basis = smesh.sine_basis
+    mass, stiffness = assemble_mass(smesh), assemble_stiffness(smesh)
     rng = np.random.default_rng(ms)
     # the basis takes the elements to be of length h; linspace's rounding of
     # the nodes makes them differ by up to 6.8e-13 relative at 1D Ms = 8192
@@ -228,7 +246,7 @@ def test_step_operator_is_the_transformed_mass_stiffness_sum(case, ms, monkeypat
         for _ in range(3):
             e = rng.standard_normal(smesh.num_interior)
             x = basis.from_sine(e)
-            expected = basis.to_sine(d1 * (state.mass @ x) + c * (state.stiffness @ x))
+            expected = basis.to_sine(d1 * (mass @ x) + c * (stiffness @ x))
             gap = np.linalg.norm(operator(e) - expected)
             assert gap <= (1e-13 + spread) * np.linalg.norm(expected)
             # the preconditioner inverts the operator's diagonal, all of it in 1D
@@ -239,19 +257,24 @@ def test_step_operator_is_the_transformed_mass_stiffness_sum(case, ms, monkeypat
 def _nodal_system(state, n):
     """Level n's system in nodal form, the oracle of the sine-basis solve:
     the BandMatrix d1 M + c A, the right-hand side with two mass products and
-    the extrapolant start; also d1, kappa and H for the velocity update."""
-    spec, tmesh = state.spec, state.tmesh
+    the extrapolant start, all on the nodal views T^T of the state's sine
+    coefficients; also d1, kappa and the nodal H for the velocity update."""
+    spec, tmesh, smesh = state.spec, state.tmesh, state.smesh
+    nodal = smesh.sine_basis.from_sine
+    mass, stiffness = assemble_mass(smesh), assemble_stiffness(smesh)
     w1, w2 = ks.extrapolation_weights(tmesh, n)
     u_hat = w1 * state.recovered(n - 1) + w2 * state.recovered(n - 2)
-    kap = float(spec.a(float(u_hat @ (state.stiffness @ u_hat))))
+    kap = float(spec.a(float(u_hat @ (stiffness @ u_hat))))
     d1, g_hist, h_hist = ks._history_sums(state, n)
+    g_hist, h_hist = nodal(g_hist), nodal(h_hist)
     tn = tmesh.t[n]
-    rhs = (sum(c(tn) * b for c, b in state.loads) + tn * kap * state.lap_load) / d1
-    rhs -= (state.mass @ g_hist) / d1
-    rhs -= state.mass @ h_hist
-    data = d1 * state.mass.data + (kap / d1) * state.stiffness.data
-    x0 = w1 * state.ubar[n - 1] + w2 * state.ubar[n - 2]
-    return BandMatrix(state.mass.offsets, data), rhs, x0, d1, kap, h_hist
+    load = sum(c(tn) * nodal(b) for c, b in state.loads)
+    rhs = (load + tn * kap * nodal(state.lap_load)) / d1
+    rhs -= (mass @ g_hist) / d1
+    rhs -= mass @ h_hist
+    data = d1 * mass.data + (kap / d1) * stiffness.data
+    x0 = nodal(w1 * state.ubar[n - 1] + w2 * state.ubar[n - 2])
+    return BandMatrix(mass.offsets, data), rhs, x0, d1, kap, h_hist
 
 
 def _nodal_sine_preconditioner(smesh, a, b):
@@ -301,23 +324,26 @@ def test_sine_basis_levels_match_the_nodal_solve(case, N, ms, rtol, forcing):
         spec = replace(spec, f=forcing)
     state = initialize(spec, tmesh, smesh)
     oracle = initialize(spec, tmesh, smesh)
+    basis = smesh.sine_basis
     for n in range(2, N + 1):
         # the nodal system on the state's own history bounds its true residual
         system, rhs, _, _, _, _ = _nodal_system(state, n)
         step(state, n)
-        x = state.ubar[n]
+        x = basis.from_sine(state.ubar[n])
         magnitude = BandMatrix(system.offsets, abs(system.data)) @ abs(x)
         floor = np.finfo(float).eps * np.linalg.norm(magnitude)
         assert np.linalg.norm(rhs - system @ x) <= max(1e-12 * np.linalg.norm(rhs), 4.0 * floor)
         system, rhs, x0, d1, kap, h_hist = _nodal_system(oracle, n)
         precond = _nodal_sine_preconditioner(smesh, d1, kap / d1)
         e, iters = _cg(system.__matmul__, precond, rhs - system @ x0, 1e-12 * np.linalg.norm(rhs))
-        x = x0 + e
-        oracle.ubar[n], oracle.v[n], oracle.kappa[n] = x, d1 * x + h_hist, kap
+        x_oracle = x0 + e
+        oracle.ubar[n] = basis.to_sine(x_oracle)
+        oracle.v[n] = basis.to_sine(d1 * x_oracle + h_hist)
+        oracle.kappa[n] = kap
         oracle.cg_iters.append(iters)
         oracle.n_done = n
-        gap = np.linalg.norm(state.ubar[n] - oracle.ubar[n])
-        assert gap <= rtol * np.linalg.norm(oracle.ubar[n])
+        gap = np.linalg.norm(x - x_oracle)
+        assert gap <= rtol * np.linalg.norm(x_oracle)
     assert state.cg_iters == oracle.cg_iters
 
 
@@ -363,7 +389,7 @@ def test_separable_forcing_matches_the_callable_path(case, ms):
     pointwise = solve_all(replace(spec, f=case.f), tmesh, smesh)
     assert len(separable.loads) == len(case.forcing) and pointwise.loads == ()
     for tn in tmesh.t[2:]:
-        load = sum(c(tn) * b for c, b in separable.loads)
+        load = smesh.sine_basis.from_sine(sum(c(tn) * b for c, b in separable.loads))
         expected = assemble_load(smesh, lambda *x: case.f(*x, tn))
         assert np.linalg.norm(load - expected) <= 1e-14 * np.linalg.norm(expected)
     # loads a few ulps apart move the CG iterates by up to the condition
@@ -513,3 +539,87 @@ def test_step_order_is_enforced_across_blocks():
             step(state, bad)
     step(state, 18)
     assert state.n_done == 18
+
+
+@pytest.mark.parametrize(
+    "case, ms", [(example1_case(1.5), 37), (example1_case(1.5), 512), (example2_case(1.5), 16)],
+    ids=["1d-37", "1d-512", "2d-16"],
+)
+def test_a_level_makes_no_transform_and_no_band_product(case, ms, monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    N = 20
+    tmesh = build_graded_mesh(case.T, N, 1.5)
+    smesh = build_spatial_mesh(case.domain, ms)
+    state = initialize(case.problem_spec(), tmesh, smesh)
+    for owner, name in ((BandMatrix, "__matmul__"), (SineBasis, "to_sine"),
+                        (SineBasis, "from_sine"), (ks, "l1_row"), (ks, "spd_solve")):
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    for n in range(2, N + 1):
+        step(state, n)
+    # per level one L1 row and one solve, both through the solver's globals
+    assert calls == ["l1_row", "spd_solve"] * (N - 1)
+    # a whole case, error evaluation included, assembles no matrix
+    meshes = []
+
+    def build(*args):
+        meshes.append(build_spatial_mesh(*args))
+        return meshes[-1]
+
+    monkeypatch.setattr(mms_harness, "build_spatial_mesh", build)
+    run_single_case(case, 8, ms)
+    assert len(meshes) == 1 and meshes[0]._matrices == {}
+
+
+def _nodal_h1_errors(case, state):
+    """The Ritz split of mms_harness._h1_errors in nodal form, on the
+    assembled stiffness and recovered(n)."""
+    g, grad_shape = case.grad_parts
+    stiffness = assemble_stiffness(state.smesh)
+    ritz = ritz_projection(state.smesh, grad_shape)
+    c0 = h1_seminorm_error(ritz, grad_shape) ** 2
+    k = ritz_residual(ritz, grad_shape)
+    errors = []
+    for n, tn in enumerate(state.tmesh.t[: state.n_done + 1]):
+        gn = g(tn)
+        phi = gn * ritz.coeffs - state.recovered(n)
+        square = gn**2 * c0 + 2.0 * gn * (phi @ k) + phi @ (stiffness @ phi)
+        errors.append(math.sqrt(max(square, 0.0)))
+    return errors
+
+
+def _nodal_bound_report(state):
+    """apriori_bound_report in nodal form, on the assembled matrices."""
+    nodal = state.smesh.sine_basis.from_sine
+    mass, stiffness = assemble_mass(state.smesh), assemble_stiffness(state.smesh)
+    out = []
+    for n in range(state.n_done + 1):
+        v, u = nodal(state.v[n]), nodal(state.ubar[n])
+        out.append(math.sqrt(max(v @ (mass @ v), 0.0)) + math.sqrt(max(u @ (stiffness @ u), 0.0)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "case, N, ms, forcing",
+    [(example1_case(1.5), 32, 37, None), (example1_case(1.8), 64, 128, None),
+     (example2_case(1.5), 16, 32, None), (example2_case(1.5), 16, 32, _SKEW_FORCING)],
+    ids=["1d-37", "1d-128", "2d-32", "2d-skew"],
+)
+def test_sine_basis_errors_and_bounds_match_the_nodal_formulas(case, N, ms, forcing):
+    tmesh = build_graded_mesh(case.T, N, recommended_grading(case.alpha / 2))
+    smesh = build_spatial_mesh(case.domain, ms)
+    spec = case.problem_spec() if forcing is None else replace(case.problem_spec(), f=forcing)
+    state = solve_all(spec, tmesh, smesh)
+    # measured: at most 3.5e-14 relative (1d-128) for the errors, 1.2e-14
+    # for the bound quantity; levels 0 and 1 are zero in both
+    got = mms_harness._h1_errors(case, state)
+    assert got == pytest.approx(_nodal_h1_errors(case, state), rel=1e-12, abs=0.0)
+    got = list(apriori_bound_report(state))
+    assert got == pytest.approx(_nodal_bound_report(state), rel=1e-12, abs=0.0)
