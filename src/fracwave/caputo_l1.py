@@ -11,9 +11,10 @@ where the coefficients
               / (Gamma(2-beta) * tau_{n-k+1})
 
 come from integrating the kernel against the piecewise-linear interpolant
-of w.  The module also provides the complementary discrete kernels used by
-the stability theory, the closed-form Caputo derivative of power
-functions, and a truncation-error study driver.
+of w.  The module also provides a sum-of-exponentials approximation of
+that kernel for the solver's far history, the complementary discrete
+kernels used by the stability theory, the closed-form Caputo derivative of
+power functions, and a truncation-error study driver.
 """
 
 import math
@@ -79,9 +80,8 @@ def l1_row(mesh, beta, n, count=None):
 
     count defaults to n, the full row; a smaller count gives its leading
     coefficients, equal to the full row's bit for bit at the cost of count
-    powers instead of n.
+    powers instead of n.  beta is checked by l1_rows.
     """
-    _check_beta(beta)
     if n < 1 or n > mesh.N:
         raise ValueError(f"level must satisfy 1 <= n <= N={mesh.N}, got {n}")
     count = n if count is None else count
@@ -90,6 +90,32 @@ def l1_row(mesh, beta, n, count=None):
     d = l1_rows(mesh, beta, n, n + 1, first=n - count)[0, ::-1]
     d.flags.writeable = False
     return L1Row(int(n), float(beta), d)
+
+
+def soe_kernel(beta, delta, T):
+    """Nodes s and weights w, both positive, with
+
+        sum_k w_k exp(-s_k t) = t**(-beta) / Gamma(1 - beta),  delta <= t <= T,
+
+    to a relative error near rounding (below 1e-14 for beta in [0.51, 0.99]).
+    In t**(-beta) = int exp(-t p) p**(beta-1) dp / Gamma(beta) the
+    substitution p = exp(y - exp(-y)) (McLean 2018) makes the integrand
+    decay double-exponentially as y -> -inf; the trapezoid rule of step
+    0.25 runs from y = -log(50 / beta) to p > 60 / delta, and drops the
+    terms below 1e-17 of the kernel on all of [delta, T].  About 70 terms
+    for delta = 4e-5, T = 1.
+    """
+    _check_beta(beta)
+    if not 0 < delta < T:
+        raise ValueError(f"need 0 < delta < T, got delta={delta}, T={T}")
+    y = np.arange(-math.log(50.0 / beta), math.log(60.0 / delta) + 1.0, 0.25)
+    x = y - np.exp(-y)
+    s = np.exp(x)
+    w = 0.25 * math.sin(math.pi * beta) / math.pi * np.exp(beta * x) * (1.0 + np.exp(-y))
+    # a term's largest share of the kernel on [delta, T], at t = beta / s
+    t = np.clip(beta / s, delta, T)
+    keep = w * np.exp(-s * t) * t**beta * math.gamma(1.0 - beta) > 1e-17
+    return s[keep], w[keep]
 
 
 def discrete_caputo(row, history):

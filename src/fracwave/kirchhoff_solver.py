@@ -15,12 +15,15 @@ one Kronecker term of the 2D mass), so a level makes no transform and no
 banded product.  Histories of ubar and v are kept densely because the L1
 operator couples every previous level.  Their L1 sums are split after
 Hairer, Lubich & Schlichte (1985): the far part, over the levels before a
-block of _BLOCK levels, is one GEMM per history for the whole block when
-its first level is stepped, and is parked in the block's own unsolved
-rows; each level adds the near part, the at most _BLOCK - 1 levels of its
-block before it, with weights from the leading coefficients of its L1 row
-alone.  A level's own work is thus O(_BLOCK) coefficients, two mass
-products and one spd_solve.
+block of _BLOCK levels, is computed for the whole block when its first
+level is stepped and parked in the block's own unsolved rows; each level
+adds the near part, the at most _BLOCK - 1 levels of its block before it,
+with weights from the leading coefficients of its L1 row alone.  A level's
+own work is thus O(_BLOCK) coefficients, two mass products and one
+spd_solve.  The far part of a short run is one GEMM over the whole history
+per block, 2 N^2 M flops a run; a run of N >= _SOE_LEVELS_PER_TERM n_exp
+levels takes it from a sum of n_exp exponentials of the L1 kernel
+(caputo_l1.soe_kernel; Jiang, Zhang, Zhang & Zhang 2017), O(n_exp M) a block.
 """
 
 import math
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .caputo_l1 import l1_row, l1_rows
+from .caputo_l1 import l1_row, l1_rows, soe_kernel
 from .fem_space import (
     DEFAULT_TOL,
     assemble_grad_load,
@@ -41,6 +44,9 @@ from .graded_time import extrapolation_weights
 
 # levels whose far L1 history sums share one GEMM
 _BLOCK = 16
+# a run takes its far sums from a sum of exponentials when it has at least
+# this many levels per exponential, and densely otherwise (see _far_sums)
+_SOE_LEVELS_PER_TERM = 20
 
 
 @dataclass
@@ -125,7 +131,10 @@ class SolverState:
     the frozen coefficient used at level n (levels 0 and 1 come from
     initialization and have none).  loads holds the (c_k, b_k) pairs of a
     separable forcing, b_k the load of phi_k, and is empty when f is a
-    callable.
+    callable.  soe, set at level 2, is empty on a run whose far history
+    sums are dense and holds the nodes s, weights w and stacked sums U of
+    the sum of exponentials otherwise (see _soe_far_sums); n_exp, the
+    number of exponentials, reads 0 on a dense run.
     """
 
     spec: ProblemSpec
@@ -139,6 +148,11 @@ class SolverState:
     loads: tuple = ()
     cg_iters: list = field(default_factory=list)
     n_done: int = 0
+    soe: tuple = ()
+
+    @property
+    def n_exp(self):
+        return self.soe[0].size if self.soe else 0
 
     def recovered(self, n):
         """Nodal interior coefficients of the recovered displacement at level n."""
@@ -201,18 +215,57 @@ def initialize(spec, tmesh, smesh):
 def _far_sums(state, lo):
     """Write the far history sums of the block of levels lo..hi-1.
 
-    The L1 weights of every level m in the block on the history levels
-    j < lo are built at once, and one GEMM per history puts their sums
-    into rows lo..hi-1 of v and ubar, which are unset until solved.
+    Row m of v and ubar, unset until solved, gets level m's L1 weights
+    times the history levels j < lo.  At lo = 2 the run chooses how: from
+    a sum of n_exp exponentials if N >= _SOE_LEVELS_PER_TERM n_exp (see
+    _soe_far_sums), else densely, the weights of all the block's levels at
+    once and one GEMM per history.
     """
-    hi = min(lo + _BLOCK, state.tmesh.N + 1)
-    d = l1_rows(state.tmesh, state.spec.beta, lo, hi)
+    tmesh, beta = state.tmesh, state.spec.beta
+    hi = min(lo + _BLOCK, tmesh.N + 1)
+    if lo == 2:
+        # a far kernel argument t_m - s is at least tau_2 and at most T
+        s, w = soe_kernel(beta, tmesh.tau[1:].min(), tmesh.T)
+        soe = tmesh.N >= _SOE_LEVELS_PER_TERM * s.size
+        state.soe = (s, w, np.zeros((2, s.size, state.v.shape[1]))) if soe else ()
+    if state.soe:
+        _soe_far_sums(state, lo, hi)
+        return
+    d = l1_rows(tmesh, beta, lo, hi)
     weights = np.empty((hi - lo, lo))
     weights[:, 0] = -d[:, 0]
     np.subtract(d[:, : lo - 1], d[:, 1:lo], out=weights[:, 1:])
     del d
     np.matmul(weights, state.v[:lo], out=state.v[lo:hi])
     np.matmul(weights, state.ubar[:lo], out=state.ubar[lo:hi])
+
+
+def _soe_far_sums(state, lo, hi):
+    """The far sums of _far_sums from the sum of exponentials state.soe.
+
+    By summation by parts a far sum is
+    sum_{j < lo-1} d_{m,m-j} dx_j - d_{m,m-lo+1} x^(lo-1), dx_j = x^(j+1) - x^j,
+    and with the kernel's exponentials, phi(z) = (1 - exp(-z)) / z,
+    d_{m,m-j} = sum_k w_k exp(-s_k (t_m - t_(j+1))) phi(s_k tau_(j+1)), so
+    the first part is sum_k w_k exp(-s_k (t_m - t_(lo-1))) U_k.  U_k, both
+    histories stacked, moves on from the last block by a decay and one
+    product with that block's increments; the boundary coefficient is exact.
+    """
+    s, w, u = state.soe
+    t, tau = state.tmesh.t, state.tmesh.tau
+    # U covered j < prev - 1; add the increments j = prev - 1..lo - 2
+    prev = max(lo - _BLOCK, 1)
+    dx = np.empty((2, lo - prev, u.shape[2]))
+    np.subtract(state.v[prev:lo], state.v[prev - 1 : lo - 1], out=dx[0])
+    np.subtract(state.ubar[prev:lo], state.ubar[prev - 1 : lo - 1], out=dx[1])
+    z = s[:, None] * tau[prev - 1 : lo - 1]
+    gain = np.exp(s[:, None] * (t[prev:lo] - t[lo - 1])) * (-np.expm1(-z) / z)
+    u *= np.exp(s * (t[prev - 1] - t[lo - 1]))[:, None]
+    u += gain @ dx
+    far = (w * np.exp(s * (t[lo - 1] - t[lo:hi, None]))) @ u
+    edge = l1_rows(state.tmesh, state.spec.beta, lo, hi, first=lo - 1)[:, :1]
+    np.subtract(far[0], edge * state.v[lo - 1], out=state.v[lo:hi])
+    np.subtract(far[1], edge * state.ubar[lo - 1], out=state.ubar[lo:hi])
 
 
 def _history_sums(state, n):
@@ -296,7 +349,7 @@ def step(state, n):
         raise ValueError(f"non-finite load or right-hand side at level {n}")
 
     c = kap / d1
-    target = DEFAULT_TOL * np.linalg.norm(rhs)
+    target = DEFAULT_TOL * math.sqrt(rhs @ rhs)
     defect = rhs - d1 * basis.mass(x0) - c * (basis.stiffness_symbol * x0)
     e, iters = spd_solve(state.smesh, d1, c, defect, target)
     x = x0 + e

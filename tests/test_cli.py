@@ -1,6 +1,7 @@
 """Config parsing, report formats, and end-to-end command runs at toy sizes."""
 
 import concurrent.futures
+import csv
 import dataclasses
 import json
 import os
@@ -578,3 +579,27 @@ def test_an_allocation_that_fails_names_its_task(line, solver, tmp_path, capsys,
     assert err.startswith("error: alpha=1.5 N=8 Ms=")
     assert "ran out of memory: Unable to allocate 7.97 GiB" in err and "Traceback" not in err
     assert not out.exists()
+
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+@pytest.mark.parametrize("workload", ["ex1_levels", "ex2_solve"])
+def test_benchmark_workloads_reproduce_their_reference_rows(workload, tmp_path):
+    # the benchmark's own rule: error equal at %.2E, oc within 1e-6
+    with open(os.path.join(BENCH, "workloads.json")) as fh:
+        spec = json.load(fh)[workload]
+    out = tmp_path / "table.csv"
+    assert main(spec["argv"] + [f"output={out}"]) == 0
+    rows = {}
+    for path in (os.path.join(BENCH, spec["reference"]), out):
+        with open(path, newline="") as fh:
+            rows[path] = {(r["alpha"], r["N"], r["Ms"]): r for r in csv.DictReader(fh)}
+    ref, got = rows.values()
+    assert ref.keys() == got.keys()
+    for key, row in ref.items():
+        assert got[key]["error"] == row["error"], key
+        if row["oc"] == "":
+            assert got[key]["oc"] == "", key
+        else:
+            assert abs(float(got[key]["oc"]) - float(row["oc"])) <= 1e-6, key

@@ -827,6 +827,28 @@ def test_interval_spd_solve_is_one_exact_inverse(ms):
         assert np.array_equal(e, inverse * r)
 
 
+@pytest.mark.parametrize("ms", [37, 8192])
+def test_interval_spd_solve_is_the_system_preconditioner_bit_for_bit(ms, monkeypatch):
+    # the interval path inverts the symbols without SineBasis.system's
+    # closures, and takes ||r|| as math.sqrt(r @ r), np.linalg.norm's own sum
+    mesh = build_spatial_mesh(("interval", 0.0, math.pi), ms)
+    basis = mesh.sine_basis
+    r = np.random.default_rng(ms).standard_normal(mesh.num_interior)
+    pairs = [(1.0, 0.0), (0.0, 1.0), (112.0, 1.3 / 112.0)]
+    preconds = [basis.system(a, b)[1] for a, b in pairs]
+
+    def no_system(a, b):
+        raise AssertionError("the interval path built the system's closures")
+
+    monkeypatch.setattr(basis, "system", no_system)
+    for (a, b), precond in zip(pairs, preconds):
+        e, iters = spd_solve(mesh, a, b, r, 0.0)
+        assert iters == 1 and np.array_equal(e, precond(r))
+    norm = np.linalg.norm(r)
+    assert spd_solve(mesh, 1.0, 1.0, r, norm)[1] == 0
+    assert spd_solve(mesh, 1.0, 1.0, r, np.nextafter(norm, 0.0))[1] == 1
+
+
 @pytest.mark.parametrize("domain, ms", [(("interval", 0.0, math.pi), 37),
                                         (("interval", 0.0, math.pi), 8192),
                                         (("unit_square",), 9), (("unit_square",), 32)])

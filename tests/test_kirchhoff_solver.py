@@ -9,7 +9,7 @@ import pytest
 
 import fracwave.kirchhoff_solver as ks
 from fracwave import mms_harness
-from fracwave.caputo_l1 import l1_row
+from fracwave.caputo_l1 import l1_row, l1_rows
 from fracwave.fem_space import (
     BandMatrix,
     SineBasis,
@@ -490,6 +490,90 @@ def test_each_step_computes_one_l1_row_of_at_most_a_block(monkeypatch):
     # level 1 from initialize, then one call per step, in level order
     assert [n for n, _ in calls] == list(range(1, N + 1))
     assert max(count for _, count in calls) == ks._BLOCK
+
+
+def dense_far_sums(state, lo):
+    """The dense far sums as step wrote them before the sum of exponentials:
+    the oracle of a run below the SOE threshold."""
+    hi = min(lo + ks._BLOCK, state.tmesh.N + 1)
+    d = l1_rows(state.tmesh, state.spec.beta, lo, hi)
+    weights = np.empty((hi - lo, lo))
+    weights[:, 0] = -d[:, 0]
+    np.subtract(d[:, : lo - 1], d[:, 1:lo], out=weights[:, 1:])
+    np.matmul(weights, state.v[:lo], out=state.v[lo:hi])
+    np.matmul(weights, state.ubar[:lo], out=state.ubar[lo:hi])
+
+
+@pytest.mark.parametrize("r", [1.0, 1.6], ids=["uniform", "graded"])
+def test_soe_far_sums_match_the_dense_ones(r, monkeypatch):
+    # random histories fed block by block, as step writes them; each far sum
+    # within 1e-12 of sum_j |d_{m,m-j}| |dx_j| + |d_{m,m-lo+1}| |x^(lo-1)|
+    # (measured at most 8.2e-15 of it uniform, 4.0e-14 graded)
+    rng = np.random.default_rng(11)
+    beta, N, M = 0.8, 300, 4
+    tmesh = build_graded_mesh(1.0, N, r)
+    truth = {name: rng.standard_normal((N + 1, M)) for name in ("v", "ubar")}
+    soe, dense = (SimpleNamespace(tmesh=tmesh, spec=SimpleNamespace(beta=beta),
+                                  v=np.zeros((N + 1, M)), ubar=np.zeros((N + 1, M)))
+                  for _ in range(2))
+    worst = 0.0
+    for lo in range(2, N + 1, ks._BLOCK):
+        hi = min(lo + ks._BLOCK, N + 1)
+        for state, factor in ((soe, 0), (dense, math.inf)):
+            # the run's path is chosen at lo = 2
+            monkeypatch.setattr(ks, "_SOE_LEVELS_PER_TERM", factor)
+            for name, x in truth.items():
+                getattr(state, name)[:lo] = x[:lo]
+            ks._far_sums(state, lo)
+        d = l1_rows(tmesh, beta, lo, hi)
+        for name, x in truth.items():
+            bound = (np.abs(d[:, : lo - 1]) @ np.abs(np.diff(x[:lo], axis=0))
+                     + np.abs(d[:, lo - 1 : lo]) * np.abs(x[lo - 1]))
+            gap = np.abs(getattr(soe, name)[lo:hi] - getattr(dense, name)[lo:hi])
+            worst = max(worst, (gap / bound).max())
+    assert worst <= 1e-12
+    assert soe.soe[0].size > 0 and dense.soe == ()
+
+
+def _graded_run(case, N, Ms):
+    tmesh = build_graded_mesh(case.T, N, recommended_grading(0.5 * case.alpha))
+    return solve_all(case.problem_spec(), tmesh, build_spatial_mesh(case.domain, Ms))
+
+
+def test_the_soe_is_built_at_the_first_far_block():
+    case = example1_case(1.8)
+    tmesh = build_graded_mesh(case.T, 4096, recommended_grading(0.9))
+    state = initialize(case.problem_spec(), tmesh, build_spatial_mesh(case.domain, 8))
+    assert state.soe == () and state.n_exp == 0
+    step(state, 2)
+    assert 0 < state.n_exp <= 4096 / ks._SOE_LEVELS_PER_TERM
+    assert state.soe[2].shape == (2, state.n_exp, 7)
+
+
+@pytest.mark.parametrize("N, Ms", [(4096, 128), (1922, 64)])
+def test_a_long_run_matches_the_dense_run_within_1e_10(N, Ms, monkeypatch):
+    # ex1 alpha = 1.8 as in the spatial study; measured 2.3e-12 and 1.4e-13
+    case = example1_case(1.8)
+    soe = _graded_run(case, N, Ms)
+    monkeypatch.setattr(ks, "_SOE_LEVELS_PER_TERM", math.inf)
+    dense = _graded_run(case, N, Ms)
+    assert soe.n_exp > 0 and dense.n_exp == 0
+    errors = [max(mms_harness._h1_errors(case, state)[1:]) for state in (soe, dense)]
+    assert errors[0] == pytest.approx(errors[1], rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "example, alpha, N, Ms", [(example1_case, 1.8, 546, 32), (example2_case, 1.5, 64, 32)],
+    ids=["1d", "2d"],
+)
+def test_a_run_below_the_soe_threshold_is_the_dense_run_bit_for_bit(example, alpha, N, Ms,
+                                                                    monkeypatch):
+    case = example(alpha)
+    state = _graded_run(case, N, Ms)
+    assert state.n_exp == 0
+    monkeypatch.setattr(ks, "_far_sums", dense_far_sums)
+    dense = _graded_run(case, N, Ms)
+    assert np.array_equal(state.ubar, dense.ubar) and np.array_equal(state.v, dense.v)
 
 
 @pytest.mark.parametrize("ms", [256, 257])
