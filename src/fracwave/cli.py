@@ -17,17 +17,22 @@ serial runs are byte-reproducible.
 
 Every command runs one pipeline: _plan lists its (alpha, N, Ms, r, capped)
 tasks, _run_tasks runs each through _study_task (in a process pool when
-threads= allows), and run attaches the orders and formats the rows.
+threads= allows) on one BLAS thread, and run attaches the orders and
+formats the rows.
 """
 
+import ctypes
+import glob
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cache, partial
 from itertools import groupby
 from math import inf
+
+import numpy as np
 
 from .caputo_l1 import truncation_study
 from .graded_time import build_graded_mesh, gronwall_step_condition, recommended_grading
@@ -275,8 +280,24 @@ def _check_history_memory(cfg, tasks):
         )
 
 
+@cache
+def _openblas():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or
+    None where numpy links another BLAS or its library lacks them; tasks
+    then run on the thread count they find."""
+    libs = os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs")
+    try:
+        lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))[0])
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+    return get, put
+
+
 def _study_task(args):
-    """Run one planned task of cfg.command.
+    """Run one planned task of cfg.command on one BLAS thread, so that its
+    digits do not depend on the thread count (see _openblas).
 
     Returns (row, step_ok, levels): step_ok is the step condition of the
     time mesh for bound-report and solve, levels the trajectory rows for
@@ -284,7 +305,11 @@ def _study_task(args):
     MemoryError names the task.
     """
     cfg, (alpha, N, Ms, r, capped) = args
+    blas = _openblas()
+    prior = blas[0]() if blas else None
     try:
+        if blas:
+            blas[1](1)
         if cfg.command == "caputo-check":
             start = time.perf_counter()
             ((_, err),) = truncation_study(cfg.beta, cfg.sigma, [N], r)
@@ -311,6 +336,9 @@ def _study_task(args):
         return row, gronwall_step_condition(tmesh, 0.5 * alpha, 1.0), levels
     except MemoryError as exc:
         raise MemoryError(f"alpha={alpha:g} N={N} Ms={Ms} ran out of memory: {exc}") from None
+    finally:
+        if blas:
+            blas[1](prior)
 
 
 def _workers(threads, count):

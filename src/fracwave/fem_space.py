@@ -381,11 +381,12 @@ class SineBasis:
             return (self.sine.T @ e.reshape(self.sine.shape) @ self.sine).ravel()
         return self.to_sine(e)
 
-    def _fold(self, e):
-        """Shat E Shat^T for the grid E of sine coefficients, by blocks."""
+    def _fold(self, e, out=None):
+        """Shat E Shat^T for the grid E of sine coefficients, by blocks,
+        into the flat array out if given."""
         b, o = self.block, self.block.shape[0]
         e = e.reshape(self.sine.shape)
-        out = np.empty(e.shape)
+        out = np.empty(e.shape) if out is None else out.reshape(e.shape)
         np.matmul(b @ e[o:, o:], b.T, out=out[:o, :o])
         np.negative(b @ e[o:, :o] @ b, out=out[:o, o:])
         np.negative(b.T @ e[:o, o:] @ b.T, out=out[o:, :o])
@@ -399,13 +400,17 @@ class SineBasis:
 
     def system(self, a, b):
         """T (a M + b A) T^T as a function for spd_solve, and the inverse of
-        its diagonal as the preconditioner: the exact inverse in 1D."""
+        its diagonal as the preconditioner: the exact inverse in 1D.  In 2D
+        both write into buffers of their own, overwritten on the next call."""
         symbols = a * self.mass_symbol + b * self.stiffness_symbol
         inverse = 1.0 / symbols
         if self.block is None:
             return lambda e: symbols * e, lambda r: inverse * r
         scale = a * self._fold_scale
-        return lambda e: scale * self._fold(e) + symbols * e, lambda r: inverse * r
+        out, term, z = (np.empty(symbols.size) for _ in range(3))
+        return (lambda e: np.add(np.multiply(self._fold(e, out), scale, out=out),
+                                 np.multiply(symbols, e, out=term), out=out),
+                lambda r: np.multiply(inverse, r, out=z))
 
 
 def build_mesh_1d(a, b, subdivisions):
@@ -653,8 +658,9 @@ def _cg(apply, precond, rhs, target, max_iter=None):
     """Preconditioned conjugate gradients from zero for an SPD operator.
 
     apply maps x to A x, precond maps a residual to its preconditioned
-    vector (an SPD approximate inverse).  Iterates until the residual
-    ||rhs - A x|| is at most target, an absolute value.  Returns
+    vector (an SPD approximate inverse); _cg only reads what they return,
+    and updates x, r and p in arrays allocated once.  Iterates until the
+    residual ||rhs - A x|| is at most target, an absolute value.  Returns
     (x, iterations) and raises RuntimeError with the final residual if
     max_iter is exhausted, or naming the iteration at a breakdown, where
     the curvature p @ A p is not positive and finite.
@@ -669,6 +675,7 @@ def _cg(apply, precond, rhs, target, max_iter=None):
         return x, 0
     z = precond(r)
     p = z.copy()
+    scaled = np.empty(n)
     rz = r @ z
     for it in range(1, max_iter + 1):
         ap = apply(p)
@@ -679,14 +686,15 @@ def _cg(apply, precond, rhs, target, max_iter=None):
                 "is not positive and finite"
             )
         alpha = rz / curvature
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=scaled)
+        r -= np.multiply(alpha, ap, out=scaled)
         res = math.sqrt(r @ r)
         if res <= target:
             return x, it
         z = precond(r)
         rz_new = r @ z
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise RuntimeError(
         f"CG did not reach the residual {target:.3e} within {max_iter} iterations; "
@@ -703,10 +711,11 @@ def spd_solve(mesh, a, b, r, target):
     term, and CG from zero runs on it, preconditioned by the diagonal, until
     the residual is at most target, an absolute value.  On intervals, where
     the diagonal is the whole operator, e is one exact inverse, reported as
-    1 iteration.  A zero r takes 0.  Callers pass a load, or the defect of
-    an approximate solution and add e to it (defect correction; Stetter
-    1978).  Returns (e, iterations); CG's RuntimeError at a breakdown or
-    after 10 n + 100 iterations propagates.
+    1 iteration.  A zero r takes 0.  Callers pass a load, or the residual
+    of a start and add e to it (defect correction; Stetter 1978), as
+    kirchhoff_solver.step does with a start whose residual the symbols
+    give without the fold.  Returns (e, iterations); CG's RuntimeError at
+    a breakdown or after 10 n + 100 iterations propagates.
     """
     basis = mesh.sine_basis
     if basis.block is None:

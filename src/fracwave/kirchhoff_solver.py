@@ -19,7 +19,7 @@ block of _BLOCK levels, is computed for the whole block when its first
 level is stepped and parked in the block's own unsolved rows; each level
 adds the near part, the at most _BLOCK - 1 levels of its block before it,
 with weights from the leading coefficients of its L1 row alone.  A level's
-own work is thus O(_BLOCK) coefficients, two mass products and one
+own work is thus O(_BLOCK) coefficients, one mass product and one
 spd_solve.  The far part of a short run is one GEMM over the whole history
 per block, 2 N^2 M flops a run; a run of N >= _SOE_LEVELS_PER_TERM n_exp
 levels takes it from a sum of n_exp exponentials of the L1 kernel
@@ -129,12 +129,13 @@ class SolverState:
     n_done are not solutions: the rows of the current block of levels
     hold their far L1 history sums, later rows are zero.  kappa[n] records
     the frozen coefficient used at level n (levels 0 and 1 come from
-    initialization and have none).  loads holds the (c_k, b_k) pairs of a
-    separable forcing, b_k the load of phi_k, and is empty when f is a
-    callable.  soe, set at level 2, is empty on a run whose far history
-    sums are dense and holds the nodes s, weights w and stacked sums U of
-    the sum of exponentials otherwise (see _soe_far_sums); n_exp, the
-    number of exponentials, reads 0 on a dense run.
+    initialization and have none).  loads holds, for a separable forcing,
+    the c_k and the (k, M) stack of the loads b_k of the phi_k, and is
+    empty when f is a callable.  soe, set at level 2, is empty on a run
+    whose far history sums are dense and holds the nodes s, weights w and
+    stacked sums U of the sum of exponentials otherwise (see
+    _soe_far_sums); n_exp, the number of exponentials, reads 0 on a dense
+    run.
     """
 
     spec: ProblemSpec
@@ -175,7 +176,8 @@ def initialize(spec, tmesh, smesh):
 
     loads = ()
     if isinstance(spec.f, tuple):
-        loads = tuple((c, to_sine(assemble_load(smesh, phi))) for c, phi in spec.f)
+        loads = tuple(c for c, _ in spec.f), np.stack(
+            [to_sine(assemble_load(smesh, phi)) for _, phi in spec.f])
 
     if spec.u0 is None:
         u0 = np.zeros(m)
@@ -295,22 +297,23 @@ def step(state, n):
 
     The SPD system for the new ubar coefficients is
 
-        (d_{n,1} B + (kappa / d_{n,1}) A) x =
-            (F^n + t_n kappa E) / d_{n,1} - B (G / d_{n,1} + H),
+        (d_{n,1} B + (kappa / d_{n,1}) A) x = L - B y,
+        L = (F^n + t_n kappa E) / d_{n,1},   y = G / d_{n,1} + H,
 
     where G and H are the L1 history combinations of v and ubar (far part
     per block of levels, near part per level; see _history_sums), E is the
     load of Lap u1, and kappa is the coefficient frozen at the two-level
     extrapolant u_hat = x0 + t_hat phu1 of the recovered displacement, x0
     that of ubar.  The load F^n is sum_k c_k(t_n) b_k for a separable
-    forcing, from the loads b_k that initialize transformed, and one
-    transformed assemble_load of f(., t_n) otherwise.  The velocity update
-    v^n = d_{n,1} x + H never touches an inverse mass matrix.  A non-finite
-    load or right-hand side raises ValueError before the solve.
+    forcing, one product with the stacked loads b_k from initialize, and
+    one transformed assemble_load of f(., t_n) otherwise.  The velocity
+    update v^n = d_{n,1} x + H never touches an inverse mass matrix.  A
+    non-finite load or right-hand side raises ValueError before the solve.
 
     All of it runs on sine coefficients, A the stiffness symbols and B the
-    SineBasis mass: x = x0 + e, where spd_solve finds e from the defect r0
-    of x0 until ||r|| <= DEFAULT_TOL ||rhs||.
+    SineBasis mass.  x = x_g + e from the start x_g = -y / d_{n,1}, whose
+    residual L + (kappa / d_{n,1}^2) A y needs no 2D fold, so B y is the one
+    fold outside spd_solve, which finds e until ||r|| <= DEFAULT_TOL ||L - B y||.
     """
     if n != state.n_done + 1:
         raise ValueError(f"levels must advance in order; expected {state.n_done + 1}, got {n}")
@@ -322,9 +325,8 @@ def step(state, n):
     tn = tmesh.t[n]
 
     w1, w2 = extrapolation_weights(tmesh, n)
-    x0 = w1 * state.ubar[n - 1] + w2 * state.ubar[n - 2]
     t_hat = w1 * tmesh.t[n - 1] + w2 * tmesh.t[n - 2]
-    u_hat = x0 + t_hat * state.phu1
+    u_hat = w1 * state.ubar[n - 1] + w2 * state.ubar[n - 2] + t_hat * state.phu1
     ell = float(u_hat @ (basis.stiffness_symbol * u_hat))
     kap = float(spec.a(ell))
     slack = 1e-12 * max(1.0, abs(spec.m2))
@@ -337,25 +339,26 @@ def step(state, n):
     d1, g_hist, h_hist = _history_sums(state, n)
 
     if state.loads:
-        ck = [c(tn) for c, _ in state.loads]
+        cs, b = state.loads
+        ck = np.array([c(tn) for c in cs], dtype=float)
         # a non-finite c_k is kept from the zero modes of b_k, where inf * 0 warns
-        finite = all(map(math.isfinite, ck))
-        fn = sum(k * b for k, (_, b) in zip(ck, state.loads)) if finite else np.nan
+        load = ck @ b if np.isfinite(ck).all() else np.full(b.shape[1], np.nan)
     else:
-        fn = basis.to_sine(assemble_load(state.smesh, lambda *x: spec.f(*x, tn)))
-    rhs = (fn + tn * kap * state.lap_load) / d1
-    rhs -= basis.mass(g_hist / d1 + h_hist)
-    if not np.isfinite(rhs).all():
+        load = basis.to_sine(assemble_load(state.smesh, lambda *x: spec.f(*x, tn)))
+    load += tn * kap * state.lap_load
+    load /= d1
+    y = np.add(np.divide(g_hist, d1, out=g_hist), h_hist, out=g_hist)
+    rhs = load - basis.mass(y)
+    rr = float(rhs @ rhs)
+    if not math.isfinite(rr):
         raise ValueError(f"non-finite load or right-hand side at level {n}")
 
     c = kap / d1
-    target = DEFAULT_TOL * math.sqrt(rhs @ rhs)
-    defect = rhs - d1 * basis.mass(x0) - c * (basis.stiffness_symbol * x0)
-    e, iters = spd_solve(state.smesh, d1, c, defect, target)
-    x = x0 + e
+    load += np.multiply(c / d1, np.multiply(basis.stiffness_symbol, y, out=rhs), out=rhs)
+    e, iters = spd_solve(state.smesh, d1, c, load, DEFAULT_TOL * math.sqrt(rr))
 
-    state.ubar[n] = x
-    state.v[n] = d1 * x + h_hist
+    x = np.subtract(e, np.divide(y, d1, out=y), out=state.ubar[n])
+    np.add(np.multiply(d1, x, out=state.v[n]), h_hist, out=state.v[n])
     state.kappa[n] = kap
     state.cg_iters.append(iters)
     state.n_done = n

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import fracwave
+import fracwave.cli as cli_module
 
 from fracwave import coupled_ms
 from fracwave.cli import (
@@ -603,3 +604,97 @@ def test_benchmark_workloads_reproduce_their_reference_rows(workload, tmp_path):
             assert got[key]["oc"] == "", key
         else:
             assert abs(float(got[key]["oc"]) - float(row["oc"])) <= 1e-6, key
+
+
+_THREADS_SCRIPT = """
+import json, sys
+from fracwave import cli
+errors = []
+solve = cli.run_single_case
+
+def recording(*args, **kwargs):
+    row = solve(*args, **kwargs)
+    errors.append(repr(row.error))
+    return row
+
+cli.run_single_case = recording
+out = sys.argv[1]
+lines = [
+    "command=temporal-study example=ex1 alpha=1.4 N=256,512",
+    "command=temporal-study example=ex2 alpha=1.5 N=16,32",
+]
+codes = [cli.main(line.split() + [f"output={out}/{i}.csv"]) for i, line in enumerate(lines)]
+print(json.dumps({"codes": codes, "errors": errors}))
+"""
+
+
+@pytest.mark.skipif(cli_module._openblas() is None, reason="numpy has no bundled OpenBLAS")
+def test_study_digits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 2 threads, unpinned, the N = 512 row read 0.001199532604382414
+    # against 0.001199532604386362 at 1
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracwave.__file__)))
+    results, tables = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT, str(out)],
+            capture_output=True, text=True, env=env, timeout=300, check=True,
+        )
+        results.append(json.loads(proc.stdout.splitlines()[-1]))
+        tables.append([(out / f"{i}.csv").read_bytes() for i in range(2)])
+    assert results[0]["codes"] == [0, 0] and len(results[0]["errors"]) == 4
+    assert results[0] == results[1]
+    assert tables[0] == tables[1]
+
+
+def _count_threads_in_tasks(monkeypatch, fail=False):
+    """Make cli's run_single_case record the BLAS thread count it runs on,
+    and raise after recording if fail."""
+    seen = []
+    solve, blas = cli_module.run_single_case, cli_module._openblas()
+
+    def recording(*args, **kwargs):
+        seen.append(blas[0]() if blas else None)
+        if fail:
+            raise RuntimeError("task failed")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "run_single_case", recording)
+    return seen
+
+
+@pytest.mark.skipif(cli_module._openblas() is None, reason="numpy has no bundled OpenBLAS")
+@pytest.mark.parametrize("fail", [False, True], ids=["ok", "raising"])
+def test_a_task_runs_on_one_blas_thread_and_restores_the_prior_count(fail, tmp_path, capsys,
+                                                                      monkeypatch):
+    get, put = cli_module._openblas()
+    prior = get()
+    put(2)
+    try:
+        seen = _count_threads_in_tasks(monkeypatch, fail)
+        line = "command=temporal-study example=ex1 alpha=1.5 N=8,16"
+        assert main(line.split() + [f"output={tmp_path / 'report.csv'}"]) == (1 if fail else 0)
+        assert seen == ([1] if fail else [1, 1])
+        assert get() == 2
+    finally:
+        put(prior)
+    if fail:
+        assert "error: task failed" in capsys.readouterr().err
+
+
+def test_a_study_runs_unpinned_where_no_openblas_is_found(tmp_path, monkeypatch):
+    line = "command=temporal-study example=ex2 alpha=1.5 N=4,8"
+    pinned = tmp_path / "pinned.csv"
+    assert main(line.split() + [f"output={pinned}"]) == 0
+    blas = cli_module._openblas()
+    outside = blas[0]() if blas else None
+    seen = _count_threads_in_tasks(monkeypatch)
+    monkeypatch.setattr(cli_module, "_openblas", lambda: None)
+    unpinned = tmp_path / "unpinned.csv"
+    assert main(line.split() + [f"output={unpinned}"]) == 0
+    monkeypatch.undo()
+    assert seen == [outside, outside]
+    assert unpinned.read_bytes() == pinned.read_bytes()

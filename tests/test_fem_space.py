@@ -764,6 +764,53 @@ def test_spd_solve_warm_start_skips_work():
     assert iters == 0
 
 
+def _allocating_cg(apply, precond, rhs, target):
+    """_cg's loop as it was before its updates went in place: the oracle of
+    the in-place loop."""
+    r = np.array(rhs, dtype=float)
+    x = np.zeros(r.shape[0])
+    if math.sqrt(r @ r) <= target:
+        return x, 0
+    z = precond(r)
+    p = z.copy()
+    rz = r @ z
+    for it in range(1, 10 * r.shape[0] + 101):
+        ap = apply(p)
+        alpha = rz / (p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        if math.sqrt(r @ r) <= target:
+            return x, it
+        z = precond(r)
+        rz_new = r @ z
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise RuntimeError("no convergence")
+
+
+def test_in_place_cg_matches_the_allocating_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((60, 60))
+    dense = m @ m.T + 60 * np.eye(60)
+    inverse = 1.0 / np.diag(dense)
+    rhs = rng.standard_normal(60)
+    for target in (1e-4 * np.linalg.norm(rhs), 1e-12 * np.linalg.norm(rhs)):
+        expected = _allocating_cg(dense.__matmul__, lambda r: inverse * r, rhs, target)
+        got = _cg(dense.__matmul__, lambda r: inverse * r, rhs, target)
+        assert got[1] == expected[1] > 0 and np.array_equal(got[0], expected[0])
+    # the 2D system against its allocating form, scale * fold + symbols * e
+    mesh = build_spatial_mesh(("unit_square",), 32)
+    basis = mesh.sine_basis
+    r = rng.standard_normal(mesh.num_interior)
+    for a, b in [(112.0, 1.3 / 112.0), (6.0, 0.2), (1.0, 0.0)]:
+        symbols = a * basis.mass_symbol + b * basis.stiffness_symbol
+        scale = a * basis._fold_scale
+        expected = _allocating_cg(lambda e: scale * basis._fold(e) + symbols * e,
+                                  lambda q: (1.0 / symbols) * q, r, 1e-12 * np.linalg.norm(r))
+        got = _cg(*basis.system(a, b), r, 1e-12 * np.linalg.norm(r))
+        assert got[1] == expected[1] > 1 and np.array_equal(got[0], expected[0])
+
+
 def test_spd_solve_reports_iteration_breach():
     mesh = build_spatial_mesh(("unit_square",), 8)
     a = assemble_stiffness(mesh)

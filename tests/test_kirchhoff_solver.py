@@ -257,8 +257,9 @@ def test_step_operator_is_the_transformed_mass_stiffness_sum(case, ms, monkeypat
 def _nodal_system(state, n):
     """Level n's system in nodal form, the oracle of the sine-basis solve:
     the BandMatrix d1 M + c A, the right-hand side with two mass products and
-    the extrapolant start, all on the nodal views T^T of the state's sine
-    coefficients; also d1, kappa and the nodal H for the velocity update."""
+    the start -y / d1, y = G / d1 + H, all on the nodal views T^T of the
+    state's sine coefficients; also d1, kappa and the nodal H for the
+    velocity update."""
     spec, tmesh, smesh = state.spec, state.tmesh, state.smesh
     nodal = smesh.sine_basis.from_sine
     mass, stiffness = assemble_mass(smesh), assemble_stiffness(smesh)
@@ -268,13 +269,13 @@ def _nodal_system(state, n):
     d1, g_hist, h_hist = ks._history_sums(state, n)
     g_hist, h_hist = nodal(g_hist), nodal(h_hist)
     tn = tmesh.t[n]
-    load = sum(c(tn) * nodal(b) for c, b in state.loads)
+    load = sum(c(tn) * nodal(b) for c, b in zip(*state.loads))
     rhs = (load + tn * kap * nodal(state.lap_load)) / d1
     rhs -= (mass @ g_hist) / d1
     rhs -= mass @ h_hist
     data = d1 * mass.data + (kap / d1) * stiffness.data
-    x0 = nodal(w1 * state.ubar[n - 1] + w2 * state.ubar[n - 2])
-    return BandMatrix(mass.offsets, data), rhs, x0, d1, kap, h_hist
+    x_g = -(g_hist / d1 + h_hist) / d1
+    return BandMatrix(mass.offsets, data), rhs, x_g, d1, kap, h_hist
 
 
 def _nodal_sine_preconditioner(smesh, a, b):
@@ -312,7 +313,7 @@ _SKEW_FORCING = ((lambda t: 1.0 + t, lambda x, y: np.exp(x) * y * y),)
 )
 def test_sine_basis_levels_match_the_nodal_solve(case, N, ms, rtol, forcing):
     # the oracle solves in nodal form: BandMatrix system, four-product sine
-    # preconditioner, CG on the defect of the same extrapolant.  The true residual
+    # preconditioner, CG on the defect of the same start -y / d1.  The true residual
     # stays within 1e-12 ||rhs||, or, where that is below the rounding of the
     # product itself, eps || |K| |x| || (2d-256 at level 2, 1d-8192 on most
     # levels, where the nodal solve's own residual reaches 1.7e-11 ||rhs||),
@@ -333,10 +334,10 @@ def test_sine_basis_levels_match_the_nodal_solve(case, N, ms, rtol, forcing):
         magnitude = BandMatrix(system.offsets, abs(system.data)) @ abs(x)
         floor = np.finfo(float).eps * np.linalg.norm(magnitude)
         assert np.linalg.norm(rhs - system @ x) <= max(1e-12 * np.linalg.norm(rhs), 4.0 * floor)
-        system, rhs, x0, d1, kap, h_hist = _nodal_system(oracle, n)
+        system, rhs, x_g, d1, kap, h_hist = _nodal_system(oracle, n)
         precond = _nodal_sine_preconditioner(smesh, d1, kap / d1)
-        e, iters = _cg(system.__matmul__, precond, rhs - system @ x0, 1e-12 * np.linalg.norm(rhs))
-        x_oracle = x0 + e
+        e, iters = _cg(system.__matmul__, precond, rhs - system @ x_g, 1e-12 * np.linalg.norm(rhs))
+        x_oracle = x_g + e
         oracle.ubar[n] = basis.to_sine(x_oracle)
         oracle.v[n] = basis.to_sine(d1 * x_oracle + h_hist)
         oracle.kappa[n] = kap
@@ -345,6 +346,41 @@ def test_sine_basis_levels_match_the_nodal_solve(case, N, ms, rtol, forcing):
         gap = np.linalg.norm(x - x_oracle)
         assert gap <= rtol * np.linalg.norm(x_oracle)
     assert state.cg_iters == oracle.cg_iters
+
+
+@pytest.mark.parametrize(
+    "case, ms", [(example1_case(1.5), 128), (example2_case(1.5), 32), (example2_case(1.5), 182)],
+    ids=["1d-128", "2d-32", "2d-182"],
+)
+def test_the_start_residual_from_the_symbols_is_the_folded_one(case, ms, monkeypatch):
+    # step passes spd_solve the residual of x_g = -y / d1 as load + (c / d1) A y;
+    # formed with the mass, fold included, it is rhs - (d1 M + c A) x_g
+    # (measured: at most 1.2e-15 relative)
+    basis_mass, solved = SineBasis.mass, []
+
+    def mass(self, e):
+        solved.append([e.copy()])
+        return basis_mass(self, e)
+
+    def spy(mesh, a, b, r, target):
+        solved[-1] += [a, b, r.copy()]
+        return spd_solve(mesh, a, b, r, target)
+
+    monkeypatch.setattr(SineBasis, "mass", mass)
+    monkeypatch.setattr(ks, "spd_solve", spy)
+    N = 8
+    tmesh = build_graded_mesh(case.T, N, 1.5)
+    smesh = build_spatial_mesh(case.domain, ms)
+    state = solve_all(case.problem_spec(), tmesh, smesh)
+    basis, stiffness = smesh.sine_basis, smesh.sine_basis.stiffness_symbol
+    assert len(solved) == N - 1
+    for n, (y, d1, c, r) in zip(range(2, N + 1), solved):
+        tn = tmesh.t[n]
+        force = sum(coef(tn) * b for coef, b in zip(*state.loads))
+        load = (force + tn * state.kappa[n] * state.lap_load) / d1
+        x_g = -y / d1
+        folded = load - basis_mass(basis, y) - (d1 * basis_mass(basis, x_g) + c * stiffness * x_g)
+        assert np.linalg.norm(r - folded) <= 1e-13 * np.linalg.norm(r)
 
 
 def test_non_finite_forcing_stops_before_the_solve(monkeypatch):
@@ -387,9 +423,9 @@ def test_separable_forcing_matches_the_callable_path(case, ms):
     assert spec.f is case.forcing
     separable = solve_all(spec, tmesh, smesh)
     pointwise = solve_all(replace(spec, f=case.f), tmesh, smesh)
-    assert len(separable.loads) == len(case.forcing) and pointwise.loads == ()
+    assert len(separable.loads[1]) == len(case.forcing) and pointwise.loads == ()
     for tn in tmesh.t[2:]:
-        load = smesh.sine_basis.from_sine(sum(c(tn) * b for c, b in separable.loads))
+        load = smesh.sine_basis.from_sine(sum(c(tn) * b for c, b in zip(*separable.loads)))
         expected = assemble_load(smesh, lambda *x: case.f(*x, tn))
         assert np.linalg.norm(load - expected) <= 1e-14 * np.linalg.norm(expected)
     # loads a few ulps apart move the CG iterates by up to the condition
