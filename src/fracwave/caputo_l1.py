@@ -18,31 +18,10 @@ power functions, and a truncation-error study driver.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graded_time import build_graded_mesh
-
-
-@dataclass(frozen=True)
-class L1Row:
-    """L1 coefficients for one time level.
-
-    Attributes
-    ----------
-    n : int
-        Time level, 1 <= n <= N.
-    beta : float
-        Fractional order in (0, 1).
-    d : ndarray, shape (count,)
-        Coefficients d[k - 1] = d_{n,k}, k = 1..count, with count = n for
-        a full row; positive and strictly decreasing in k.
-    """
-
-    n: int
-    beta: float
-    d: np.ndarray
 
 
 def _check_beta(beta):
@@ -78,9 +57,11 @@ def l1_rows(mesh, beta, lo, hi, first=0):
 def l1_row(mesh, beta, n, count=None):
     """Coefficients d_{n,k}, k = 1..count, of the L1 formula at level n.
 
-    count defaults to n, the full row; a smaller count gives its leading
-    coefficients, equal to the full row's bit for bit at the cost of count
-    powers instead of n.  beta is checked by l1_rows.
+    Returns the read-only array d of shape (count,) with d[k - 1] = d_{n,k},
+    positive and strictly decreasing in k.  count defaults to n, the full
+    row; a smaller count gives its leading coefficients, equal to the full
+    row's bit for bit at the cost of count powers instead of n.  beta is
+    checked by l1_rows.
     """
     if n < 1 or n > mesh.N:
         raise ValueError(f"level must satisfy 1 <= n <= N={mesh.N}, got {n}")
@@ -89,7 +70,7 @@ def l1_row(mesh, beta, n, count=None):
         raise ValueError(f"count must satisfy 1 <= count <= n={n}, got {count}")
     d = l1_rows(mesh, beta, n, n + 1, first=n - count)[0, ::-1]
     d.flags.writeable = False
-    return L1Row(int(n), float(beta), d)
+    return d
 
 
 def soe_kernel(beta, delta, T):
@@ -118,13 +99,13 @@ def soe_kernel(beta, delta, T):
     return s[keep], w[keep]
 
 
-def discrete_caputo(row, history):
+def discrete_caputo(d, history):
     """Apply the L1 formula to a history w^0, ..., w^n.
 
     Parameters
     ----------
-    row : L1Row
-        The full row of coefficients at level n.
+    d : ndarray, shape (n,)
+        The full row of coefficients at level n, l1_row(mesh, beta, n).
     history : array_like, shape (n + 1,) or (n + 1, M)
         Scalar or vector-valued samples at t_0, ..., t_n.
 
@@ -133,16 +114,16 @@ def discrete_caputo(row, history):
     float or ndarray
         The L1 value at level n; exact for histories affine in t.
     """
-    if row.d.size != row.n:
-        raise ValueError(f"the L1 formula needs the full row of {row.n} coefficients")
     hist = np.asarray(history, dtype=float)
-    if hist.shape[0] != row.n + 1:
+    n = hist.shape[0] - 1
+    if d.shape != (n,):
         raise ValueError(
-            f"history must hold {row.n + 1} levels, got {hist.shape[0]}"
+            f"the L1 formula at level {n} needs the full row of {n} coefficients, "
+            f"got shape {d.shape}"
         )
     diffs = hist[1:] - hist[:-1]
     # d reversed pairs d_{n,n-m+1} with the increment at level m
-    out = np.tensordot(row.d[::-1], diffs, axes=(0, 0))
+    out = np.tensordot(d[::-1], diffs, axes=(0, 0))
     if out.ndim == 0:
         return float(out)
     return out

@@ -23,7 +23,6 @@ that those symbols are checked against.
 
 import functools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,34 +49,26 @@ def dst1(x):
     return np.fft.rfft(ext, axis=-1).imag[..., 1 : n + 1] * -math.sqrt(0.5 / (n + 1))
 
 
-@functools.cache
-def _gauss_rule(npoints):
-    nodes, weights = np.polynomial.legendre.leggauss(npoints)
-    # reference element [0, 1] in barycentric form
-    lam = 0.5 * (nodes + 1.0)
-    return _read_only(np.column_stack([1.0 - lam, lam]), 0.5 * weights)
-
-
-class _GaussRules(Mapping):
-    """The Gauss-Legendre rules with 1 to 7 points, each built on first use:
-    a 2D run never imports numpy.polynomial (8 modules, 1.7 MB)."""
-
-    def __getitem__(self, npoints):
-        if npoints not in range(1, 8):
-            raise KeyError(npoints)
-        return _gauss_rule(npoints)
-
-    def __iter__(self):
-        return iter(range(1, 8))
-
-    def __len__(self):
-        return 7
-
-
-# {dimension: {points per element: (barycentric points (nq, d+1), weights)}};
-# the weights sum to 1 and are scaled by the element measure.
+# {dimension: {points per element: (barycentric points (nq, d+1), weights)}},
+# the rules the library evaluates: the midpoint or centroid rule, exact to
+# degree 1, under which the 2D reference errors were measured, and the
+# 3-point rules, Gauss-Legendre in 1D (the bits of numpy's leggauss(3),
+# exact to degree 5) and Strang-Fix in 2D (exact to degree 2).  The
+# weights sum to 1 and are scaled by the element measure.
 QUADRATURE_RULES = {
-    1: _GaussRules(),
+    1: {
+        1: (np.array([[0.5, 0.5]]), np.array([1.0])),
+        3: (
+            np.array(
+                [
+                    [0.8872983346207417, 0.1127016653792583],
+                    [0.5, 0.5],
+                    [0.1127016653792583, 0.8872983346207417],
+                ]
+            ),
+            np.array([0.27777777777777785, 0.4444444444444444, 0.27777777777777785]),
+        ),
+    },
     2: {
         1: (np.array([[1.0, 1.0, 1.0]]) / 3.0, np.array([1.0])),
         3: (
@@ -90,73 +81,13 @@ QUADRATURE_RULES = {
             ),
             np.array([1.0, 1.0, 1.0]) / 3.0,
         ),
-        4: (
-            np.array(
-                [
-                    [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
-                    [0.6, 0.2, 0.2],
-                    [0.2, 0.6, 0.2],
-                    [0.2, 0.2, 0.6],
-                ]
-            ),
-            np.array([-27.0, 25.0, 25.0, 25.0]) / 48.0,
-        ),
-        6: (
-            np.array(
-                [
-                    [0.816847572980459, 0.091576213509771, 0.091576213509771],
-                    [0.091576213509771, 0.816847572980459, 0.091576213509771],
-                    [0.091576213509771, 0.091576213509771, 0.816847572980459],
-                    [0.108103018168070, 0.445948490915965, 0.445948490915965],
-                    [0.445948490915965, 0.108103018168070, 0.445948490915965],
-                    [0.445948490915965, 0.445948490915965, 0.108103018168070],
-                ]
-            ),
-            np.array(
-                [
-                    0.109951743655322,
-                    0.109951743655322,
-                    0.109951743655322,
-                    0.223381589678011,
-                    0.223381589678011,
-                    0.223381589678011,
-                ]
-            ),
-        ),
-        7: (
-            np.array(
-                [
-                    [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
-                    [0.797426985353087, 0.101286507323456, 0.101286507323456],
-                    [0.101286507323456, 0.797426985353087, 0.101286507323456],
-                    [0.101286507323456, 0.101286507323456, 0.797426985353087],
-                    [0.059715871789770, 0.470142064105115, 0.470142064105115],
-                    [0.470142064105115, 0.059715871789770, 0.470142064105115],
-                    [0.470142064105115, 0.470142064105115, 0.059715871789770],
-                ]
-            ),
-            np.array(
-                [
-                    0.225,
-                    0.125939180544827,
-                    0.125939180544827,
-                    0.125939180544827,
-                    0.132394152788506,
-                    0.132394152788506,
-                    0.132394152788506,
-                ]
-            ),
-        ),
     },
 }
-_read_only(*(arr for rule in QUADRATURE_RULES[2].values() for arr in rule))
+_read_only(*(arr for rules in QUADRATURE_RULES.values() for rule in rules.values() for arr in rule))
 # the rule and the CG stopping tolerance (relative residual) the solver
 # always uses; only an error evaluation may pick another rule
 DEFAULT_QUAD_ORDER = 3
 DEFAULT_TOL = 1e-12
-# the largest interval mesh whose sine basis applies the transform as a
-# dense matrix product instead of dst1
-_DENSE_SINE_MAX_MS = 256
 # elements per block of every element loop (Cuvelier, Japhet, Scarella 2016)
 _ELEMENT_BLOCK = 4096
 
@@ -319,11 +250,8 @@ class SineBasis:
     4 sin^2(k pi / (2 Ms)) to keep the digits of the low modes, and
     h = (b - a) / Ms, T diagonalizes the mass h/6 (1, 4, 1), symbols
     h/6 (4 + 2 c_k), and the stiffness (1/h) (-1, 2, -1), symbols s_k / h
-    (Buzbee, Golub and Nielson 1970).  Up to _DENSE_SINE_MAX_MS elements T
-    is a product with the dense sine matrix S, since dst1 costs several us
-    per call in numpy's FFT wrapper (9 against 30 us at Ms = 128, 109
-    against 30 at Ms = 512); larger meshes call dst1 and keep no Ms^2
-    matrix.
+    (Buzbee, Golub and Nielson 1970).  T is dst1 there, and the basis keeps
+    no Ms^2 matrix.
 
     On the unit square T maps the row-major (Ms-1) x (Ms-1) grid X to
     S X S^T, the modes in odd-then-even order.  The stiffness has symbols
@@ -333,8 +261,8 @@ class SineBasis:
     Shat E Shat^T takes four pairs of half-size products (0.31 ms at
     Ms = 182 against 0.37 ms for the dense one; 2 vCPUs).
 
-    Attributes (read-only): sine, S with its rows in mode order, or None
-    where dst1 is used; mass_symbol and stiffness_symbol, the diagonals of
+    Attributes (read-only): sine, S with its rows in mode order in 2D, None
+    in 1D; mass_symbol and stiffness_symbol, the diagonals of
     T M T^T and T A T^T, flattened in 2D; block, B in 2D, None in 1D.
     Raises ValueError on a mesh that is not build_spatial_mesh's grid, whose
     systems T does not diagonalize.
@@ -350,16 +278,15 @@ class SineBasis:
         k = j if domain[0] == "interval" else np.concatenate([j[::2], j[1::2]])
         c = np.cos(k * math.pi / ms)
         s = 4.0 * np.sin(k * (0.5 * math.pi / ms)) ** 2
-        self.sine = self.block = None
-        if domain[0] == "unit_square" or ms <= _DENSE_SINE_MAX_MS:
-            # reducing j * k mod 2 Ms first keeps each entry within about
-            # one ulp: S @ S - I is 2e-15 at Ms = 182, 8e-15 unreduced
-            self.sine = math.sqrt(2.0 / ms) * np.sin(np.pi * (np.outer(k, j) % (2 * ms)) / ms)
         if domain[0] == "interval":
             h = (domain[2] - domain[1]) / ms
+            self.sine = self.block = None
             self.mass_symbol = h / 6.0 * (4.0 + 2.0 * c)
             self.stiffness_symbol = s / h
         else:
+            # reducing j * k mod 2 Ms first keeps each entry within about
+            # one ulp: S @ S - I is 2e-15 at Ms = 182, 8e-15 unreduced
+            self.sine = math.sqrt(2.0 / ms) * np.sin(np.pi * (np.outer(k, j) % (2 * ms)) / ms)
             ci, cj = c[:, None], c[None, :]
             self.mass_symbol = ((6.0 + 2.0 * ci + 2.0 * cj + 2.0 * ci * cj) / (12 * ms**2)).ravel()
             self.stiffness_symbol = (s[:, None] + s[None, :]).ravel()
@@ -371,15 +298,15 @@ class SineBasis:
 
     def to_sine(self, x):
         """The sine coefficients T x of the nodal coefficients x."""
-        if self.block is not None:
-            return (self.sine @ x.reshape(self.sine.shape) @ self.sine.T).ravel()
-        return dst1(x) if self.sine is None else self.sine @ x
+        if self.block is None:
+            return dst1(x)
+        return (self.sine @ x.reshape(self.sine.shape) @ self.sine.T).ravel()
 
     def from_sine(self, e):
         """The nodal coefficients T^T e; the 1D T is symmetric."""
-        if self.block is not None:
-            return (self.sine.T @ e.reshape(self.sine.shape) @ self.sine).ravel()
-        return self.to_sine(e)
+        if self.block is None:
+            return dst1(e)
+        return (self.sine.T @ e.reshape(self.sine.shape) @ self.sine).ravel()
 
     def _fold(self, e, out=None):
         """Shat E Shat^T for the grid E of sine coefficients, by blocks,

@@ -197,7 +197,7 @@ def initialize(spec, tmesh, smesh):
     ubar[0] = u0
     u1_level = u0 + tmesh.tau[0] * phu1
     ubar[1] = u1_level - tmesh.t[1] * phu1
-    d11 = l1_row(tmesh, spec.beta, 1).d[0]
+    d11 = l1_row(tmesh, spec.beta, 1)[0]
     v[1] = d11 * (ubar[1] - ubar[0])
 
     return SolverState(
@@ -285,7 +285,7 @@ def _history_sums(state, n):
         _far_sums(state, lo)
     # in history order from j = lo - 1, row[i] = d_{n,n-lo+1-i}, so
     # w_j = row[j-lo] - row[j-lo+1] for lo <= j < n and row[-1] = d_{n,1}
-    row = l1_row(state.tmesh, state.spec.beta, n, n - lo + 1).d[::-1]
+    row = l1_row(state.tmesh, state.spec.beta, n, n - lo + 1)[::-1]
     near = row[:-1] - row[1:]
     g_hist = state.v[n] + near @ state.v[lo:n]
     h_hist = state.ubar[n] + near @ state.ubar[lo:n]

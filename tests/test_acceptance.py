@@ -322,7 +322,7 @@ def _suite_complementarity(failures):
     for r in (1.0, 2.0, 2.6):
         mesh = build_graded_mesh(1.0, 20, r)
         tri = kernel_triangle(mesh, beta)
-        d = [l1_row(mesh, beta, n).d for n in range(1, 21)]
+        d = [l1_row(mesh, beta, n) for n in range(1, 21)]
         for n in range(1, 21):
             q = tri[n - 1]
             for k in range(1, n + 1):

@@ -27,8 +27,8 @@ def uniform_mesh(T, N):
 
 def test_l1_row_uniform_unit_step():
     row = l1_row(uniform_mesh(2.0, 2), 0.5, 2)
-    assert row.d[0] == pytest.approx(1.1283791670955126, rel=1e-14)
-    assert row.d[1] == pytest.approx(0.46738995451021814, rel=1e-14)
+    assert row[0] == pytest.approx(1.1283791670955126, rel=1e-14)
+    assert row[1] == pytest.approx(0.46738995451021814, rel=1e-14)
 
 
 def test_l1_row_first_level_formula():
@@ -36,14 +36,14 @@ def test_l1_row_first_level_formula():
     for beta in (0.3, 0.5, 0.75, 0.9):
         row = l1_row(mesh, beta, 1)
         expected = mesh.tau[0] ** (-beta) / math.gamma(2.0 - beta)
-        assert row.d[0] == pytest.approx(expected, rel=1e-13)
+        assert row[0] == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
 def test_l1_row_positive_and_decreasing(r):
     mesh = build_graded_mesh(1.0, 12, r)
     for n in (1, 3, 7, 12):
-        d = l1_row(mesh, 0.6, n).d
+        d = l1_row(mesh, 0.6, n)
         assert np.all(d > 0)
         assert np.all(np.diff(d) < 0) or n == 1
 
@@ -60,7 +60,7 @@ def test_l1_rows_block_equals_l1_row_bit_for_bit(N):
         d = l1_rows(mesh, beta, lo, hi)
         assert d.shape == (hi - lo, hi - 1)
         for i, m in enumerate(range(lo, hi)):
-            np.testing.assert_array_equal(d[i, :m][::-1], l1_row(mesh, beta, m).d)
+            np.testing.assert_array_equal(d[i, :m][::-1], l1_row(mesh, beta, m))
             assert not d[i, m:].any()
 
 
@@ -69,14 +69,14 @@ def test_truncated_l1_row_is_the_full_row_head_bit_for_bit(N):
     beta = 0.7
     mesh = build_graded_mesh(1.0, N, recommended_grading(beta))
     for n in range(1, N + 1):
-        full = l1_row(mesh, beta, n).d
+        full = l1_row(mesh, beta, n)
         # every count n - lo + 1 the solver asks for (lo the start of the
         # block of 16 levels holding n), and every count up to the full row
         for count in range(1, n + 1):
             row = l1_row(mesh, beta, n, count)
-            assert row.n == n and row.d.shape == (count,)
-            assert not row.d.flags.writeable
-            np.testing.assert_array_equal(row.d, full[:count])
+            assert row.shape == (count,)
+            assert not row.flags.writeable
+            np.testing.assert_array_equal(row, full[:count])
         for count in (0, -1, n + 1):
             with pytest.raises(ValueError, match="count"):
                 l1_row(mesh, beta, n, count)
@@ -206,7 +206,7 @@ def test_kernel_complementarity_identity(r):
     beta = 0.6
     mesh = build_graded_mesh(1.0, 20, r)
     tri = kernel_triangle(mesh, beta)
-    d = [l1_row(mesh, beta, j).d for j in range(1, 21)]
+    d = [l1_row(mesh, beta, j) for j in range(1, 21)]
     for n in range(1, 21):
         q = tri[n - 1]
         for k in range(1, n + 1):

@@ -336,21 +336,72 @@ def test_load_matches_analytic_hat_integrals():
     np.testing.assert_allclose(vec, expected, rtol=1e-9)
 
 
+def _barycentric_integral(alpha, d):
+    """The mean of the barycentric monomial lambda^alpha over a d-simplex K:
+    int_K lambda^alpha = d! |K| alpha! / (|alpha| + d)!."""
+    alpha_factorial = math.prod(map(math.factorial, alpha))
+    return math.factorial(d) * alpha_factorial / math.factorial(sum(alpha) + d)
+
+
+def _exact_quadratic_load(mesh, g):
+    """(g, phi_i) for a quadratic g, in closed form: on each element g in its
+    barycentric Lagrange form, sum over vertices s of g(p_s) lambda_s
+    (2 lambda_s - 1) plus sum over edges st of 4 g(m_st) lambda_s lambda_t,
+    times the hat lambda_r, integrated monomial by monomial."""
+    nv = mesh.dimension + 1
+    unit = np.eye(nv, dtype=int)
+    points = mesh.vertices.reshape(mesh.vertices.shape[0], -1)
+    vec = np.zeros(mesh.vertices.shape[0])
+    for nodes, measure in zip(mesh.elements, mesh.measure):
+        p = points[nodes]
+        # (exponents alpha, coefficient) of the Lagrange form
+        terms = []
+        for s in range(nv):
+            terms += [(2 * unit[s], 2.0 * g(*p[s])), (unit[s], -g(*p[s]))]
+        for s in range(nv):
+            for t in range(s + 1, nv):
+                terms.append((unit[s] + unit[t], 4.0 * g(*(0.5 * (p[s] + p[t])))))
+        for r in range(nv):
+            vec[nodes[r]] += measure * sum(
+                c * _barycentric_integral(alpha + unit[r], mesh.dimension) for alpha, c in terms
+            )
+    return vec[mesh.interior_nodes]
+
+
 def test_load_quadrature_exact_for_polynomials():
     square = build_spatial_mesh(("unit_square",), 3)
     g = lambda x, y: 1.0 + x * y - 2.0 * y**2
     np.testing.assert_allclose(
-        assemble_load(square, g, quad_order=3),
-        assemble_load(square, g, quad_order=7),
-        rtol=1e-14,
+        assemble_load(square, g, quad_order=3), _exact_quadratic_load(square, g), rtol=1e-14
     )
+    # the hat at x_i against a cubic p: h p(x_i) + h^3 p''(x_i) / 12
     interval = build_spatial_mesh(("interval", 0.0, 1.0), 4)
+    h = 0.25
     p = lambda x: x**3 - x
+    xi = interval.vertices[interval.interior_nodes]
     np.testing.assert_allclose(
-        assemble_load(interval, p, quad_order=3),
-        assemble_load(interval, p, quad_order=7),
-        rtol=1e-14,
+        assemble_load(interval, p, quad_order=3), h * p(xi) + h**3 * 6.0 * xi / 12.0, rtol=1e-14
     )
+
+
+@pytest.mark.parametrize(
+    "dimension, npoints, degree", [(1, 1, 1), (1, 3, 5), (2, 1, 1), (2, 3, 2)]
+)
+def test_quadrature_rule_is_exact_to_its_degree(dimension, npoints, degree):
+    lam, w = QUADRATURE_RULES[dimension][npoints]
+    assert lam.shape == (npoints, dimension + 1) and w.shape == (npoints,)
+    assert not lam.flags.writeable and not w.flags.writeable
+    np.testing.assert_allclose(lam.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    assert w.sum() == pytest.approx(1.0, rel=0, abs=1e-15)
+    # every barycentric monomial lambda^alpha with |alpha| <= degree
+    for alpha in np.ndindex(*(degree + 1,) * (dimension + 1)):
+        if sum(alpha) <= degree:
+            mean = w @ np.prod(lam**np.array(alpha), axis=1)
+            assert mean == pytest.approx(_barycentric_integral(alpha, dimension), rel=0, abs=1e-15)
+    mesh = build_spatial_mesh(("interval", 0.0, 1.0) if dimension == 1 else ("unit_square",), 4)
+    for missing in (2, 7):
+        with pytest.raises(ValueError, match="available: \\[1, 3\\]"):
+            mesh.quadrature(missing)
 
 
 def test_tri_rule_rejects_unavailable_order():
@@ -582,8 +633,9 @@ def test_l2_error_second_order_for_interpolant():
 def test_grad_load_matches_integration_by_parts():
     # (grad sin, grad phi_i) = (sin, phi_i) on (0, pi) interior hats
     mesh = build_spatial_mesh(("interval", 0.0, math.pi), 48)
+    h = math.pi / 48
     lhs = assemble_grad_load(mesh, np.cos)
-    rhs = assemble_load(mesh, np.sin, quad_order=5)
+    rhs = np.sin(mesh.vertices[mesh.interior_nodes]) * 2.0 * (1.0 - math.cos(h)) / h
     np.testing.assert_allclose(lhs, rhs, atol=1e-6)
 
 
@@ -1075,28 +1127,29 @@ def test_mass_is_mhat_plus_one_kronecker_term_that_folds_by_parity(ms):
 
 def test_gauss_rules_equal_leggauss_bit_for_bit():
     rules = QUADRATURE_RULES[1]
-    assert list(rules) == list(range(1, 8))
+    assert list(rules) == [1, 3]
     for npoints, (lam, w) in rules.items():
         nodes, weights = np.polynomial.legendre.leggauss(npoints)
         assert np.array_equal(lam[:, 1], 0.5 * (nodes + 1.0))
         assert np.array_equal(lam[:, 0], 1.0 - 0.5 * (nodes + 1.0))
         assert np.array_equal(w, 0.5 * weights)
-        assert rules[npoints] is rules[npoints] and not lam.flags.writeable
-    for missing in (0, 8):
+        assert not lam.flags.writeable and not w.flags.writeable
+    for missing in (0, 2, 8):
         assert missing not in rules
-        with pytest.raises(ValueError, match="available: \\[1, 2, 3, 4, 5, 6, 7\\]"):
+        with pytest.raises(ValueError, match="available: \\[1, 3\\]"):
             build_spatial_mesh(("interval", 0.0, 1.0), 4).quadrature(missing)
 
 
 _NO_POLYNOMIAL_SCRIPT = """
 import sys
-from fracwave.mms_harness import example2_case, run_single_case
+from fracwave.mms_harness import example1_case, example2_case, run_single_case
+run_single_case(example1_case(1.5), 4, 8)
 run_single_case(example2_case(1.5), 4, 8)
 print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
 """
 
 
-def test_a_2d_run_never_imports_numpy_polynomial():
+def test_no_run_imports_numpy_polynomial():
     import os
     import subprocess
     import sys
@@ -1122,11 +1175,10 @@ def test_interval_preconditioner_is_the_exact_inverse(ms):
     # (a M + b A) y = r to rounding: the normwise backward error
     # |r - S y| / (|S| |y| + |r|) in the max norm stays below 1e-12 (the
     # element lengths of a (0, pi) mesh differ from h by up to 1e-13);
-    # 256 and 257 straddle the switch from the sine matrix to dst1
+    # T is dst1 at every size, with no sine matrix
     mesh = build_spatial_mesh(("interval", 0.0, math.pi), ms)
     basis = mesh.sine_basis
-    assert (basis.sine is not None) == (ms <= fem_space._DENSE_SINE_MAX_MS)
-    assert basis.block is None
+    assert basis.sine is None and basis.block is None
     rng = np.random.default_rng(ms)
     for a, b in [(1.0, 0.0), (0.0, 1.0), (6.0, 0.2), (1e4, 1e-4), (1e-4, 1e4)]:
         system = _band_system(mesh, a, b)

@@ -37,7 +37,7 @@ from fracwave.mms_harness import example1_case, example2_case, run_single_case
 
 def direct_history_sums(state, n):
     """The unblocked reference: one full L1 row contracted with each history."""
-    d = l1_row(state.tmesh, state.spec.beta, n).d
+    d = l1_row(state.tmesh, state.spec.beta, n)
     weights = np.empty(n)
     weights[0] = -d[n - 1]
     weights[1:] = np.diff(d)[::-1]
@@ -210,7 +210,7 @@ def test_system_matrix_positive_definite_spot_check():
     tmesh = build_graded_mesh(1.0, 8, 2.0)
     smesh = build_spatial_mesh(case.domain, 12)
     state = solve_all(case.problem_spec(), tmesh, smesh)
-    d1 = l1_row(tmesh, 0.75, 5).d[0]
+    d1 = l1_row(tmesh, 0.75, 5)[0]
     c = state.kappa[5] / d1
     mass, stiffness = assemble_mass(smesh), assemble_stiffness(smesh)
     rng = np.random.default_rng(4)
@@ -241,7 +241,7 @@ def test_step_operator_is_the_transformed_mass_stiffness_sum(case, ms, monkeypat
     spread = np.abs(smesh.measure / smesh.measure.mean() - 1.0).max()
     assert len(seen) == 3
     for n, (operator, precond) in zip(range(2, 5), seen):
-        d1 = l1_row(tmesh, case.alpha / 2, n).d[0]
+        d1 = l1_row(tmesh, case.alpha / 2, n)[0]
         c = state.kappa[n] / d1
         for _ in range(3):
             e = rng.standard_normal(smesh.num_interior)
@@ -614,13 +614,13 @@ def test_a_run_below_the_soe_threshold_is_the_dense_run_bit_for_bit(example, alp
 
 @pytest.mark.parametrize("ms", [256, 257])
 def test_1d_runs_take_one_cg_iteration_on_both_sides_of_the_dense_sine_size(ms):
-    from fracwave import fem_space
-
-    # the sine matrix up to 256 elements, dst1 from 257
-    assert fem_space._DENSE_SINE_MAX_MS == 256
+    # 256 elements was the largest mesh with a dense sine matrix; every 1D mesh
+    # now runs in the dst1 basis, and both sides still take one CG iteration
     case = example1_case(1.5)
     tmesh = build_graded_mesh(case.T, 40, recommended_grading(0.75))
-    state = solve_all(case.problem_spec(), tmesh, build_spatial_mesh(case.domain, ms))
+    smesh = build_spatial_mesh(case.domain, ms)
+    state = solve_all(case.problem_spec(), tmesh, smesh)
+    assert smesh.sine_basis.sine is None
     assert state.cg_iters == [1] * 39
 
 
@@ -643,7 +643,7 @@ def test_partial_run_history_matches_the_direct_contraction(monkeypatch):
         # rows 21..33 of the open block hold far sums; the rows past it are untouched
         assert not got[34:].any()
     # the far sums of level 21 are its direct sums without the near levels 18..20
-    d = l1_row(tmesh, spec.beta, 21).d
+    d = l1_row(tmesh, spec.beta, 21)
     far = np.concatenate(([-d[20]], np.diff(d)[::-1][:17]))
     np.testing.assert_allclose(blocked.v[21], far @ direct.v[:18], rtol=1e-12, atol=1e-15)
 
