@@ -129,32 +129,30 @@ def discrete_caputo(d, history):
     return out
 
 
-def _l1_table(mesh, beta, n):
-    """All rows d_{i,.} for i = 1..n as a list of arrays."""
-    d = l1_rows(mesh, beta, 1, n + 1)
-    return [d[i, i::-1] for i in range(n)]
+def _back_substitute(d, n):
+    """Q^{(n)}_j, j = 0..n-1, from d = l1_rows(mesh, beta, 1, m + 1), m >= n,
+    whose entry d[i - 1, j] is d_{i,i-j}."""
+    q = np.zeros(n)
+    q[0] = 1.0 / d[n - 1, n - 1]
+    for i in range(n - 1, 0, -1):
+        s = 0.0
+        for k in range(i + 1, n + 1):
+            s += (d[k - 1, i] - d[k - 1, i - 1]) * q[n - k]
+        q[n - i] = s / d[i - 1, i - 1]
+    q.flags.writeable = False
+    return q
 
 
-def complementary_kernels(mesh, beta, n, _table=None):
+def complementary_kernels(mesh, beta, n):
     """Complementary kernels Q^{(n)}_j, j = 0..n-1, at level n.
 
     The kernels invert the L1 convolution in the summation-by-parts sense:
     sum_{j=k}^{n} Q^{(n)}_{n-j} d_{j,j-k+1} = 1 for every 1 <= k <= n.
-    Returned as q with q[j] = Q^{(n)}_j.
+    Returned as q with q[j] = Q^{(n)}_j; beta is checked by l1_rows.
     """
-    _check_beta(beta)
     if n < 1 or n > mesh.N:
         raise ValueError(f"level must satisfy 1 <= n <= N={mesh.N}, got {n}")
-    rows = _table if _table is not None else _l1_table(mesh, beta, n)
-    q = np.zeros(n)
-    q[0] = 1.0 / rows[n - 1][0]
-    for i in range(n - 1, 0, -1):
-        s = 0.0
-        for k in range(i + 1, n + 1):
-            s += (rows[k - 1][k - i - 1] - rows[k - 1][k - i]) * q[n - k]
-        q[n - i] = s / rows[i - 1][0]
-    q.flags.writeable = False
-    return q
+    return _back_substitute(l1_rows(mesh, beta, 1, n + 1), n)
 
 
 def kernel_triangle(mesh, beta, n_max=None):
@@ -166,11 +164,8 @@ def kernel_triangle(mesh, beta, n_max=None):
     n_max = mesh.N if n_max is None else int(n_max)
     if n_max < 1 or n_max > mesh.N:
         raise ValueError(f"n_max must satisfy 1 <= n_max <= N={mesh.N}")
-    table = _l1_table(mesh, beta, n_max)
-    return tuple(
-        complementary_kernels(mesh, beta, n, _table=table)
-        for n in range(1, n_max + 1)
-    )
+    d = l1_rows(mesh, beta, 1, n_max + 1)
+    return tuple(_back_substitute(d, n) for n in range(1, n_max + 1))
 
 
 def exact_caputo_power(sigma, order, t):

@@ -38,6 +38,7 @@ from .caputo_l1 import truncation_study
 from .graded_time import build_graded_mesh, gronwall_step_condition, recommended_grading
 from .kirchhoff_solver import apriori_bound_report, solve_all
 from .mms_harness import (
+    CASES,
     ReportRow,
     coupled_ms,
     coupled_n,
@@ -111,7 +112,7 @@ class RunConfig:
     """One field per key: its parser, the rule its entries obey, its default."""
 
     command: str = _key(str, lambda c: c in COMMANDS, "be one of " + ", ".join(COMMANDS))
-    example: str = _key(str, lambda e: e in ("ex1", "ex2"), "be ex1 or ex2", "ex1")
+    example: str = _key(str, lambda e: e in CASES, "be one of " + ", ".join(CASES), "ex1")
     alpha: list = _key(_FLOATS, lambda a: 1 < a < 2, "lie in (1, 2)", list)
     N: list = _key(_INTS, lambda n: n >= 2, "be >= 2", list)
     Ms: list = _key(_INTS, lambda n: n >= 2, "be >= 2", list)

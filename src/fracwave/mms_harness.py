@@ -1,16 +1,19 @@
 """Manufactured solutions, mesh couplings and single-case runs.
 
-Both built-in cases share the temporal factor g(t) = t**3 + t**alpha, whose
-Caputo derivative of order alpha is known in closed form, and the nonlocal
-coefficient a(w) = 3 + sin(w).  Initial displacement and velocity vanish,
-so the recovered and shifted trajectories coincide and the forcing is the
-only data.  Errors are measured in the H1 seminorm at every level and
-reduced with max, matching the L-infinity-in-time estimate the scheme
-satisfies.  Refinement couples the meshes so one error component cannot
-mask the other: temporal studies set Ms ~ N**(2-beta) (coupled_ms),
-spatial studies set N ~ Ms**(2/(2-beta)) (coupled_n).  The study driver
-itself, which plans the refinements, runs them through run_single_case
-and attaches the observed orders, is fracwave.cli.
+Every built-in case is separable, u = (t**3 + t**alpha) s(x[, y]), with
+the nonlocal coefficient a(w) = 3 + sin(w); the Caputo derivative of the
+temporal factor is known in closed form.  One constructor, _separable_case,
+builds a case from its domain, its shape s and the shape's gradient and
+negative Laplacian, and CASES names the cases, so a new case is one entry
+there.  Initial displacement and velocity vanish, so the recovered and
+shifted trajectories coincide and the forcing is the only data.  Errors
+are measured in the H1 seminorm at every level and reduced with max,
+matching the L-infinity-in-time estimate the scheme satisfies.
+Refinement couples the meshes so one error component cannot mask the
+other: temporal studies set Ms ~ N**(2-beta) (coupled_ms), spatial
+studies set N ~ Ms**(2/(2-beta)) (coupled_n).  The study driver itself,
+which plans the refinements, runs them through run_single_case and
+attaches the observed orders, is fracwave.cli.
 """
 
 import math
@@ -39,16 +42,18 @@ class ManufacturedCase:
     (c_k, phi_k) pairs, f = sum over k of c_k(t) phi_k(x[, y]), and the
     gradient as grad_parts = (g, grad_shape), grad u = g(t) grad_shape(x[, y])
     with grad_shape returning an array (stacked per axis in 2D).  The
-    methods f and grad_u evaluate them pointwise at (x[, y], t).
+    methods f and grad_u evaluate them pointwise at (x[, y], t).  Every
+    case runs to T = 1, and its coefficient a takes values in [m1, m2].
     """
+
+    T = 1.0
+    m1 = 2.0
+    m2 = 4.0
 
     name: str
     alpha: float
-    T: float
     domain: tuple
     a: object
-    m1: float
-    m2: float
     u: object
     lap_u: object
     caputo_u: object
@@ -67,18 +72,20 @@ class ManufacturedCase:
         return g(t) * grad_shape(*x)
 
     def problem_spec(self):
-        return ProblemSpec(
-            alpha=self.alpha,
-            T=self.T,
-            domain=self.domain,
-            a=self.a,
-            m1=self.m1,
-            m2=self.m2,
-            f=self.forcing,
-        )
+        return ProblemSpec(alpha=self.alpha, T=self.T, domain=self.domain, a=self.a,
+                           m1=self.m1, m2=self.m2, f=self.forcing)
 
 
-def _temporal_factor(alpha):
+def _separable_case(name, alpha, domain, shape, grad_shape, minus_lap_shape, ell_of):
+    """The case u = g(t) shape(x[, y]), g(t) = t**3 + t**alpha, a(w) = 3 + sin(w).
+
+    grad_shape and minus_lap_shape are the gradient and the negative
+    Laplacian of shape, and ell_of(g(t)) = g(t)**2 |grad shape|^2_L2 is
+    ||grad u||^2.  Where minus_lap_shape is shape itself the forcing is one
+    (c, shape) pair, so a level assembles one load; else one pair per term.
+    """
+    if not 1 < alpha < 2:
+        raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
     c3 = 6.0 / math.gamma(4.0 - alpha)
 
     def g(t):
@@ -87,64 +94,53 @@ def _temporal_factor(alpha):
     def caputo_time(t):
         return c3 * t ** (3.0 - alpha) + math.gamma(alpha + 1.0)
 
-    return g, caputo_time
-
-
-def example1_case(alpha):
-    """1D case: u = (t**3 + t**alpha) sin(x) on (0, pi), a(w) = 3 + sin(w)."""
-    if not 1 < alpha < 2:
-        raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
-    g, caputo_time = _temporal_factor(alpha)
-
     def a(w):
         return 3.0 + math.sin(w)
 
     def ell(t):
-        return 0.5 * math.pi * g(t) ** 2
+        return ell_of(g(t))
 
-    def u(x, t):
-        return g(t) * np.sin(x)
+    def u(*args):
+        *x, t = args
+        return g(t) * shape(*x)
 
-    def lap_u(x, t):
-        return -g(t) * np.sin(x)
+    def lap_u(*args):
+        *x, t = args
+        return -g(t) * minus_lap_shape(*x)
 
-    def caputo_u(x, t):
-        return caputo_time(t) * np.sin(x)
+    def caputo_u(*args):
+        *x, t = args
+        return caputo_time(t) * shape(*x)
 
-    def forcing_time(t):
-        return caputo_time(t) + a(ell(t)) * g(t)
+    def diffusion_time(t):
+        return a(ell(t)) * g(t)
 
+    forcing = ((caputo_time, shape), (diffusion_time, minus_lap_shape))
+    if minus_lap_shape is shape:
+        forcing = ((lambda t: caputo_time(t) + diffusion_time(t), shape),)
     return ManufacturedCase(
-        name="ex1",
+        name=name,
         alpha=float(alpha),
-        T=1.0,
-        domain=("interval", 0.0, math.pi),
+        domain=domain,
         a=a,
-        m1=2.0,
-        m2=4.0,
         u=u,
         lap_u=lap_u,
         caputo_u=caputo_u,
         caputo_time=caputo_time,
         ell=ell,
-        forcing=((forcing_time, np.sin),),
-        grad_parts=(g, np.cos),
+        forcing=forcing,
+        grad_parts=(g, grad_shape),
     )
+
+
+def example1_case(alpha):
+    """1D case: u = (t**3 + t**alpha) sin(x) on (0, pi), a(w) = 3 + sin(w)."""
+    return _separable_case("ex1", alpha, ("interval", 0.0, math.pi), np.sin, np.cos, np.sin,
+                           lambda g: 0.5 * math.pi * g**2)
 
 
 def example2_case(alpha):
     """2D case: u = (t**3 + t**alpha)(x - x^2)(y - y^2) on the unit square."""
-    if not 1 < alpha < 2:
-        raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
-    g, caputo_time = _temporal_factor(alpha)
-
-    def a(w):
-        return 3.0 + math.sin(w)
-
-    def ell(t):
-        # int |grad (x-x^2)(y-y^2)|^2 over the unit square is 1/45
-        return g(t) ** 2 / 45.0
-
     def shape(x, y):
         return (x - x**2) * (y - y**2)
 
@@ -154,43 +150,20 @@ def example2_case(alpha):
     def minus_lap_shape(x, y):
         return 2.0 * ((x - x**2) + (y - y**2))
 
-    def u(x, y, t):
-        return g(t) * shape(x, y)
+    # int |grad (x-x^2)(y-y^2)|^2 over the unit square is 1/45
+    return _separable_case("ex2", alpha, ("unit_square",), shape, grad_shape, minus_lap_shape,
+                           lambda g: g**2 / 45.0)
 
-    def lap_u(x, y, t):
-        return -g(t) * minus_lap_shape(x, y)
 
-    def caputo_u(x, y, t):
-        return caputo_time(t) * shape(x, y)
-
-    def diffusion_time(t):
-        return a(ell(t)) * g(t)
-
-    return ManufacturedCase(
-        name="ex2",
-        alpha=float(alpha),
-        T=1.0,
-        domain=("unit_square",),
-        a=a,
-        m1=2.0,
-        m2=4.0,
-        u=u,
-        lap_u=lap_u,
-        caputo_u=caputo_u,
-        caputo_time=caputo_time,
-        ell=ell,
-        forcing=((caputo_time, shape), (diffusion_time, minus_lap_shape)),
-        grad_parts=(g, grad_shape),
-    )
+# the built-in cases by short name; a new case is one entry here
+CASES = {"ex1": example1_case, "ex2": example2_case}
 
 
 def get_case(name, alpha):
     """Look up a built-in case by its short name."""
-    if name == "ex1":
-        return example1_case(alpha)
-    if name == "ex2":
-        return example2_case(alpha)
-    raise ValueError(f"unknown example {name!r}; available: ex1, ex2")
+    if name not in CASES:
+        raise ValueError(f"unknown example {name!r}; available: {', '.join(CASES)}")
+    return CASES[name](alpha)
 
 
 @dataclass

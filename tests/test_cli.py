@@ -81,6 +81,12 @@ def test_parse_rejects_and_names_offender(line, key):
         parse_config(line)
 
 
+def test_an_unknown_example_names_every_available_one():
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config("command=solve example=ex3 alpha=1.5 N=4")
+    assert str(excinfo.value) == "example must be one of ex1, ex2, got 'ex3'"
+
+
 def test_parse_rejects_unknown_and_duplicate_keys():
     with pytest.raises(ConfigError, match="mesh"):
         parse_config("command=solve alpha=1.5 N=4 mesh=fine")

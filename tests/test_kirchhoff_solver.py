@@ -586,10 +586,14 @@ def test_the_soe_is_built_at_the_first_far_block():
     assert state.soe[2].shape == (2, state.n_exp, 7)
 
 
-@pytest.mark.parametrize("N, Ms", [(4096, 128), (1922, 64)])
-def test_a_long_run_matches_the_dense_run_within_1e_10(N, Ms, monkeypatch):
-    # ex1 alpha = 1.8 as in the spatial study; measured 2.3e-12 and 1.4e-13
-    case = example1_case(1.8)
+@pytest.mark.parametrize(
+    "alpha, N, Ms", [(1.8, 4096, 128), (1.8, 1922, 64), (1.02, 4096, 16)],
+    ids=["4096-128", "1922-64", "alpha1.02-4096-16"],
+)
+def test_a_long_run_matches_the_dense_run_within_1e_10(alpha, N, Ms, monkeypatch):
+    # ex1 alpha = 1.8 as in the spatial study, measured 2.3e-12 and 1.4e-13;
+    # alpha = 1.02 (beta = 0.51) takes 122 exponentials, measured 4.4e-14
+    case = example1_case(alpha)
     soe = _graded_run(case, N, Ms)
     monkeypatch.setattr(ks, "_SOE_LEVELS_PER_TERM", math.inf)
     dense = _graded_run(case, N, Ms)

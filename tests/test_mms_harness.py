@@ -32,7 +32,9 @@ from fracwave.mms_harness import (
 def test_case_lookup_and_validation():
     assert get_case("ex1", 1.5).name == "ex1"
     assert get_case("ex2", 1.5).name == "ex2"
-    with pytest.raises(ValueError):
+    for name in mms_harness.CASES:
+        assert get_case(name, 1.5).name == name
+    with pytest.raises(ValueError, match="available: ex1, ex2"):
         get_case("ex3", 1.5)
     with pytest.raises(ValueError):
         example1_case(2.0)
@@ -48,6 +50,12 @@ def test_temporal_factor_against_power_rule(alpha):
     for t in (0.1, 0.5, 1.0):
         expected = exact_caputo_power(3.0, alpha, t) + exact_caputo_power(alpha, alpha, t)
         assert case.caputo_time(t) == pytest.approx(expected, rel=1e-13)
+
+
+def test_ex1_has_one_load_per_level_and_ex2_one_per_term():
+    # -Lap sin = sin, so ex1's two terms share one (c, phi) pair
+    assert len(example1_case(1.5).forcing) == 1
+    assert len(example2_case(1.5).forcing) == 2
 
 
 def test_example1_values():
