@@ -155,17 +155,14 @@ def complementary_kernels(mesh, beta, n):
     return _back_substitute(l1_rows(mesh, beta, 1, n + 1), n)
 
 
-def kernel_triangle(mesh, beta, n_max=None):
-    """Complementary kernels for every level 1..n_max, as a tuple of rows.
+def kernel_triangle(mesh, beta):
+    """Complementary kernels for every level 1..N, as a tuple of rows.
 
     Row n - 1 holds Q^{(n)}_j at index j.  All entries are nonnegative and
     the level sums obey sum_j Q^{(n)}_j <= t_n**beta / Gamma(1 + beta).
     """
-    n_max = mesh.N if n_max is None else int(n_max)
-    if n_max < 1 or n_max > mesh.N:
-        raise ValueError(f"n_max must satisfy 1 <= n_max <= N={mesh.N}")
-    d = l1_rows(mesh, beta, 1, n_max + 1)
-    return tuple(_back_substitute(d, n) for n in range(1, n_max + 1))
+    d = l1_rows(mesh, beta, 1, mesh.N + 1)
+    return tuple(_back_substitute(d, n) for n in range(1, mesh.N + 1))
 
 
 def exact_caputo_power(sigma, order, t):

@@ -219,7 +219,7 @@ def _csv_lines(rows, timing):
     return "\n".join(lines) + "\n"
 
 
-def _print_table(rows, value_label="error"):
+def _print_table(rows, value_label):
     header = (
         f"{'alpha':>6} {'N':>6} {'Ms':>6} {'r':>9} "
         f"{value_label:>10} {'oc':>9} {'seconds':>9} {'cg':>5}"

@@ -14,11 +14,12 @@ matrices, stored by their 3 (1D) or 7 (2D) diagonals, and load vectors live
 on the interior unknowns only.  The 2D mesh is the structured triangulation
 of the unit square obtained by cutting each cell of an Ms x Ms grid along
 the same diagonal, giving 2*Ms**2 right triangles.  The discrete Laplacian
-is never formed.  On the uniform grid the mesh's SineBasis T maps the
-mass and stiffness to its symbols (plus one Kronecker term of the 2D mass),
-and every linear system a M + b A is solved by spd_solve on sine
-coefficients T x; the assembled BandMatrix forms remain as the reference
-that those symbols are checked against.
+is never formed.  A SineBasis is built only on a mesh whose arrays equal the
+ones build_spatial_mesh makes for its domain and Ms.  Its T maps the mass
+and stiffness to their symbols (plus one Kronecker term of the 2D mass), and
+every linear system a M + b A is solved by spd_solve on sine coefficients
+T x; the assembled BandMatrix forms remain as the reference that those
+symbols are checked against.
 """
 
 import functools
@@ -215,32 +216,6 @@ class SpatialMesh:
         return SineBasis(self)
 
 
-def _is_uniform_grid(mesh):
-    """Whether the mesh is build_spatial_mesh's grid, checked on its own
-    arrays: per axis the np.linspace coordinates of the domain, x running
-    fastest; the (Ms - 1)^d inner nodes as the only unknowns; and d! Ms^d
-    elements whose node indices span (d - 1)(Ms + 1) + 1, as an interval
-    (j, j + 1) does and a triangle that holds its cell's lower-left to
-    upper-right diagonal."""
-    ms, d = mesh.subdivisions, mesh.dimension
-    if mesh.vertices.size != d * (ms + 1) ** d or mesh.num_interior != (ms - 1) ** d:
-        return False
-    # the span per column: 0.4 ms at Ms = 182, np.ptp over the short axis 4.5 ms
-    nodes = mesh.elements.T
-    span = functools.reduce(np.maximum, nodes) - functools.reduce(np.minimum, nodes)
-    if nodes.shape[1] != math.factorial(d) * ms**d or not (span == (d - 1) * (ms + 1) + 1).all():
-        return False
-    lo, hi = mesh.domain[1:] if d == 1 else (0.0, 1.0)
-    side = np.linspace(lo, hi, ms + 1)
-    grid = mesh.vertices.reshape((ms + 1,) * d + (d,))
-    # x runs fastest: coordinate k varies along grid axis d - 1 - k
-    if not all((grid[..., k] == side.reshape((-1,) + (1,) * k)).all() for k in range(d)):
-        return False
-    # (Ms - 1)^d unknowns and no inner node on the boundary: the unknowns
-    # are the inner nodes
-    return not mesh.boundary.reshape((ms + 1,) * d)[(slice(1, -1),) * d].any()
-
-
 class SineBasis:
     """The orthonormal DST-I basis T of a uniform mesh's interior unknowns,
     in which the solver keeps its state: its symbols, and the fold in 2D,
@@ -264,15 +239,16 @@ class SineBasis:
     Attributes (read-only): sine, S with its rows in mode order in 2D, None
     in 1D; mass_symbol and stiffness_symbol, the diagonals of
     T M T^T and T A T^T, flattened in 2D; block, B in 2D, None in 1D.
-    Raises ValueError on a mesh that is not build_spatial_mesh's grid, whose
-    systems T does not diagonalize.
+    Raises ValueError on a mesh whose arrays are not _grid's for its domain
+    and Ms, whose systems T does not diagonalize.
     """
 
     def __init__(self, mesh):
         ms, domain = mesh.subdivisions, mesh.domain
         if domain[0] not in ("interval", "unit_square"):
             raise ValueError(f"no sine basis on the domain {domain!r}")
-        if not _is_uniform_grid(mesh):
+        if not all(map(np.array_equal, (mesh.vertices, mesh.elements, mesh.boundary),
+                       _grid(domain, ms))):
             raise ValueError(f"no sine basis on a mesh that is not the uniform grid, Ms = {ms}")
         j = np.arange(1, ms)
         k = j if domain[0] == "interval" else np.concatenate([j[::2], j[1::2]])
@@ -340,6 +316,36 @@ class SineBasis:
                 lambda r: np.multiply(inverse, r, out=z))
 
 
+def _grid(domain, ms):
+    """The uniform grid on the domain with Ms elements per direction, as
+    (vertices, elements, boundary).
+
+    On ("interval", a, b): nodes np.linspace(a, b, Ms + 1), element j is
+    (j, j + 1).  On ("unit_square",): the np.linspace(0, 1, Ms + 1) grid,
+    x running fastest, so node j (Ms + 1) + i lies at (x_i, y_j); cell
+    (i, j), numbered j Ms + i, with corners ll, lr, ur, ul counterclockwise
+    from node j (Ms + 1) + i, is cut along its lower-left to upper-right
+    diagonal into triangles 2 (j Ms + i) = (ll, lr, ur) and 2 (j Ms + i) + 1
+    = (ll, ur, ul).  The boundary flags the nodes on the domain's edge.
+    """
+    d = 1 if domain[0] == "interval" else 2
+    boundary = np.ones((ms + 1,) * d, dtype=bool)
+    boundary[(slice(1, -1),) * d] = False
+    if d == 1:
+        vertices = np.linspace(domain[1], domain[2], ms + 1)
+        return vertices, np.column_stack([np.arange(ms), np.arange(1, ms + 1)]), boundary
+    side = np.linspace(0.0, 1.0, ms + 1)
+    vertices = np.empty((ms + 1, ms + 1, 2))
+    vertices[..., 0], vertices[..., 1] = side, side[:, None]
+    v00 = np.arange(ms * (ms + 1), dtype=np.int64).reshape(ms, ms + 1)[:, :ms]
+    cells = np.empty((ms, ms, 6), dtype=np.int64)
+    cells[..., 0] = cells[..., 3] = v00
+    cells[..., 1] = v00 + 1
+    cells[..., 2] = cells[..., 4] = v00 + (ms + 2)
+    cells[..., 5] = v00 + (ms + 1)
+    return vertices.reshape(-1, 2), cells.reshape(-1, 3), boundary.ravel()
+
+
 def build_mesh_1d(a, b, subdivisions):
     """Uniform interval mesh on (a, b) with Ms elements, Ms >= 2."""
     if not b > a:
@@ -347,11 +353,8 @@ def build_mesh_1d(a, b, subdivisions):
     ms = int(subdivisions)
     if ms < 2:
         raise ValueError(f"need at least 2 elements, got {subdivisions}")
-    x = np.linspace(a, b, ms + 1)
-    elements = np.column_stack([np.arange(ms), np.arange(1, ms + 1)])
-    boundary = np.zeros(ms + 1, dtype=bool)
-    boundary[0] = boundary[-1] = True
-    return SpatialMesh(1, x, elements, boundary, ("interval", float(a), float(b)), ms)
+    domain = ("interval", float(a), float(b))
+    return SpatialMesh(1, *_grid(domain, ms), domain, ms)
 
 
 def build_mesh_2d_unit_square(subdivisions):
@@ -359,23 +362,7 @@ def build_mesh_2d_unit_square(subdivisions):
     ms = int(subdivisions)
     if ms < 2:
         raise ValueError(f"need at least 2 elements per direction, got {subdivisions}")
-    side = np.linspace(0.0, 1.0, ms + 1)
-    xg, yg = np.meshgrid(side, side, indexing="xy")
-    vertices = np.column_stack([xg.ravel(), yg.ravel()])
-
-    # cell (i, j), numbered j * ms + i, has lower-left node j * (ms + 1) + i
-    # and gives triangles 2 * cell and 2 * cell + 1
-    j, i = np.divmod(np.arange(ms * ms, dtype=np.int64), ms)
-    v00 = j * (ms + 1) + i
-    v10, v01 = v00 + 1, v00 + ms + 1
-    v11 = v01 + 1
-    elements = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
-    boundary = np.zeros((ms + 1) ** 2, dtype=bool)
-    idx = np.arange((ms + 1) ** 2)
-    i_coord = idx % (ms + 1)
-    j_coord = idx // (ms + 1)
-    boundary[(i_coord == 0) | (i_coord == ms) | (j_coord == 0) | (j_coord == ms)] = True
-    return SpatialMesh(2, vertices, elements, boundary, ("unit_square",), ms)
+    return SpatialMesh(2, *_grid(("unit_square",), ms), ("unit_square",), ms)
 
 
 def build_spatial_mesh(domain, subdivisions):

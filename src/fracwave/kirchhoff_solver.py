@@ -156,7 +156,9 @@ class SolverState:
         return self.soe[0].size if self.soe else 0
 
     def recovered(self, n):
-        """Nodal interior coefficients of the recovered displacement at level n."""
+        """Nodal interior coefficients of the recovered displacement at a solved level n."""
+        if not 0 <= n <= self.n_done:
+            raise ValueError(f"level {n} is not solved; levels 0..n_done = {self.n_done} are")
         return self.smesh.sine_basis.from_sine(self.ubar[n] + self.tmesh.t[n] * self.phu1)
 
 

@@ -1082,6 +1082,8 @@ def test_sine_basis_rejects_a_mesh_off_the_uniform_grid(domain, ms):
         SpatialMesh(grid.dimension, moved, grid.elements, grid.boundary, domain, ms),
         SpatialMesh(grid.dimension, grid.vertices, grid.elements, grid.boundary, domain, 2 * ms),
         _all_node_mesh(grid),
+        # the same elements in reverse order: only the grid's own arrays pass
+        SpatialMesh(grid.dimension, grid.vertices, grid.elements[::-1], grid.boundary, domain, ms),
     ]
     if grid.dimension == 2:
         # every cell cut along its other diagonal, by mirroring the node

@@ -652,6 +652,20 @@ def test_partial_run_history_matches_the_direct_contraction(monkeypatch):
     np.testing.assert_allclose(blocked.v[21], far @ direct.v[:18], rtol=1e-12, atol=1e-15)
 
 
+def test_recovered_refuses_a_level_that_is_not_solved():
+    case = example1_case(1.6)
+    tmesh = build_graded_mesh(case.T, 40, recommended_grading(0.8))
+    state = initialize(case.problem_spec(), tmesh, build_spatial_mesh(case.domain, 16))
+    for n in range(2, 21):
+        step(state, n)
+    # row 21 of ubar holds its far L1 sum, not a displacement
+    assert state.ubar[21].any()
+    assert np.isfinite(state.recovered(20)).all()
+    for bad in (21, 40, -1):
+        with pytest.raises(ValueError, match=rf"level {bad} is not solved.*n_done = 20"):
+            state.recovered(bad)
+
+
 def test_step_order_is_enforced_across_blocks():
     spec = constant_coefficient_spec(lambda x, t: np.ones_like(x))
     tmesh = build_graded_mesh(1.0, 20, 1.5)
