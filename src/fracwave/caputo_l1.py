@@ -143,18 +143,6 @@ def _back_substitute(d, n):
     return q
 
 
-def complementary_kernels(mesh, beta, n):
-    """Complementary kernels Q^{(n)}_j, j = 0..n-1, at level n.
-
-    The kernels invert the L1 convolution in the summation-by-parts sense:
-    sum_{j=k}^{n} Q^{(n)}_{n-j} d_{j,j-k+1} = 1 for every 1 <= k <= n.
-    Returned as q with q[j] = Q^{(n)}_j; beta is checked by l1_rows.
-    """
-    if n < 1 or n > mesh.N:
-        raise ValueError(f"level must satisfy 1 <= n <= N={mesh.N}, got {n}")
-    return _back_substitute(l1_rows(mesh, beta, 1, n + 1), n)
-
-
 def kernel_triangle(mesh, beta):
     """Complementary kernels for every level 1..N, as a tuple of rows.
 

@@ -18,7 +18,10 @@ serial runs are byte-reproducible.
 Every command runs one pipeline: _plan lists its (alpha, N, Ms, r, capped)
 tasks, _run_tasks runs each through _study_task (in a process pool when
 threads= allows) on one BLAS thread, and run attaches the orders and
-formats the rows.
+formats the rows.  Every task but caputo-check's solves its case through
+mms_harness.run_single_case, which returns the row and the finished state:
+the studies keep the row, solve adds the trajectory and bound-report the
+bound, both read from that state.
 """
 
 import ctypes
@@ -35,8 +38,8 @@ from math import inf
 import numpy as np
 
 from .caputo_l1 import truncation_study
-from .graded_time import build_graded_mesh, gronwall_step_condition, recommended_grading
-from .kirchhoff_solver import apriori_bound_report, solve_all
+from .graded_time import gronwall_step_condition, recommended_grading
+from .kirchhoff_solver import apriori_bound_report
 from .mms_harness import (
     CASES,
     ReportRow,
@@ -47,7 +50,6 @@ from .mms_harness import (
     run_single_case,
     trajectory_rows,
 )
-from .fem_space import build_spatial_mesh
 
 # the keys each command reads, each with the (fewest, most) entries it takes
 # (a scalar key holds one entry once set); any other key, such as threads on
@@ -300,9 +302,11 @@ def _study_task(args):
     """Run one planned task of cfg.command on one BLAS thread, so that its
     digits do not depend on the thread count (see _openblas).
 
-    Returns (row, step_ok, levels): step_ok is the step condition of the
-    time mesh for bound-report and solve, levels the trajectory rows for
-    solve; both are None where the command does not report them.  A
+    Returns (row, step_ok, levels).  Every command but caputo-check solves
+    its case once, through run_single_case, and reads step_ok, the step
+    condition of the time mesh (bound-report and solve), and levels, the
+    trajectory rows (solve), from the finished state, which stays in this
+    task; both are None where the command does not report them.  A
     MemoryError names the task.
     """
     cfg, (alpha, N, Ms, r, capped) = args
@@ -317,24 +321,15 @@ def _study_task(args):
             elapsed = time.perf_counter() - start
             return ReportRow(alpha, N, Ms, r, err, seconds=elapsed), None, None
         case = get_case(cfg.example, alpha)
+        row, state = run_single_case(case, N, Ms, r)
+        row.capped = capped
         if cfg.command in REFINED_KEYS:
-            row = run_single_case(case, N, Ms, r)
-            row.capped = capped
             return row, None, None
-        start = time.perf_counter()
-        tmesh = build_graded_mesh(case.T, N, r)
-        smesh = build_spatial_mesh(case.domain, Ms)
-        state = solve_all(case.problem_spec(), tmesh, smesh)
-        elapsed = time.perf_counter() - start
+        ok = gronwall_step_condition(state.tmesh, 0.5 * alpha, 1.0)
         if cfg.command == "solve":
-            levels = trajectory_rows(case, state)
-            error = max(h1 for _, _, h1, _, _ in levels)
-        else:
-            levels, error = None, float(apriori_bound_report(state).max())
-        row = ReportRow(
-            alpha, N, Ms, r, error, seconds=elapsed, cg_iters=max(state.cg_iters, default=0)
-        )
-        return row, gronwall_step_condition(tmesh, 0.5 * alpha, 1.0), levels
+            return row, ok, trajectory_rows(case, state)
+        row.error = float(apriori_bound_report(state).max())
+        return row, ok, None
     except MemoryError as exc:
         raise MemoryError(f"alpha={alpha:g} N={N} Ms={Ms} ran out of memory: {exc}") from None
     finally:

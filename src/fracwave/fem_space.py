@@ -505,13 +505,14 @@ def _interior_sum(mesh, local):
     return vec[mesh.interior_nodes]
 
 
-def assemble_load(mesh, g, quad_order=DEFAULT_QUAD_ORDER):
-    """Load vector (g, phi_i) on the interior unknowns by per-element quadrature.
+def assemble_load(mesh, g):
+    """Load vector (g, phi_i) on the interior unknowns by per-element quadrature
+    under the rule DEFAULT_QUAD_ORDER.
 
     The callable receives one coordinate array per dimension, g(x) in 1D
-    and g(x, y) in 2D.  quad_order counts quadrature points per element.
+    and g(x, y) in 2D.
     """
-    lam, xq, wq = mesh.quadrature(quad_order)
+    lam, xq, wq = mesh.quadrature(DEFAULT_QUAD_ORDER)
 
     def local(blk):
         weighted = (wq[blk] * g(*xq[:, blk])).T
@@ -534,13 +535,13 @@ def _grad_load(mesh, integrals):
     return _interior_sum(mesh, local)
 
 
-def assemble_grad_load(mesh, grad, quad_order=DEFAULT_QUAD_ORDER):
+def assemble_grad_load(mesh, grad):
     """Vector (grad g, grad phi_i) on the interior unknowns.
 
     grad receives one coordinate array per dimension and returns g' in 1D,
     (gx, gy) in 2D.
     """
-    _, xq, wq = mesh.quadrature(quad_order)
+    _, xq, wq = mesh.quadrature(DEFAULT_QUAD_ORDER)
     return _grad_load(
         mesh, lambda blk: [_dot(wq[blk].T, c.T) for c in _axes(grad, xq[:, blk])]
     )
@@ -704,11 +705,11 @@ def ritz_residual(u, grad):
     return _grad_load(mesh, integrals)
 
 
-def l2_error(u, exact, quad_order=DEFAULT_QUAD_ORDER):
+def l2_error(u, exact):
     """L2 norm of u minus a pointwise-evaluable function of one coordinate
     array per dimension."""
     mesh, nodal = u.mesh, u.nodal_values()
-    lam, xq, wq = mesh.quadrature(quad_order)
+    lam, xq, wq = mesh.quadrature(DEFAULT_QUAD_ORDER)
     squares = np.empty(wq.shape)
     for blk in _element_blocks(mesh):
         zs = nodal[mesh.elements[blk]].T

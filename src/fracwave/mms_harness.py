@@ -11,9 +11,11 @@ are measured in the H1 seminorm at every level and reduced with max,
 matching the L-infinity-in-time estimate the scheme satisfies.
 Refinement couples the meshes so one error component cannot mask the
 other: temporal studies set Ms ~ N**(2-beta) (coupled_ms), spatial
-studies set N ~ Ms**(2/(2-beta)) (coupled_n).  The study driver itself,
-which plans the refinements, runs them through run_single_case and
-attaches the observed orders, is fracwave.cli.
+studies set N ~ Ms**(2/(2-beta)) (coupled_n).  run_single_case is the one
+solve path: it returns the error row and the finished state, from which
+trajectory_rows and apriori_bound_report read their diagnostics.  The
+driver that plans the refinements, runs every solve through it and
+attaches the observed orders is fracwave.cli.
 """
 
 import math
@@ -201,8 +203,9 @@ def run_single_case(case, N, Ms, r=None):
     """Solve one (N, Ms) pairing and measure the max-in-time H1 error.
 
     r defaults to the recommended grading.  The solve and the error
-    integral both use the rule DEFAULT_QUAD_ORDER.  Returns a ReportRow
-    without an order entry.
+    integral both use the rule DEFAULT_QUAD_ORDER.  Returns (row, state):
+    a ReportRow without an order entry, its seconds covering the solve and
+    the error, and the finished SolverState for any further report.
     """
     beta = 0.5 * case.alpha
     if r is None:
@@ -213,15 +216,9 @@ def run_single_case(case, N, Ms, r=None):
     state = solve_all(case.problem_spec(), tmesh, smesh)
     worst = max(_h1_errors(case, state)[1:], default=0.0)
     elapsed = time.perf_counter() - start
-    return ReportRow(
-        alpha=case.alpha,
-        N=int(N),
-        Ms=int(Ms),
-        r=float(r),
-        error=worst,
-        seconds=elapsed,
-        cg_iters=max(state.cg_iters, default=0),
-    )
+    row = ReportRow(case.alpha, int(N), int(Ms), float(r), worst, seconds=elapsed,
+                    cg_iters=max(state.cg_iters, default=0))
+    return row, state
 
 
 def observed_order(pairs):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from fracwave.caputo_l1 import (
-    complementary_kernels,
     discrete_caputo,
     exact_caputo_power,
     kernel_triangle,
@@ -197,7 +196,7 @@ def test_discrete_caputo_rejects_wrong_history_length():
 
 def test_kernel_first_level_closed_form():
     mesh = uniform_mesh(1.0, 4)
-    q = complementary_kernels(mesh, 0.5, 1)
+    q = kernel_triangle(mesh, 0.5)[0]
     assert q[0] == pytest.approx(0.44311346272637901, rel=1e-14)
 
 

@@ -289,7 +289,7 @@ def test_output_naming_a_directory_fails_before_any_solve(tmp_path, capsys, monk
     def must_not_run(*args, **kwargs):
         raise AssertionError("a case was solved")
 
-    for name in ("run_single_case", "solve_all", "truncation_study"):
+    for name in ("run_single_case", "truncation_study"):
         monkeypatch.setattr(cli_module, name, must_not_run)
     line = "command=temporal-study example=ex2 alpha=1.5 N=4,8"
     assert main(line.split() + [f"output={tmp_path}"]) == 2
@@ -402,7 +402,7 @@ def test_bound_report_repeated_n_fails_before_any_solve(tmp_path, capsys, monkey
     def must_not_run(*args, **kwargs):
         raise AssertionError("a case was solved")
 
-    monkeypatch.setattr(cli_module, "solve_all", must_not_run)
+    monkeypatch.setattr(cli_module, "run_single_case", must_not_run)
     out = tmp_path / "bound.csv"
     line = ["command=bound-report", "example=ex1", "alpha=1.5", "N=8,8", f"output={out}"]
     assert main(line) == 2
@@ -430,7 +430,7 @@ def test_unread_problem_key_fails_before_any_solve(line, key, tmp_path, capsys, 
     def must_not_run(*args, **kwargs):
         raise AssertionError("a case was solved")
 
-    for name in ("run_single_case", "solve_all", "truncation_study"):
+    for name in ("run_single_case", "truncation_study"):
         monkeypatch.setattr(cli_module, name, must_not_run)
     out = tmp_path / "report.csv"
     assert main(line.split() + [f"output={out}"]) == 2
@@ -481,7 +481,7 @@ def test_entry_count_bounds_fail_before_any_solve(line, message, tmp_path, capsy
     def must_not_run(*args, **kwargs):
         raise AssertionError("a case was solved")
 
-    for name in ("run_single_case", "solve_all", "truncation_study"):
+    for name in ("run_single_case", "truncation_study"):
         monkeypatch.setattr(cli_module, name, must_not_run)
     out = tmp_path / "report.csv"
     assert main(line.split() + [f"output={out}"]) == 2
@@ -540,8 +540,7 @@ def test_histories_beyond_physical_memory_are_refused_before_any_solve(tmp_path,
     def must_not_run(*args, **kwargs):
         raise AssertionError("a case was solved")
 
-    for name in ("run_single_case", "solve_all"):
-        monkeypatch.setattr(cli_module, name, must_not_run)
+    monkeypatch.setattr(cli_module, "run_single_case", must_not_run)
     monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 4)
     # 16 (N + 1) (Ms - 1) bytes: 1,872 at N = 8, Ms = 14 and 8,432 at
     # N = 16, Ms = 32; one task at a time fits in 9,000, two do not
@@ -569,17 +568,19 @@ def test_plan_skips_the_memory_check_where_the_platform_has_no_page_count(monkey
 
 
 @pytest.mark.parametrize(
-    "line, solver",
-    [("command=temporal-study example=ex1 alpha=1.5 N=8,16", "run_single_case"),
-     ("command=solve example=ex2 alpha=1.5 N=8", "solve_all")],
+    "line",
+    ["command=temporal-study example=ex1 alpha=1.5 N=8,16",
+     "command=solve example=ex2 alpha=1.5 N=8",
+     "command=bound-report example=ex1 alpha=1.5 N=8"],
 )
-def test_an_allocation_that_fails_names_its_task(line, solver, tmp_path, capsys, monkeypatch):
+def test_an_allocation_that_fails_names_its_task(line, tmp_path, capsys, monkeypatch):
+    # every command that solves a case solves it through run_single_case
     import fracwave.cli as cli_module
 
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.97 GiB for an array")
 
-    monkeypatch.setattr(cli_module, solver, no_memory)
+    monkeypatch.setattr(cli_module, "run_single_case", no_memory)
     out = tmp_path / "report.csv"
     assert main(line.split() + [f"output={out}"]) == 1
     err = capsys.readouterr().err
@@ -619,9 +620,9 @@ errors = []
 solve = cli.run_single_case
 
 def recording(*args, **kwargs):
-    row = solve(*args, **kwargs)
+    row, state = solve(*args, **kwargs)
     errors.append(repr(row.error))
-    return row
+    return row, state
 
 cli.run_single_case = recording
 out = sys.argv[1]

@@ -372,7 +372,7 @@ def test_load_quadrature_exact_for_polynomials():
     square = build_spatial_mesh(("unit_square",), 3)
     g = lambda x, y: 1.0 + x * y - 2.0 * y**2
     np.testing.assert_allclose(
-        assemble_load(square, g, quad_order=3), _exact_quadratic_load(square, g), rtol=1e-14
+        assemble_load(square, g), _exact_quadratic_load(square, g), rtol=1e-14
     )
     # the hat at x_i against a cubic p: h p(x_i) + h^3 p''(x_i) / 12
     interval = build_spatial_mesh(("interval", 0.0, 1.0), 4)
@@ -380,7 +380,7 @@ def test_load_quadrature_exact_for_polynomials():
     p = lambda x: x**3 - x
     xi = interval.vertices[interval.interior_nodes]
     np.testing.assert_allclose(
-        assemble_load(interval, p, quad_order=3), h * p(xi) + h**3 * 6.0 * xi / 12.0, rtol=1e-14
+        assemble_load(interval, p), h * p(xi) + h**3 * 6.0 * xi / 12.0, rtol=1e-14
     )
 
 
@@ -402,12 +402,6 @@ def test_quadrature_rule_is_exact_to_its_degree(dimension, npoints, degree):
     for missing in (2, 7):
         with pytest.raises(ValueError, match="available: \\[1, 3\\]"):
             mesh.quadrature(missing)
-
-
-def test_tri_rule_rejects_unavailable_order():
-    square = build_spatial_mesh(("unit_square",), 2)
-    with pytest.raises(ValueError):
-        assemble_load(square, lambda x, y: x, quad_order=2)
 
 
 @pytest.mark.parametrize("domain", [("interval", 0.0, 1.0), ("unit_square",)])
@@ -686,7 +680,9 @@ def _reference_l2_error(u, exact, q):
 )
 def test_quadrature_kernels_equal_the_broadcast_formulation_bit_for_bit(domain, ms):
     # the broadcast product, np.sum over the short axis, np.reshape of the
-    # gradient tuple and bincount, as the kernels were first written
+    # gradient tuple and bincount, as the kernels were first written; only
+    # h1_seminorm_error takes a rule other than the default
+    q = fem_space.DEFAULT_QUAD_ORDER
     mesh = build_spatial_mesh(domain, ms)
     case = example1_case(1.5) if mesh.dimension == 1 else example2_case(1.5)
     u = FeFunction(np.random.default_rng(ms).standard_normal(mesh.num_interior), mesh)
@@ -695,14 +691,12 @@ def test_quadrature_kernels_equal_the_broadcast_formulation_bit_for_bit(domain, 
         grad = lambda *x: case.grad_u(*x, t)
         stacked_grad = lambda *x: np.array(case.grad_u(*x, t))
         exact = lambda *x: case.u(*x, t)
-        for q in QUADRATURE_RULES[mesh.dimension]:
-            assert np.array_equal(assemble_load(mesh, f, q), _reference_load(mesh, f, q))
-            for g in (grad, stacked_grad):
-                assert np.array_equal(
-                    assemble_grad_load(mesh, g, q), _reference_grad_load(mesh, g, q)
-                )
-                assert h1_seminorm_error(u, g, q) == _reference_h1_error(u, g, q)
-            assert l2_error(u, exact, q) == _reference_l2_error(u, exact, q)
+        assert np.array_equal(assemble_load(mesh, f), _reference_load(mesh, f, q))
+        for g in (grad, stacked_grad):
+            assert np.array_equal(assemble_grad_load(mesh, g), _reference_grad_load(mesh, g, q))
+            for rule in QUADRATURE_RULES[mesh.dimension]:
+                assert h1_seminorm_error(u, g, rule) == _reference_h1_error(u, g, rule)
+        assert l2_error(u, exact) == _reference_l2_error(u, exact, q)
 
 
 @pytest.mark.parametrize(

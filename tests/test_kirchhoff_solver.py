@@ -506,9 +506,9 @@ def test_blocked_history_sums_match_the_direct_contraction():
 )
 def test_blocked_solve_matches_the_direct_contraction(example, alpha, N, Ms, monkeypatch):
     case = example(alpha)
-    blocked = run_single_case(case, N, Ms)
+    blocked, _ = run_single_case(case, N, Ms)
     monkeypatch.setattr(ks, "_history_sums", direct_history_sums)
-    direct = run_single_case(case, N, Ms)
+    direct, _ = run_single_case(case, N, Ms)
     assert blocked.error == pytest.approx(direct.error, rel=1e-12)
 
 

@@ -146,8 +146,9 @@ def test_observed_order_rejects_bad_sequences():
 
 def test_run_single_case_populates_row():
     case = example1_case(1.5)
-    row = run_single_case(case, 16, 24)
+    row, state = run_single_case(case, 16, 24)
     assert row.N == 16 and row.Ms == 24
+    assert state.n_done == 16 and state.smesh.num_interior == 23
     assert row.r == pytest.approx((2.0 - 0.75) / 0.75, rel=1e-13)
     assert row.error > 0.0
     assert row.oc is None
@@ -157,8 +158,8 @@ def test_run_single_case_populates_row():
 
 def test_errors_shrink_under_coupled_refinement():
     case = example1_case(1.5)
-    coarse = run_single_case(case, 8, coupled_ms(8, 0.75))
-    fine = run_single_case(case, 16, coupled_ms(16, 0.75))
+    coarse, _ = run_single_case(case, 8, coupled_ms(8, 0.75))
+    fine, _ = run_single_case(case, 16, coupled_ms(16, 0.75))
     assert fine.error < coarse.error
 
 
@@ -216,7 +217,8 @@ def test_cached_gradient_errors_match_the_callable_path(case, ms):
         expected = h1_seminorm_error(uh, closed_form_gradient(tn))
         assert h1 == pytest.approx(expected, rel=SPLIT_RTOL, abs=0.0)
     worst = max(row[2] for row in trajectory_rows(case, state)[1:])
-    assert run_single_case(case, 4, ms, r=1.6).error == worst
+    row, _ = run_single_case(case, 4, ms, r=1.6)
+    assert row.error == worst
 
 
 @pytest.mark.parametrize(
