@@ -14,12 +14,12 @@ matrices, stored by their 3 (1D) or 7 (2D) diagonals, and load vectors live
 on the interior unknowns only.  The 2D mesh is the structured triangulation
 of the unit square obtained by cutting each cell of an Ms x Ms grid along
 the same diagonal, giving 2*Ms**2 right triangles.  The discrete Laplacian
-is never formed.  A SineBasis is built only on a mesh whose arrays equal the
-ones build_spatial_mesh makes for its domain and Ms.  Its T maps the mass
-and stiffness to their symbols (plus one Kronecker term of the 2D mass), and
-every linear system a M + b A is solved by spd_solve on sine coefficients
-T x; the assembled BandMatrix forms remain as the reference that those
-symbols are checked against.
+is never formed.  A mesh is built from its domain and Ms alone, so it is
+always the uniform grid its SineBasis diagonalizes.  The basis's T maps the
+mass and stiffness to their symbols (plus one Kronecker term of the 2D
+mass), and every linear system a M + b A is solved by spd_solve on sine
+coefficients T x; the assembled BandMatrix forms remain as the reference
+that those symbols are checked against.
 """
 
 import functools
@@ -100,11 +100,15 @@ def _element_blocks(mesh):
 
 
 class SpatialMesh:
-    """Conforming P1 simplex mesh with Dirichlet boundary flags.
+    """The uniform P1 simplex mesh of a domain, with Dirichlet boundary flags.
 
-    The element geometry is computed on construction, the quadrature
-    points on first use of each rule and the sine basis on first use;
-    every cached array is read-only.
+    SpatialMesh(domain, subdivisions) takes its vertices, elements and
+    boundary from _grid(domain, Ms); it raises ValueError on an empty
+    interval, on Ms < 2 and on an unknown descriptor.  Every element is positively oriented, so its
+    Jacobian determinant is its measure times dimension!.  The element
+    geometry is computed on construction, the quadrature points on first
+    use of each rule and the sine basis on first use; every cached array
+    is read-only.
 
     Attributes
     ----------
@@ -113,8 +117,7 @@ class SpatialMesh:
     vertices : ndarray
         Node coordinates, shape (n_nodes,) in 1D or (n_nodes, 2) in 2D.
     elements : ndarray of int
-        Connectivity, shape (n_elements, 2) or (n_elements, 3); 2D
-        triangles are positively oriented.
+        Connectivity, shape (n_elements, 2) or (n_elements, 3).
     boundary : ndarray of bool
         True on Dirichlet nodes.
     interior_nodes : ndarray of int
@@ -122,7 +125,7 @@ class SpatialMesh:
     num_interior : int
         Number of unknowns.
     domain : tuple
-        Descriptor, ("interval", a, b) or ("unit_square",).
+        Descriptor, ("interval", a, b) with float ends or ("unit_square",).
     subdivisions : int
         Ms, the per-direction element count.
     measure : ndarray
@@ -137,21 +140,28 @@ class SpatialMesh:
         and loads exact to the last bit.
     """
 
-    def __init__(self, dimension, vertices, elements, boundary, domain, subdivisions):
-        self.dimension = int(dimension)
-        self.vertices = vertices
-        self.elements = elements
-        self.boundary = boundary
-        self.interior_nodes = np.flatnonzero(~boundary)
+    def __init__(self, domain, subdivisions):
+        if domain[0] == "interval":
+            if not domain[2] > domain[1]:
+                raise ValueError(f"interval ({domain[1]}, {domain[2]}) is empty")
+            domain = ("interval", float(domain[1]), float(domain[2]))
+        elif domain[0] != "unit_square":
+            raise ValueError(f"unknown domain descriptor {domain!r}")
+        ms = int(subdivisions)
+        if ms < 2:
+            raise ValueError(f"need at least 2 elements per direction, got {subdivisions}")
+        self.dimension = d = 1 if domain[0] == "interval" else 2
+        self.vertices, self.elements, self.boundary = _grid(domain, ms)
+        self.interior_nodes = np.flatnonzero(~self.boundary)
         self.num_interior = int(self.interior_nodes.size)
         self.domain = domain
-        self.subdivisions = int(subdivisions)
-        d = self.dimension
+        self.subdivisions = ms
         # rows of the Jacobian J are the edges leaving vertex 0, so the
         # edges of axis k are column k, J[s, k] for s < d; column k of
-        # adj(J) / det(J) is the gradient of barycentric coordinate k + 1.
-        # Writing out the 1 x 1 and 2 x 2 cofactors keeps them exact, which
-        # np.linalg.det is not even for 1 x 1
+        # adj(J) / det(J) is the gradient of barycentric coordinate k + 1,
+        # and det(J) > 0 on the grid's elements.  Writing out the 1 x 1 and
+        # 2 x 2 cofactors keeps them exact, which np.linalg.det is not even
+        # for 1 x 1
         columns = [edges for _, edges in self._edges()]
         if d == 1:
             ((det,),) = columns
@@ -160,12 +170,12 @@ class SpatialMesh:
             (j00, j10), (j01, j11) = columns
             det = j00 * j11 - j01 * j10
             adj_t = np.array([[j11, -j10], [-j01, j00]])
-        self.measure = np.abs(det) / math.factorial(d)
-        scaled = np.moveaxis(adj_t, -1, 0) * np.sign(det)[:, None, None]
+        self.measure = det / math.factorial(d)
+        scaled = np.moveaxis(adj_t, -1, 0)
         self.scaled_gradients = np.concatenate(
             [-scaled.sum(axis=1, keepdims=True), scaled], axis=1
         )
-        _read_only(vertices, elements, boundary, self.interior_nodes)
+        _read_only(self.vertices, self.elements, self.boundary, self.interior_nodes)
         _read_only(self.measure, self.scaled_gradients)
         self._quadrature = {}
         self._matrices = {}
@@ -239,17 +249,10 @@ class SineBasis:
     Attributes (read-only): sine, S with its rows in mode order in 2D, None
     in 1D; mass_symbol and stiffness_symbol, the diagonals of
     T M T^T and T A T^T, flattened in 2D; block, B in 2D, None in 1D.
-    Raises ValueError on a mesh whose arrays are not _grid's for its domain
-    and Ms, whose systems T does not diagonalize.
     """
 
     def __init__(self, mesh):
         ms, domain = mesh.subdivisions, mesh.domain
-        if domain[0] not in ("interval", "unit_square"):
-            raise ValueError(f"no sine basis on the domain {domain!r}")
-        if not all(map(np.array_equal, (mesh.vertices, mesh.elements, mesh.boundary),
-                       _grid(domain, ms))):
-            raise ValueError(f"no sine basis on a mesh that is not the uniform grid, Ms = {ms}")
         j = np.arange(1, ms)
         k = j if domain[0] == "interval" else np.concatenate([j[::2], j[1::2]])
         c = np.cos(k * math.pi / ms)
@@ -346,32 +349,10 @@ def _grid(domain, ms):
     return vertices.reshape(-1, 2), cells.reshape(-1, 3), boundary.ravel()
 
 
-def build_mesh_1d(a, b, subdivisions):
-    """Uniform interval mesh on (a, b) with Ms elements, Ms >= 2."""
-    if not b > a:
-        raise ValueError(f"interval ({a}, {b}) is empty")
-    ms = int(subdivisions)
-    if ms < 2:
-        raise ValueError(f"need at least 2 elements, got {subdivisions}")
-    domain = ("interval", float(a), float(b))
-    return SpatialMesh(1, *_grid(domain, ms), domain, ms)
-
-
-def build_mesh_2d_unit_square(subdivisions):
-    """Structured triangulation of (0, 1)^2, all diagonals in one direction."""
-    ms = int(subdivisions)
-    if ms < 2:
-        raise ValueError(f"need at least 2 elements per direction, got {subdivisions}")
-    return SpatialMesh(2, *_grid(("unit_square",), ms), ("unit_square",), ms)
-
-
 def build_spatial_mesh(domain, subdivisions):
-    """Build a mesh from a domain descriptor tuple."""
-    if domain[0] == "interval":
-        return build_mesh_1d(domain[1], domain[2], subdivisions)
-    if domain[0] == "unit_square":
-        return build_mesh_2d_unit_square(subdivisions)
-    raise ValueError(f"unknown domain descriptor {domain!r}")
+    """The mesh of a domain descriptor tuple with Ms elements per direction,
+    SpatialMesh(domain, subdivisions)."""
+    return SpatialMesh(domain, subdivisions)
 
 
 class BandMatrix:

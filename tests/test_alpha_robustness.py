@@ -3,10 +3,13 @@
 The paper's a priori bound and error estimate hold uniformly for alpha in
 (1, 2), and the study tables cover alpha = 1.4, 1.5 and 1.8 only.  These
 checks run ex1 through the CLI's own plan at alpha = 1.02 and 1.98, the
-temporal order also at 1.1 and 1.9.  Their bands come from the theory, not
-from measured values: on the recommended grading the temporal order is
-2 - beta (beta = alpha / 2), met within the 0.1 that criterion 4 allows the
-L1 truncation rates, and the bound quantity does not grow with N.
+temporal order also at 1.1 and 1.9, and the ex2 temporal order at all four.
+Their bands come from the theory, not from measured values: on the
+recommended grading the temporal order is 2 - beta (beta = alpha / 2), met
+within the 0.1 that criterion 4 allows the L1 truncation rates, and the
+bound quantity does not grow with N.  No ex2 bound check is made: from
+N = 8 to 32 its bound quantity still grows by 0.4%, 1.7% and 4.6% at
+alpha = 1.02, 1.5 and 1.98, and the meshes past N = 32 are too large here.
 """
 
 import pytest
@@ -26,6 +29,13 @@ def test_the_last_temporal_order_is_within_0_1_of_2_minus_beta(alpha):
     rows = _rows(f"command=temporal-study example=ex1 alpha={alpha} N=32,64,128,256")
     orders = observed_order([(row.N, row.error) for row in rows])
     assert orders[-1] == pytest.approx(2.0 - 0.5 * alpha, abs=0.1)
+
+
+@pytest.mark.parametrize("alpha", [1.02, 1.1, 1.9, 1.98])
+def test_the_2d_temporal_order_is_within_0_1_of_2_minus_beta(alpha):
+    rows = _rows(f"command=temporal-study example=ex2 alpha={alpha} N=16,32")
+    (order,) = observed_order([(row.N, row.error) for row in rows])
+    assert order == pytest.approx(2.0 - 0.5 * alpha, abs=0.1)
 
 
 @pytest.mark.parametrize("alpha", [1.02, 1.5, 1.98])

@@ -67,12 +67,17 @@ def test_unit_square_elements_match_the_cell_loop(ms):
 
 
 def test_mesh_rejects_degenerate():
-    with pytest.raises(ValueError):
-        build_spatial_mesh(("interval", 0.0, 1.0), 1)
-    with pytest.raises(ValueError):
-        build_spatial_mesh(("unit_square",), 1)
-    with pytest.raises(ValueError):
-        build_spatial_mesh(("disk", 1.0), 4)
+    refused = [
+        (("interval", 1.0, 1.0), 4, r"interval \(1.0, 1.0\) is empty"),
+        (("interval", 1.0, 0.0), 4, r"interval \(1.0, 0.0\) is empty"),
+        (("interval", 0.0, 1.0), 1, "need at least 2 elements per direction, got 1"),
+        (("unit_square",), 1, "need at least 2 elements per direction, got 1"),
+        (("disk", 1.0), 4, r"unknown domain descriptor \('disk', 1.0\)"),
+    ]
+    for build in (SpatialMesh, build_spatial_mesh):
+        for domain, ms, message in refused:
+            with pytest.raises(ValueError, match=message):
+                build(domain, ms)
 
 
 def test_mass_and_stiffness_rows_1d():
@@ -119,23 +124,15 @@ def test_stiffness_2d_is_five_point_laplacian():
     np.testing.assert_allclose(assemble_stiffness(mesh).toarray(), five_point, rtol=0, atol=1e-13)
 
 
-def _all_node_mesh(mesh):
-    """The same mesh with no Dirichlet nodes, so every node is an unknown."""
-    return SpatialMesh(
-        mesh.dimension,
-        mesh.vertices,
-        mesh.elements,
-        np.zeros_like(mesh.boundary),
-        mesh.domain,
-        mesh.subdivisions,
-    )
-
-
 def test_mass_total_is_domain_area():
-    interval = _all_node_mesh(build_spatial_mesh(("interval", 0.0, math.pi), 7))
-    assert assemble_mass(interval).toarray().sum() == pytest.approx(math.pi, rel=1e-13)
-    square = _all_node_mesh(build_spatial_mesh(("unit_square",), 3))
-    assert assemble_mass(square).toarray().sum() == pytest.approx(1.0, rel=1e-13)
+    # the element measures are what every local mass matrix, whose entries
+    # sum to 1, is scaled by
+    interval = build_spatial_mesh(("interval", 0.0, math.pi), 7)
+    assert interval.measure.sum() == pytest.approx(math.pi, rel=1e-13)
+    square = build_spatial_mesh(("unit_square",), 3)
+    assert square.measure.sum() == pytest.approx(1.0, rel=1e-13)
+    for mesh in (interval, square):
+        assert (mesh.measure > 0).all()
 
 
 @pytest.mark.parametrize("domain,ms", [(("interval", 0.0, 1.0), 9), (("unit_square",), 4)])
@@ -1063,35 +1060,13 @@ def test_sine_matrix_is_read_only_symmetric_and_orthonormal(ms):
 
 
 @pytest.mark.parametrize("domain, ms", [(("interval", 0.0, 1.0), 16), (("unit_square",), 8)])
-def test_sine_basis_rejects_a_mesh_off_the_uniform_grid(domain, ms):
-    # the basis diagonalizes the uniform grid's systems only; on these moved
-    # interior nodes l2_projection used to return a vector with relative
-    # residual 0.09 (1D) or 0.10 (2D) under the mesh's own mass, and no error
-    grid = build_spatial_mesh(domain, ms)
-    g = lambda *x: np.ones_like(x[0])
-    moved = grid.vertices.copy()
-    shift = np.random.default_rng(ms).uniform(-0.2 / ms, 0.2 / ms, moved[grid.interior_nodes].shape)
-    moved[grid.interior_nodes] += shift
-    others = [
-        SpatialMesh(grid.dimension, moved, grid.elements, grid.boundary, domain, ms),
-        SpatialMesh(grid.dimension, grid.vertices, grid.elements, grid.boundary, domain, 2 * ms),
-        _all_node_mesh(grid),
-        # the same elements in reverse order: only the grid's own arrays pass
-        SpatialMesh(grid.dimension, grid.vertices, grid.elements[::-1], grid.boundary, domain, ms),
-    ]
-    if grid.dimension == 2:
-        # every cell cut along its other diagonal, by mirroring the node
-        # numbers in x (residual 0.02 before)
-        mirror = np.arange(grid.vertices.shape[0]).reshape(ms + 1, ms + 1)[:, ::-1].ravel()
-        flipped = mirror[grid.elements]
-        others.append(SpatialMesh(2, grid.vertices, flipped, grid.boundary, domain, ms))
-    for mesh in others:
-        with pytest.raises(ValueError, match="not the uniform grid"):
-            l2_projection(mesh, g)
-    # the same grid built from copies of its arrays keeps its basis
-    copy = SpatialMesh(grid.dimension, grid.vertices.copy(), grid.elements.copy(),
-                       grid.boundary.copy(), domain, ms)
-    assert np.array_equal(l2_projection(copy, g).coeffs, l2_projection(grid, g).coeffs)
+def test_every_mesh_is_the_uniform_grid(domain, ms):
+    # a mesh is built from its domain and Ms alone, so it is the grid whose
+    # systems its sine basis diagonalizes, every element positively oriented
+    mesh = SpatialMesh(domain, ms)
+    grid = fem_space._grid(domain, ms)
+    assert all(map(np.array_equal, (mesh.vertices, mesh.elements, mesh.boundary), grid))
+    assert (mesh.measure > 0).all()
 
 
 @pytest.mark.parametrize("ms", [2, 3, 8, 9, 76, 182])
