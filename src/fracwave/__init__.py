@@ -12,8 +12,6 @@ from .fem_space import (
     FeFunction,
     SpatialMesh,
     assemble_load,
-    assemble_mass,
-    assemble_stiffness,
     build_spatial_mesh,
     h1_seminorm_error,
     l2_error,
@@ -61,8 +59,6 @@ __all__ = [
     "TimeMesh",
     "apriori_bound_report",
     "assemble_load",
-    "assemble_mass",
-    "assemble_stiffness",
     "build_graded_mesh",
     "build_spatial_mesh",
     "coupled_ms",

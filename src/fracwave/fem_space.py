@@ -1,25 +1,23 @@
 """Piecewise-linear finite elements on intervals and the unit square.
 
 Every element is a simplex: a 2-vertex interval in 1D, a 3-vertex triangle
-in 2D.  Assembly, projections and error norms run one code path for both
+in 2D.  Loads, projections and error norms run one code path for both
 dimensions, on the element measures and scaled P1 basis gradients each
 mesh computes once, and on quadrature points each mesh builds once per
 rule.  Every element loop runs over blocks of at most _ELEMENT_BLOCK
 elements and adds in element order, so its temporaries scale with the
-block (assembly on 66,248 triangles: 7.9 MB traced, 43.0 MB unblocked)
-and its results do not depend on it.
+block (the H1 error evaluation on 66,248 triangles: 3.01 MB traced,
+10.07 MB unblocked) and its results do not depend on it.
 
-Meshes carry homogeneous Dirichlet conditions by elimination: assembled
-matrices, stored by their 3 (1D) or 7 (2D) diagonals, and load vectors live
-on the interior unknowns only.  The 2D mesh is the structured triangulation
-of the unit square obtained by cutting each cell of an Ms x Ms grid along
-the same diagonal, giving 2*Ms**2 right triangles.  The discrete Laplacian
-is never formed.  A mesh is built from its domain and Ms alone, so it is
-always the uniform grid its SineBasis diagonalizes.  The basis's T maps the
-mass and stiffness to their symbols (plus one Kronecker term of the 2D
-mass), and every linear system a M + b A is solved by spd_solve on sine
-coefficients T x; the assembled BandMatrix forms remain as the reference
-that those symbols are checked against.
+Meshes carry homogeneous Dirichlet conditions by elimination: load vectors
+and coefficients live on the interior unknowns only.  The 2D mesh is the
+structured triangulation of the unit square obtained by cutting each cell
+of an Ms x Ms grid along the same diagonal, giving 2*Ms**2 right
+triangles.  No matrix is assembled.  A mesh is built from its domain and
+Ms alone, so it is always the uniform grid its SineBasis diagonalizes.
+The basis's T maps the mass and stiffness to their symbols (plus one
+Kronecker term of the 2D mass), and every linear system a M + b A is
+solved by spd_solve on sine coefficients T x.
 """
 
 import functools
@@ -136,8 +134,8 @@ class SpatialMesh:
         function of node elements[e, s] is scaled_gradients[e, s] /
         (dimension! * measure[e]).  They are (-1, 1) in 1D and the opposite
         edges turned by 90 degrees in 2D.  Dividing by the measure once per
-        use, as the closed-form element matrices do, keeps the 1D matrices
-        and loads exact to the last bit.
+        use, as the closed-form element matrices do, keeps the 1D loads
+        exact to the last bit.
     """
 
     def __init__(self, domain, subdivisions):
@@ -178,7 +176,6 @@ class SpatialMesh:
         _read_only(self.vertices, self.elements, self.boundary, self.interior_nodes)
         _read_only(self.measure, self.scaled_gradients)
         self._quadrature = {}
-        self._matrices = {}
 
     def _edges(self):
         """Per axis, vertex 0 of every element and the edges leaving it.
@@ -353,99 +350,6 @@ def build_spatial_mesh(domain, subdivisions):
     """The mesh of a domain descriptor tuple with Ms elements per direction,
     SpatialMesh(domain, subdivisions)."""
     return SpatialMesh(domain, subdivisions)
-
-
-class BandMatrix:
-    """Square matrix stored by its diagonals (DIA storage; Saad 2003, 3.4).
-
-    data[k, i] = A[i, i + offsets[k]] on the sorted offsets, zero outside
-    the pattern.  A product adds the diagonals to zeros in ascending offset
-    order, as a sorted CSR row is added, so the two agree bit for bit.  The
-    solver computes in the sine basis; these are the assembled reference.
-    """
-
-    def __init__(self, offsets, data):
-        self.offsets = offsets
-        self.data = data
-        n = data.shape[1]
-        self.shape = (n, n)
-        # per diagonal: offset, entries inside the matrix, slices of x and out
-        self._diagonals = []
-        for k, row in zip(offsets.tolist(), data):
-            lo, hi = max(0, -k), n - max(0, k)
-            cols, rows = (..., slice(lo + k, hi + k)), (..., slice(lo, hi))
-            self._diagonals.append((k, row[lo:hi], cols, rows))
-
-    def __matmul__(self, x):
-        out = np.zeros(x.shape)
-        for _, entries, cols, rows in self._diagonals:
-            out[rows] += entries * x[cols]
-        return out
-
-    __array_ufunc__ = None  # numpy operands fail instead of broadcasting into it
-
-    def diagonal(self, k=0):
-        for offset, entries, _, _ in self._diagonals:
-            if offset == k:
-                return entries.copy()
-        return np.zeros(max(self.shape[0] - abs(k), 0))
-
-    def toarray(self):
-        # column j is the product with the unit vector e_j, exactly
-        return np.column_stack([self @ e for e in np.eye(self.shape[0])])
-
-
-def _get_matrix(mesh, which):
-    """Mass or stiffness matrix on the interior unknowns, cached on the mesh.
-
-    The first call builds both on one pattern, whose offsets they share.  A
-    first pass over the element blocks marks the diagonals present; a second
-    adds the element contributions between interior nodes into them with
-    np.add.at, in element order from 0.0, as one bincount would.
-    """
-    if not mesh._matrices:
-        nv = mesh.dimension + 1
-        local = (np.ones((nv, nv)) + np.eye(nv)) / (nv * (nv + 1))
-        # g_s . g_t for every vertex pair (s, t), one multiply and add per
-        # axis; in 1D the single product is the matmul's bit for bit
-        g = mesh.scaled_gradients.transpose(2, 0, 1)
-        scale = math.factorial(mesh.dimension) ** 2 * mesh.measure
-        # interior index of every node, -1 on the boundary
-        m = mesh.num_interior
-        index = np.where(mesh.boundary, -1, np.cumsum(~mesh.boundary) - 1)
-
-        def pattern(blk):
-            el = index[mesh.elements[blk]]
-            rows = np.repeat(el, nv, axis=1).ravel()
-            cols = np.tile(el, (1, nv)).ravel()
-            keep = (rows >= 0) & (cols >= 0)
-            return keep, rows[keep], (cols - rows)[keep] + (m - 1)
-
-        present = np.zeros(2 * m - 1, dtype=bool)
-        for blk in _element_blocks(mesh):
-            present[pattern(blk)[2]] = True
-        diag = np.cumsum(present) - 1
-        (offsets,) = _read_only(np.flatnonzero(present) - (m - 1))
-        data = {name: np.zeros(offsets.size * m) for name in ("mass", "stiffness")}
-        for blk in _element_blocks(mesh):
-            keep, rows, shift = pattern(blk)
-            key = diag[shift] * m + rows
-            np.add.at(data["mass"], key, (mesh.measure[blk, None, None] * local).ravel()[keep])
-            stiffness = _dot(g[:, blk, :, None], g[:, blk, None, :]) / scale[blk, None, None]
-            np.add.at(data["stiffness"], key, stiffness.ravel()[keep])
-        for name, values in data.items():
-            mesh._matrices[name] = BandMatrix(offsets, *_read_only(values.reshape(offsets.size, m)))
-    return mesh._matrices[which]
-
-
-def assemble_mass(mesh):
-    """Mass matrix as a BandMatrix on the interior unknowns."""
-    return _get_matrix(mesh, "mass")
-
-
-def assemble_stiffness(mesh):
-    """Stiffness matrix as a BandMatrix on the interior unknowns."""
-    return _get_matrix(mesh, "stiffness")
 
 
 def _dot(columns, coefs):

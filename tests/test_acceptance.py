@@ -32,13 +32,7 @@ from fracwave.caputo_l1 import (
     truncation_study,
 )
 from fracwave.cli import DEFAULT_N_CAP, parse_config, run
-from fracwave.fem_space import (
-    FeFunction,
-    assemble_mass,
-    assemble_stiffness,
-    build_spatial_mesh,
-    h1_seminorm_error,
-)
+from fracwave.fem_space import FeFunction, build_spatial_mesh, h1_seminorm_error
 from fracwave.graded_time import build_graded_mesh, recommended_grading
 from fracwave.kirchhoff_solver import solve_all
 from fracwave.mms_harness import (
@@ -48,6 +42,8 @@ from fracwave.mms_harness import (
     observed_order,
     run_single_case,
 )
+
+from fe_reference import assemble_mass, assemble_stiffness
 
 # reference tables: per alpha, rows of (key, error, order-or-None); the final
 # row of each study has no order entry.  All errors are max-over-time H1-
@@ -345,19 +341,39 @@ def _suite_kernel_bound(failures):
                 return
 
 
+def _sine_operators(mesh):
+    """The library's mass and stiffness, T^T (T M T^T) T and T^T (symbols) T,
+    as dense matrices: column j is the product with the unit vector e_j."""
+    basis = mesh.sine_basis
+    sines = [basis.to_sine(e) for e in np.eye(mesh.num_interior)]
+    return [
+        np.column_stack([basis.from_sine(apply(e)) for e in sines])
+        for apply in (basis.mass, lambda e: basis.stiffness_symbol * e)
+    ]
+
+
 def _suite_fem_matrices(failures):
+    # the closed-form 1D rows on the reference assembly and on the library's
+    # sine operators, then both against each other on the square
     mesh1d = build_spatial_mesh(("interval", 0.0, 1.0), 8)
     h = 0.125
-    mass = assemble_mass(mesh1d).toarray()
-    stiff = assemble_stiffness(mesh1d).toarray()
     row_m = np.zeros(7)
     row_m[2:5] = np.array([1.0, 4.0, 1.0]) * h / 6.0
     row_a = np.zeros(7)
     row_a[2:5] = np.array([-1.0, 2.0, -1.0]) / h
-    if not (np.allclose(mass[3], row_m, atol=1e-15) and np.allclose(stiff[3], row_a, atol=1e-12)):
-        failures.append("FEM: 1D closed-form rows broken")
-        return
-    for mesh in (mesh1d, build_spatial_mesh(("unit_square",), 6)):
+    reference = (assemble_mass(mesh1d).toarray()[3], assemble_stiffness(mesh1d).toarray()[3])
+    library = [op[:, 3] for op in _sine_operators(mesh1d)]
+    for mass, stiff in (reference, library):
+        if not (np.allclose(mass, row_m, atol=1e-15) and np.allclose(stiff, row_a, atol=1e-12)):
+            failures.append("FEM: 1D closed-form rows broken")
+            return
+    square = build_spatial_mesh(("unit_square",), 6)
+    matrices = (assemble_mass(square), assemble_stiffness(square))
+    for op, matrix in zip(_sine_operators(square), matrices):
+        if not np.allclose(op, matrix.toarray(), rtol=0.0, atol=1e-13):
+            failures.append("FEM: sine operator differs from the assembled matrix")
+            return
+    for mesh in (mesh1d, square):
         for matrix in (assemble_mass(mesh), assemble_stiffness(mesh)):
             dense = matrix.toarray()
             if not np.allclose(dense, dense.T, atol=1e-14):

@@ -3,13 +3,17 @@
 The paper's a priori bound and error estimate hold uniformly for alpha in
 (1, 2), and the study tables cover alpha = 1.4, 1.5 and 1.8 only.  These
 checks run ex1 through the CLI's own plan at alpha = 1.02 and 1.98, the
-temporal order also at 1.1 and 1.9, and the ex2 temporal order at all four.
-Their bands come from the theory, not from measured values: on the
-recommended grading the temporal order is 2 - beta (beta = alpha / 2), met
-within the 0.1 that criterion 4 allows the L1 truncation rates, and the
-bound quantity does not grow with N.  No ex2 bound check is made: from
-N = 8 to 32 its bound quantity still grows by 0.4%, 1.7% and 4.6% at
-alpha = 1.02, 1.5 and 1.98, and the meshes past N = 32 are too large here.
+temporal order also at 1.1 and 1.9, the ex2 temporal order at all four and
+the ex2 bound quantity at 1.02, 1.5 and 1.98.  Their bands come from the
+theory, not from measured values: on the recommended grading the temporal
+order is 2 - beta (beta = alpha / 2), met within the 0.1 that criterion 4
+allows the L1 truncation rates, and the bound quantity does not grow with
+N, met within 1%.  The ex2 bound quantity is pre-asymptotic at small N:
+from N = 8 to 32 it grows by 0.4%, 1.7% and 4.6% at alpha = 1.02, 1.5 and
+1.98, and its increments shrink by about 0.4 per doubling.  So it is
+checked from N = 32 to 64, except at alpha = 1.02, where N = 64 couples to
+Ms = 492 and takes 3.8 s against 0.6 s for the three checks as run (2
+vCPUs); from N = 16 to 32 it moves by 0.08% there.
 """
 
 import pytest
@@ -41,4 +45,10 @@ def test_the_2d_temporal_order_is_within_0_1_of_2_minus_beta(alpha):
 @pytest.mark.parametrize("alpha", [1.02, 1.5, 1.98])
 def test_the_bound_quantity_does_not_grow_with_n(alpha):
     coarse, fine = _rows(f"command=bound-report example=ex1 alpha={alpha} N=64,256")
+    assert fine.error == pytest.approx(coarse.error, rel=0.01)
+
+
+@pytest.mark.parametrize("alpha, n_list", [(1.02, "16,32"), (1.5, "32,64"), (1.98, "32,64")])
+def test_the_2d_bound_quantity_does_not_grow_with_n(alpha, n_list):
+    coarse, fine = _rows(f"command=bound-report example=ex2 alpha={alpha} N={n_list}")
     assert fine.error == pytest.approx(coarse.error, rel=0.01)

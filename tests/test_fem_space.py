@@ -8,14 +8,11 @@ import pytest
 from fracwave import fem_space
 from fracwave.fem_space import (
     QUADRATURE_RULES,
-    BandMatrix,
     FeFunction,
     SpatialMesh,
     _cg,
     assemble_grad_load,
     assemble_load,
-    assemble_mass,
-    assemble_stiffness,
     build_spatial_mesh,
     dst1,
     h1_seminorm_error,
@@ -25,6 +22,8 @@ from fracwave.fem_space import (
     spd_solve,
 )
 from fracwave.mms_harness import example1_case, example2_case
+
+from fe_reference import assemble_mass, assemble_stiffness
 
 
 def test_interval_mesh_nodes():
@@ -145,170 +144,6 @@ def test_matrices_symmetric_positive(domain, ms):
         np.linalg.cholesky(dense)
         x = rng.standard_normal(mesh.num_interior)
         assert x @ (matrix @ x) > 0
-
-
-def _scipy_interior_matrix(mesh, which):
-    """The matrix as it was first assembled: all-node COO triplets summed
-    by scipy's CSR conversion, then restricted to the interior rows and
-    columns."""
-    import scipy.sparse as sp
-
-    el = mesh.elements
-    nv = mesh.dimension + 1
-    if which == "mass":
-        local = (np.ones((nv, nv)) + np.eye(nv)) / (nv * (nv + 1))
-        vals = mesh.measure[:, None, None] * local
-    else:
-        g = mesh.scaled_gradients
-        scale = math.factorial(mesh.dimension) ** 2 * mesh.measure
-        vals = (g @ g.transpose(0, 2, 1)) / scale[:, None, None]
-    rows = np.repeat(el, nv, axis=1).ravel()
-    cols = np.tile(el, (1, nv)).ravel()
-    n_nodes = mesh.vertices.shape[0]
-    full = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
-    idx = mesh.interior_nodes
-    restricted = full[idx, :][:, idx].tocsr()
-    restricted.sort_indices()
-    return restricted
-
-
-def _compare_with_csr(band, csr):
-    """Band values at the CSR entries, and the CSR values, after checking
-    that both have the same pattern: the same diagonals, and zeros in every
-    stored band entry the CSR matrix does not have."""
-    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
-    offsets = csr.indices - rows
-    np.testing.assert_array_equal(band.offsets, np.unique(offsets))
-    k = np.searchsorted(band.offsets, offsets)
-    outside = np.ones(band.data.shape, dtype=bool)
-    outside[k, rows] = False
-    assert not band.data[outside].any()
-    return band.data[k, rows], csr.data
-
-
-def _band_entries(band):
-    """Rows, columns and values of the stored band entries inside the matrix."""
-    n = band.shape[0]
-    parts = []
-    for k, diag in zip(band.offsets.tolist(), band.data):
-        i = np.arange(max(0, -k), n - max(0, k))
-        parts.append((i, i + k, diag[i]))
-    return [np.concatenate(column) for column in zip(*parts)]
-
-
-@pytest.mark.parametrize("ms", [37, 8192])
-def test_interior_matrices_equal_the_scipy_assembly_1d_bit_for_bit(ms):
-    mesh = build_spatial_mesh(("interval", 0.0, math.pi), ms)
-    for which in ("mass", "stiffness"):
-        band = fem_space._get_matrix(mesh, which)
-        assert band.offsets.tolist() == [-1, 0, 1]
-        np.testing.assert_array_equal(*_compare_with_csr(band, _scipy_interior_matrix(mesh, which)))
-
-
-@pytest.mark.parametrize("ms", [8, 32, 76, 182])
-def test_interior_matrices_match_the_scipy_assembly_2d(ms):
-    # summing the six element contributions of a diagonal entry in element
-    # order, not in scipy's sort order, moves a few entries by one ulp
-    mesh = build_spatial_mesh(("unit_square",), ms)
-    for which in ("mass", "stiffness"):
-        band = fem_space._get_matrix(mesh, which)
-        assert band.offsets.tolist() == [-ms, -ms + 1, -1, 0, 1, ms - 1, ms]
-        got, expected = _compare_with_csr(band, _scipy_interior_matrix(mesh, which))
-        np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0)
-
-
-def _reference_matrices(mesh):
-    """{name: (offsets, data)} as one bincount over all elements, keyed on
-    (diagonal, row), built them before the element blocks."""
-    nv = mesh.dimension + 1
-    local = (np.ones((nv, nv)) + np.eye(nv)) / (nv * (nv + 1))
-    g = mesh.scaled_gradients.transpose(2, 0, 1)
-    scale = math.factorial(mesh.dimension) ** 2 * mesh.measure
-    element_values = {
-        "mass": mesh.measure[:, None, None] * local,
-        "stiffness": fem_space._dot(g[:, :, :, None], g[:, :, None, :]) / scale[:, None, None],
-    }
-    m = mesh.num_interior
-    el = np.where(mesh.boundary, -1, np.cumsum(~mesh.boundary) - 1)[mesh.elements]
-    rows = np.repeat(el, nv, axis=1).ravel()
-    cols = np.tile(el, (1, nv)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    rows, shift = rows[keep], (cols - rows)[keep] + (m - 1)
-    present = np.bincount(shift, minlength=2 * m - 1) > 0
-    diag = np.cumsum(present) - 1
-    offsets = np.flatnonzero(present) - (m - 1)
-    key = diag[shift] * m + rows
-    return {
-        name: (offsets, np.bincount(key, vals.ravel()[keep], offsets.size * m).reshape(-1, m))
-        for name, vals in element_values.items()
-    }
-
-
-@pytest.mark.parametrize("block", [fem_space._ELEMENT_BLOCK, 7])
-@pytest.mark.parametrize(
-    "domain,ms",
-    [(("interval", 0.0, math.pi), 37), (("interval", 0.0, math.pi), 8192),
-     (("unit_square",), 8), (("unit_square",), 76), (("unit_square",), 182)],
-)
-def test_blocked_matrices_equal_the_single_bincount_bit_for_bit(monkeypatch, domain, ms, block):
-    # with 7 elements per block, block boundaries fall inside every mesh
-    monkeypatch.setattr(fem_space, "_ELEMENT_BLOCK", block)
-    mesh = build_spatial_mesh(domain, ms)
-    for which, (offsets, data) in _reference_matrices(mesh).items():
-        band = fem_space._get_matrix(mesh, which)
-        assert np.array_equal(band.offsets, offsets)
-        assert np.array_equal(band.data, data)
-
-
-def test_assembly_peak_memory_is_bounded_by_the_block():
-    # one bincount over all 66,248 elements of this mesh peaked at
-    # 43,005,161 bytes; blocks of _ELEMENT_BLOCK elements at 7,884,912
-    import tracemalloc
-
-    mesh = build_spatial_mesh(("unit_square",), 182)
-    tracemalloc.start()
-    try:
-        assemble_mass(mesh)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12_000_000
-
-
-@pytest.mark.parametrize(
-    "domain,ms",
-    [(("interval", 0.0, math.pi), 128), (("interval", 0.0, math.pi), 8192),
-     (("unit_square",), 32), (("unit_square",), 182)],
-)
-def test_band_product_equals_the_csr_product_bit_for_bit(domain, ms):
-    import scipy.sparse as sp
-
-    mesh = build_spatial_mesh(domain, ms)
-    block = np.random.default_rng(ms).standard_normal((3, mesh.num_interior))
-    x = block[0]
-    mass = assemble_mass(mesh)
-    for band in (mass, assemble_stiffness(mesh), BandMatrix(mass.offsets, 6.0 * mass.data)):
-        rows, cols, vals = _band_entries(band)
-        csr = sp.csr_matrix((vals, (rows, cols)), shape=band.shape)
-        np.testing.assert_array_equal(band @ x, csr @ x)
-        # a block of vectors, one per row, is multiplied row by row
-        np.testing.assert_array_equal(band @ block, (csr @ block.T).T)
-
-
-@pytest.mark.parametrize("domain,ms", [(("interval", 0.0, 1.0), 9), (("unit_square",), 6)])
-def test_band_product_matches_the_dense_product(domain, ms):
-    mesh = build_spatial_mesh(domain, ms)
-    x = np.random.default_rng(2).standard_normal(mesh.num_interior)
-    for band in (assemble_mass(mesh), assemble_stiffness(mesh)):
-        dense = band.toarray()
-        bound = 4 * np.finfo(float).eps * (np.abs(dense) @ np.abs(x))
-        assert np.all(np.abs(dense @ x - band @ x) <= bound)
-        for k in range(-ms, ms + 1):
-            np.testing.assert_array_equal(band.diagonal(k), np.diag(dense, k))
-        # an array is not broadcast into a band matrix
-        for vector_times in (lambda: band * x, lambda: x * band):
-            with pytest.raises(TypeError):
-                vector_times()
 
 
 def test_load_constant_1d():
@@ -943,8 +778,8 @@ def test_interval_spd_solve_is_the_system_preconditioner_bit_for_bit(ms, monkeyp
                                         (("interval", 0.0, math.pi), 8192),
                                         (("unit_square",), 9), (("unit_square",), 32)])
 def test_sine_mass_and_stiffness_symbols_are_the_assembled_matrices(domain, ms):
-    # the products a level makes in the sine basis, against the BandMatrix
-    # products they replace; the basis takes the elements to be of length h,
+    # the products a level makes in the sine basis, against the products
+    # with the assembled reference; the basis takes the elements to be of length h,
     # which linspace's nodes miss by up to 6.8e-13 relative at Ms = 8192
     mesh = build_spatial_mesh(domain, ms)
     basis = mesh.sine_basis
@@ -1135,9 +970,8 @@ def test_no_run_imports_numpy_polynomial():
 
 
 def _band_system(mesh, a, b):
-    """a M + b A as one BandMatrix on the shared diagonals."""
-    mass, stiffness = assemble_mass(mesh), assemble_stiffness(mesh)
-    return BandMatrix(mass.offsets, a * mass.data + b * stiffness.data)
+    """a M + b A on the reference matrices."""
+    return a * assemble_mass(mesh) + b * assemble_stiffness(mesh)
 
 
 @pytest.mark.parametrize("ms", [8, 256, 257, 8192])
@@ -1156,7 +990,7 @@ def test_interval_preconditioner_is_the_exact_inverse(ms):
         r = rng.standard_normal(mesh.num_interior)
         _, precond = basis.system(a, b)
         y = basis.from_sine(precond(basis.to_sine(r)))
-        system_norm = np.abs(system.data).sum(axis=0).max()
+        system_norm = abs(system).sum(axis=1).max()
         scale = system_norm * np.abs(y).max() + np.abs(r).max()
         assert np.abs(r - system @ y).max() <= 1e-12 * scale
 

@@ -11,12 +11,9 @@ import fracwave.kirchhoff_solver as ks
 from fracwave import mms_harness
 from fracwave.caputo_l1 import l1_row, l1_rows
 from fracwave.fem_space import (
-    BandMatrix,
     SineBasis,
     _cg,
     assemble_load,
-    assemble_mass,
-    assemble_stiffness,
     build_spatial_mesh,
     dst1,
     h1_seminorm_error,
@@ -33,6 +30,8 @@ from fracwave.kirchhoff_solver import (
     step,
 )
 from fracwave.mms_harness import example1_case, example2_case, run_single_case
+
+from fe_reference import assemble_mass, assemble_stiffness
 
 
 def direct_history_sums(state, n):
@@ -256,10 +255,10 @@ def test_step_operator_is_the_transformed_mass_stiffness_sum(case, ms, monkeypat
 
 def _nodal_system(state, n):
     """Level n's system in nodal form, the oracle of the sine-basis solve:
-    the BandMatrix d1 M + c A, the right-hand side with two mass products and
-    the start -y / d1, y = G / d1 + H, all on the nodal views T^T of the
-    state's sine coefficients; also d1, kappa and the nodal H for the
-    velocity update."""
+    d1 M + c A on the reference matrices, the right-hand side with two mass
+    products and the start -y / d1, y = G / d1 + H, all on the nodal views
+    T^T of the state's sine coefficients; also d1, kappa and the nodal H for
+    the velocity update."""
     spec, tmesh, smesh = state.spec, state.tmesh, state.smesh
     nodal = smesh.sine_basis.from_sine
     mass, stiffness = assemble_mass(smesh), assemble_stiffness(smesh)
@@ -273,9 +272,8 @@ def _nodal_system(state, n):
     rhs = (load + tn * kap * nodal(state.lap_load)) / d1
     rhs -= (mass @ g_hist) / d1
     rhs -= mass @ h_hist
-    data = d1 * mass.data + (kap / d1) * stiffness.data
     x_g = -(g_hist / d1 + h_hist) / d1
-    return BandMatrix(mass.offsets, data), rhs, x_g, d1, kap, h_hist
+    return d1 * mass + (kap / d1) * stiffness, rhs, x_g, d1, kap, h_hist
 
 
 def _nodal_sine_preconditioner(smesh, a, b):
@@ -312,7 +310,7 @@ _SKEW_FORCING = ((lambda t: 1.0 + t, lambda x, y: np.exp(x) * y * y),)
     ids=["2d-182", "2d-256", "2d-skew", "1d-128", "1d-8192"],
 )
 def test_sine_basis_levels_match_the_nodal_solve(case, N, ms, rtol, forcing):
-    # the oracle solves in nodal form: BandMatrix system, four-product sine
+    # the oracle solves in nodal form: CSR system, four-product sine
     # preconditioner, CG on the defect of the same start -y / d1.  The true residual
     # stays within 1e-12 ||rhs||, or, where that is below the rounding of the
     # product itself, eps || |K| |x| || (2d-256 at level 2, 1d-8192 on most
@@ -331,7 +329,7 @@ def test_sine_basis_levels_match_the_nodal_solve(case, N, ms, rtol, forcing):
         system, rhs, _, _, _, _ = _nodal_system(state, n)
         step(state, n)
         x = basis.from_sine(state.ubar[n])
-        magnitude = BandMatrix(system.offsets, abs(system.data)) @ abs(x)
+        magnitude = abs(system) @ abs(x)
         floor = np.finfo(float).eps * np.linalg.norm(magnitude)
         assert np.linalg.norm(rhs - system @ x) <= max(1e-12 * np.linalg.norm(rhs), 4.0 * floor)
         system, rhs, x_g, d1, kap, h_hist = _nodal_system(oracle, n)
@@ -683,7 +681,7 @@ def test_step_order_is_enforced_across_blocks():
     "case, ms", [(example1_case(1.5), 37), (example1_case(1.5), 512), (example2_case(1.5), 16)],
     ids=["1d-37", "1d-512", "2d-16"],
 )
-def test_a_level_makes_no_transform_and_no_band_product(case, ms, monkeypatch):
+def test_a_level_makes_no_transform(case, ms, monkeypatch):
     calls = []
 
     def spy(name, fn):
@@ -697,14 +695,14 @@ def test_a_level_makes_no_transform_and_no_band_product(case, ms, monkeypatch):
     tmesh = build_graded_mesh(case.T, N, 1.5)
     smesh = build_spatial_mesh(case.domain, ms)
     state = initialize(case.problem_spec(), tmesh, smesh)
-    for owner, name in ((BandMatrix, "__matmul__"), (SineBasis, "to_sine"),
-                        (SineBasis, "from_sine"), (ks, "l1_row"), (ks, "spd_solve")):
+    for owner, name in ((SineBasis, "to_sine"), (SineBasis, "from_sine"),
+                        (ks, "l1_row"), (ks, "spd_solve")):
         monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
     for n in range(2, N + 1):
         step(state, n)
     # per level one L1 row and one solve, both through the solver's globals
     assert calls == ["l1_row", "spd_solve"] * (N - 1)
-    # a whole case, error evaluation included, assembles no matrix
+    # a whole case, error evaluation included, builds one mesh
     meshes = []
 
     def build(*args):
@@ -713,7 +711,7 @@ def test_a_level_makes_no_transform_and_no_band_product(case, ms, monkeypatch):
 
     monkeypatch.setattr(mms_harness, "build_spatial_mesh", build)
     run_single_case(case, 8, ms)
-    assert len(meshes) == 1 and meshes[0]._matrices == {}
+    assert len(meshes) == 1
 
 
 def _nodal_h1_errors(case, state):
