@@ -19,9 +19,10 @@ Every command runs one pipeline: _plan lists its (alpha, N, Ms, r, capped)
 tasks, _run_tasks runs each through _study_task (in a process pool when
 threads= allows) on one BLAS thread, and run attaches the orders and
 formats the rows.  Every task but caputo-check's solves its case through
-mms_harness.run_single_case, which returns the row and the finished state:
-the studies keep the row, solve adds the trajectory and bound-report the
-bound, both read from that state.
+mms_harness.run_single_case, which reports on each block of levels as it
+is solved: the studies keep the row of max H1 errors, solve adds the
+trajectory, whose H1 errors give that row, and bound-report evaluates the
+bound alone.
 """
 
 import ctypes
@@ -38,8 +39,8 @@ from math import inf
 import numpy as np
 
 from .caputo_l1 import truncation_study
-from .graded_time import gronwall_step_condition, recommended_grading
-from .kirchhoff_solver import apriori_bound_report
+from .graded_time import build_graded_mesh, gronwall_step_condition, recommended_grading
+from .kirchhoff_solver import history_bytes
 from .mms_harness import (
     CASES,
     ReportRow,
@@ -48,7 +49,6 @@ from .mms_harness import (
     get_case,
     observed_order,
     run_single_case,
-    trajectory_rows,
 )
 
 # the keys each command reads, each with the (fewest, most) entries it takes
@@ -75,6 +75,9 @@ DEFAULT_N_CAP = 4096
 REFINED_KEYS = {"temporal-study": "N", "spatial-study": "Ms", "caputo-check": "N"}
 # the label of the error column in the printed table, where it is not an error
 VALUE_LABELS = {"caputo-check": "wt_error", "bound-report": "bound"}
+# the per-level report of run_single_case each command reads, where it is not
+# the H1 error
+REPORTS = {"solve": "trajectory", "bound-report": "bound"}
 
 
 class ConfigError(ValueError):
@@ -266,20 +269,27 @@ def _plan(cfg):
 
 
 def _check_history_memory(cfg, tasks):
-    """Refuse tasks whose histories of ubar and v, 16 (N + 1) M bytes for M
-    unknowns, overfill physical memory with those threads= runs at once
-    (no check where the platform does not report it)."""
+    """Refuse tasks whose kept level histories overfill physical memory
+    with those threads= runs at once (no check where the platform does not
+    report it).  A task keeps kirchhoff_solver.history_bytes for M
+    unknowns: 16 (N + 1) M bytes on the dense far sums, and 16 (_BLOCK + 2 + n_exp)
+    M on n_exp exponentials, whose levels stream."""
     if "SC_PHYS_PAGES" not in getattr(os, "sysconf_names", {}):
         return
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    dim = 1 if get_case(cfg.example, tasks[0][0]).domain[0] == "interval" else 2
-    sizes = sorted(((16 * (t[1] + 1) * (t[2] - 1) ** dim, t) for t in tasks), reverse=True)
-    total = sum(size for size, _ in sizes[: _workers(cfg.threads, len(tasks))])
+    case = get_case(cfg.example, tasks[0][0])
+    dim = 1 if case.domain[0] == "interval" else 2
+    sizes = sorted(((history_bytes(0.5 * alpha, build_graded_mesh(case.T, N, r), (Ms - 1) ** dim),
+                     (alpha, N, Ms)) for alpha, N, Ms, r, _ in tasks), reverse=True)
+    total = sum(size for (size, _), _ in sizes[: _workers(cfg.threads, len(tasks))])
     if total > physical:
-        size, (alpha, N, Ms, _, _) = sizes[0]
+        (size, n_exp), (alpha, N, Ms) = sizes[0]
+        kept = "dense level histories"
+        if n_exp:
+            kept = f"level histories streamed on {n_exp} exponentials"
         raise ConfigError(
-            f"alpha={alpha:g} N={N} Ms={Ms} needs {size:,} bytes of level histories; with the "
-            f"tasks run at once, {total:,} bytes exceed the {physical:,} bytes of physical memory"
+            f"alpha={alpha:g} N={N} Ms={Ms} needs {size:,} bytes of {kept}; with the tasks run "
+            f"at once, {total:,} bytes exceed the {physical:,} bytes of physical memory"
         )
 
 
@@ -303,11 +313,11 @@ def _study_task(args):
     digits do not depend on the thread count (see _openblas).
 
     Returns (row, step_ok, levels).  Every command but caputo-check solves
-    its case once, through run_single_case, and reads step_ok, the step
-    condition of the time mesh (bound-report and solve), and levels, the
-    trajectory rows (solve), from the finished state, which stays in this
-    task; both are None where the command does not report them.  A
-    MemoryError names the task.
+    its case once, through run_single_case with the command's REPORTS
+    entry, and reads step_ok, the step condition of the time mesh
+    (bound-report and solve), and levels, the trajectory rows (solve),
+    which run_single_case observed block by block; both are None where the
+    command does not report them.  A MemoryError names the task.
     """
     cfg, (alpha, N, Ms, r, capped) = args
     blas = _openblas()
@@ -321,15 +331,12 @@ def _study_task(args):
             elapsed = time.perf_counter() - start
             return ReportRow(alpha, N, Ms, r, err, seconds=elapsed), None, None
         case = get_case(cfg.example, alpha)
-        row, state = run_single_case(case, N, Ms, r)
+        row, state, levels = run_single_case(case, N, Ms, r, REPORTS.get(cfg.command, "error"))
         row.capped = capped
         if cfg.command in REFINED_KEYS:
             return row, None, None
         ok = gronwall_step_condition(state.tmesh, 0.5 * alpha, 1.0)
-        if cfg.command == "solve":
-            return row, ok, trajectory_rows(case, state)
-        row.error = float(apriori_bound_report(state).max())
-        return row, ok, None
+        return row, ok, levels if cfg.command == "solve" else None
     except MemoryError as exc:
         raise MemoryError(f"alpha={alpha:g} N={N} Ms={Ms} ran out of memory: {exc}") from None
     finally:

@@ -279,10 +279,12 @@ class SineBasis:
         return (self.sine @ x.reshape(self.sine.shape) @ self.sine.T).ravel()
 
     def from_sine(self, e):
-        """The nodal coefficients T^T e; the 1D T is symmetric."""
+        """The nodal coefficients T^T e of e or of each row of e; the 1D T is
+        symmetric."""
         if self.block is None:
             return dst1(e)
-        return (self.sine.T @ e.reshape(self.sine.shape) @ self.sine).ravel()
+        grids = e.reshape(e.shape[:-1] + self.sine.shape)
+        return (self.sine.T @ grids @ self.sine).reshape(e.shape)
 
     def _fold(self, e, out=None):
         """Shat E Shat^T for the grid E of sine coefficients, by blocks,

@@ -12,18 +12,21 @@ at a two-level extrapolant of the recovered solution, so no nonlinear
 iteration is needed.  The state is kept in the spatial mesh's sine basis
 (fem_space.SineBasis), where the mass and stiffness are its symbols (plus
 one Kronecker term of the 2D mass), so a level makes no transform and no
-banded product.  Histories of ubar and v are kept densely because the L1
-operator couples every previous level.  Their L1 sums are split after
-Hairer, Lubich & Schlichte (1985): the far part, over the levels before a
-block of _BLOCK levels, is computed for the whole block when its first
-level is stepped and parked in the block's own unsolved rows; each level
-adds the near part, the at most _BLOCK - 1 levels of its block before it,
-with weights from the leading coefficients of its L1 row alone.  A level's
-own work is thus O(_BLOCK) coefficients, one mass product and one
-spd_solve.  The far part of a short run is one GEMM over the whole history
-per block, 2 N^2 M flops a run; a run of N >= _SOE_LEVELS_PER_TERM n_exp
-levels takes it from a sum of n_exp exponentials of the L1 kernel
-(caputo_l1.soe_kernel; Jiang, Zhang, Zhang & Zhang 2017), O(n_exp M) a block.
+banded product.  The L1 sums over the histories of ubar and v are split
+after Hairer, Lubich & Schlichte (1985): the far part, over the levels
+before a block of _BLOCK levels, is computed for the whole block when its
+first level is stepped and parked in the block's own unsolved rows; each
+level adds the near part, the at most _BLOCK - 1 levels of its block
+before it, with weights from the leading coefficients of its L1 row alone.
+A level's own work is thus O(_BLOCK) coefficients, one mass product and
+one spd_solve.  The far part of a short run is one GEMM over the whole
+history per block, 2 N^2 M flops a run, so such a run keeps every level.
+A run of N >= _SOE_LEVELS_PER_TERM n_exp levels takes it from a sum of
+n_exp exponentials of the L1 kernel (caputo_l1.soe_kernel; Jiang, Zhang,
+Zhang & Zhang 2017), O(n_exp M) a block, which reads only the last block:
+it keeps _BLOCK + 2 rows of each history and drops the older levels.
+solve_all hands each block of levels to an observer as it is solved, so
+the reports read every level either way.
 """
 
 import math
@@ -45,7 +48,7 @@ from .graded_time import extrapolation_weights
 # levels whose far L1 history sums share one GEMM
 _BLOCK = 16
 # a run takes its far sums from a sum of exponentials when it has at least
-# this many levels per exponential, and densely otherwise (see _far_sums)
+# this many levels per exponential, and densely otherwise (see _soe_terms)
 _SOE_LEVELS_PER_TERM = 20
 
 
@@ -121,17 +124,23 @@ class ProblemSpec:
 
 @dataclass
 class SolverState:
-    """Mutable per-run state: meshes and dense level histories.
+    """Mutable per-run state: meshes and the kept level histories.
 
     Every vector is held as the sine coefficients T x of nodal interior
-    coefficients x, T = smesh.sine_basis.  ubar[n] and v[n] are the shifted
-    displacement and the fractional velocity at level n.  Levels above
-    n_done are not solutions: the rows of the current block of levels
-    hold their far L1 history sums, later rows are zero.  kappa[n] records
-    the frozen coefficient used at level n (levels 0 and 1 come from
+    coefficients x, T = smesh.sine_basis.  Row i of ubar and v holds the
+    shifted displacement and the fractional velocity at level first + i.
+    A run whose far history sums are dense keeps every level (first = 0,
+    N + 1 rows), since each block's GEMM reads them all.  A run on the sum
+    of exponentials keeps _BLOCK + 2 rows: levels lo - 2 .. hi - 1 while
+    the block lo..hi-1 is open, the rows shifting down when the next block
+    opens (see _soe_far_sums).  Kept levels above n_done are not
+    solutions: the rows of the current block of levels hold their far L1
+    history sums, later rows are zero or stale.  rows and recovered read
+    the solved kept levels and raise outside them.  kappa[n] records the
+    frozen coefficient used at level n (levels 0 and 1 come from
     initialization and have none).  loads holds, for a separable forcing,
     the c_k and the (k, M) stack of the loads b_k of the phi_k, and is
-    empty when f is a callable.  soe, set at level 2, is empty on a run
+    empty when f is a callable.  soe, set by initialize, is empty on a run
     whose far history sums are dense and holds the nodes s, weights w and
     stacked sums U of the sum of exponentials otherwise (see
     _soe_far_sums); n_exp, the number of exponentials, reads 0 on a dense
@@ -150,31 +159,67 @@ class SolverState:
     cg_iters: list = field(default_factory=list)
     n_done: int = 0
     soe: tuple = ()
+    first: int = 0
 
     @property
     def n_exp(self):
         return self.soe[0].size if self.soe else 0
 
-    def recovered(self, n):
-        """Nodal interior coefficients of the recovered displacement at a solved level n."""
-        if not 0 <= n <= self.n_done:
-            raise ValueError(f"level {n} is not solved; levels 0..n_done = {self.n_done} are")
-        return self.smesh.sine_basis.from_sine(self.ubar[n] + self.tmesh.t[n] * self.phu1)
+    def rows(self, lo, hi):
+        """Views of the rows of ubar and v at the solved, kept levels lo..hi-1."""
+        for n in (lo, hi - 1):
+            if not self.first <= n <= self.n_done:
+                how = "was dropped" if 0 <= n < self.first else "is not solved"
+                raise ValueError(
+                    f"level {n} {how}; the kept levels are {self.first}..n_done = {self.n_done}")
+        kept = slice(lo - self.first, hi - self.first)
+        return self.ubar[kept], self.v[kept]
+
+    def recovered(self, lo, hi=None):
+        """Nodal interior coefficients of the recovered displacement at the
+        solved, kept level lo, or stacked over levels lo..hi-1 by one transform."""
+        if hi is None:
+            return self.recovered(lo, lo + 1)[0]
+        ubar, _ = self.rows(lo, hi)
+        return self.smesh.sine_basis.from_sine(ubar + self.tmesh.t[lo:hi, None] * self.phu1)
+
+
+def _soe_terms(beta, tmesh):
+    """The nodes and weights (s, w) of the sum of exponentials a run on
+    tmesh takes its far history sums from, or None where they are dense:
+    the sum of n_exp exponentials is taken if N >= _SOE_LEVELS_PER_TERM n_exp."""
+    # a far kernel argument t_m - s is at least tau_2 and at most T
+    s, w = soe_kernel(beta, tmesh.tau[1:].min(), tmesh.T)
+    return (s, w) if tmesh.N >= _SOE_LEVELS_PER_TERM * s.size else None
+
+
+def history_bytes(beta, tmesh, m):
+    """(bytes, n_exp): the bytes a run of order beta on tmesh with m
+    unknowns keeps for its level histories, and its n_exp, 0 on a dense
+    run.  That is 16 (N + 1) m dense, and 16 (_BLOCK + 2 + n_exp) m on the
+    sum of exponentials: _BLOCK + 2 rows of ubar and v, and U."""
+    terms = _soe_terms(beta, tmesh)
+    n_exp = 0 if terms is None else terms[0].size
+    rows = tmesh.N + 1 if terms is None else _BLOCK + 2 + n_exp
+    return 16 * rows * m, n_exp
 
 
 def initialize(spec, tmesh, smesh):
-    """Set up the loads and the two starting levels, in the sine basis.
+    """Set up the loads, the far-sum path and the two starting levels, in
+    the sine basis.
 
     Level 0 is the Ritz projection of u0 with zero velocity; level 1 uses a
     Taylor start U^1 = U^0 + tau_1 * P_h u1.  In the shifted variable this
     makes ubar^1 equal ubar^0 exactly, and feeding that through the L1
     formula gives v^1 = 0 exactly as well; both are computed, not assumed.
-    Loads and projections take the fem_space defaults DEFAULT_QUAD_ORDER
-    and DEFAULT_TOL, and are transformed once; no matrix is assembled.
+    The run takes its far sums densely and keeps every level, or from the
+    sum of exponentials of _soe_terms and keeps _BLOCK + 2 rows (see
+    SolverState).  Loads and projections take the fem_space defaults
+    DEFAULT_QUAD_ORDER and DEFAULT_TOL, and are transformed once; no
+    matrix is assembled.
     """
     to_sine = smesh.sine_basis.to_sine
     m = smesh.num_interior
-    n_levels = tmesh.N + 1
 
     loads = ()
     if isinstance(spec.f, tuple):
@@ -193,9 +238,12 @@ def initialize(spec, tmesh, smesh):
         phu1 = to_sine(l2_projection(smesh, spec.u1).coeffs)
         lap_load = -to_sine(assemble_grad_load(smesh, spec.grad_u1))
 
-    ubar = np.zeros((n_levels, m))
-    v = np.zeros((n_levels, m))
-    kappa = np.full(n_levels, np.nan)
+    terms = _soe_terms(spec.beta, tmesh)
+    soe = () if terms is None else (*terms, np.zeros((2, terms[0].size, m)))
+    rows = _BLOCK + 2 if soe else tmesh.N + 1
+    ubar = np.zeros((rows, m))
+    v = np.zeros((rows, m))
+    kappa = np.full(tmesh.N + 1, np.nan)
     ubar[0] = u0
     u1_level = u0 + tmesh.tau[0] * phu1
     ubar[1] = u1_level - tmesh.t[1] * phu1
@@ -213,25 +261,21 @@ def initialize(spec, tmesh, smesh):
         kappa=kappa,
         loads=loads,
         n_done=1,
+        soe=soe,
     )
 
 
 def _far_sums(state, lo):
     """Write the far history sums of the block of levels lo..hi-1.
 
-    Row m of v and ubar, unset until solved, gets level m's L1 weights
-    times the history levels j < lo.  At lo = 2 the run chooses how: from
-    a sum of n_exp exponentials if N >= _SOE_LEVELS_PER_TERM n_exp (see
-    _soe_far_sums), else densely, the weights of all the block's levels at
-    once and one GEMM per history.
+    The row of level m, unset until solved, gets level m's L1 weights times
+    the history levels j < lo: from the sum of exponentials state.soe if
+    initialize chose it (see _soe_far_sums), else densely, the weights of
+    all the block's levels at once and one GEMM over every kept level per
+    history.
     """
     tmesh, beta = state.tmesh, state.spec.beta
     hi = min(lo + _BLOCK, tmesh.N + 1)
-    if lo == 2:
-        # a far kernel argument t_m - s is at least tau_2 and at most T
-        s, w = soe_kernel(beta, tmesh.tau[1:].min(), tmesh.T)
-        soe = tmesh.N >= _SOE_LEVELS_PER_TERM * s.size
-        state.soe = (s, w, np.zeros((2, s.size, state.v.shape[1]))) if soe else ()
     if state.soe:
         _soe_far_sums(state, lo, hi)
         return
@@ -254,22 +298,29 @@ def _soe_far_sums(state, lo, hi):
     the first part is sum_k w_k exp(-s_k (t_m - t_(lo-1))) U_k.  U_k, both
     histories stacked, moves on from the last block by a decay and one
     product with that block's increments; the boundary coefficient is exact.
+    Once U has read the last block, histories too short for the new block
+    shift down to keep levels lo - 2 and lo - 1, which the extrapolant and
+    the boundary term read, and drop the older ones (state.first = lo - 2).
     """
     s, w, u = state.soe
     t, tau = state.tmesh.t, state.tmesh.tau
+    v, ubar, f = state.v, state.ubar, state.first
     # U covered j < prev - 1; add the increments j = prev - 1..lo - 2
     prev = max(lo - _BLOCK, 1)
     dx = np.empty((2, lo - prev, u.shape[2]))
-    np.subtract(state.v[prev:lo], state.v[prev - 1 : lo - 1], out=dx[0])
-    np.subtract(state.ubar[prev:lo], state.ubar[prev - 1 : lo - 1], out=dx[1])
+    np.subtract(v[prev - f : lo - f], v[prev - 1 - f : lo - 1 - f], out=dx[0])
+    np.subtract(ubar[prev - f : lo - f], ubar[prev - 1 - f : lo - 1 - f], out=dx[1])
     z = s[:, None] * tau[prev - 1 : lo - 1]
     gain = np.exp(s[:, None] * (t[prev:lo] - t[lo - 1])) * (-np.expm1(-z) / z)
     u *= np.exp(s * (t[prev - 1] - t[lo - 1]))[:, None]
     u += gain @ dx
+    if hi - f > len(v):
+        v[:2], ubar[:2] = v[lo - 2 - f : lo - f], ubar[lo - 2 - f : lo - f]
+        state.first = f = lo - 2
     far = (w * np.exp(s * (t[lo - 1] - t[lo:hi, None]))) @ u
     edge = l1_rows(state.tmesh, state.spec.beta, lo, hi, first=lo - 1)[:, :1]
-    np.subtract(far[0], edge * state.v[lo - 1], out=state.v[lo:hi])
-    np.subtract(far[1], edge * state.ubar[lo - 1], out=state.ubar[lo:hi])
+    np.subtract(far[0], edge * v[lo - 1 - f], out=v[lo - f : hi - f])
+    np.subtract(far[1], edge * ubar[lo - 1 - f], out=ubar[lo - f : hi - f])
 
 
 def _history_sums(state, n):
@@ -289,8 +340,9 @@ def _history_sums(state, n):
     # w_j = row[j-lo] - row[j-lo+1] for lo <= j < n and row[-1] = d_{n,1}
     row = l1_row(state.tmesh, state.spec.beta, n, n - lo + 1)[::-1]
     near = row[:-1] - row[1:]
-    g_hist = state.v[n] + near @ state.v[lo:n]
-    h_hist = state.ubar[n] + near @ state.ubar[lo:n]
+    f = state.first  # read after _far_sums, which may shift the rows
+    g_hist = state.v[n - f] + near @ state.v[lo - f : n - f]
+    h_hist = state.ubar[n - f] + near @ state.ubar[lo - f : n - f]
     return row[-1], g_hist, h_hist
 
 
@@ -328,8 +380,10 @@ def step(state, n):
 
     w1, w2 = extrapolation_weights(tmesh, n)
     t_hat = w1 * tmesh.t[n - 1] + w2 * tmesh.t[n - 2]
-    u_hat = w1 * state.ubar[n - 1] + w2 * state.ubar[n - 2] + t_hat * state.phu1
+    f = state.first
+    u_hat = w1 * state.ubar[n - 1 - f] + w2 * state.ubar[n - 2 - f] + t_hat * state.phu1
     ell = float(u_hat @ (basis.stiffness_symbol * u_hat))
+    del u_hat  # as rhs below: CG's peak holds no vector the level is done with
     kap = float(spec.a(ell))
     slack = 1e-12 * max(1.0, abs(spec.m2))
     if not (spec.m1 - slack <= kap <= spec.m2 + slack):
@@ -357,37 +411,51 @@ def step(state, n):
 
     c = kap / d1
     load += np.multiply(c / d1, np.multiply(basis.stiffness_symbol, y, out=rhs), out=rhs)
+    del rhs
     e, iters = spd_solve(state.smesh, d1, c, load, DEFAULT_TOL * math.sqrt(rr))
 
-    x = np.subtract(e, np.divide(y, d1, out=y), out=state.ubar[n])
-    np.add(np.multiply(d1, x, out=state.v[n]), h_hist, out=state.v[n])
+    row = n - state.first
+    x = np.subtract(e, np.divide(y, d1, out=y), out=state.ubar[row])
+    np.add(np.multiply(d1, x, out=state.v[row]), h_hist, out=state.v[row])
     state.kappa[n] = kap
     state.cg_iters.append(iters)
     state.n_done = n
     return state
 
 
-def solve_all(spec, tmesh, smesh):
-    """Initialize and advance every level; returns the final state."""
+def solve_all(spec, tmesh, smesh, observe=None):
+    """Initialize and advance every level; returns the final state.
+
+    observe(state, lo, hi), if given, is called once levels 0 and 1 are set
+    (lo, hi = 0, 2) and after each block of _BLOCK levels lo..hi-1 is
+    solved, while state still keeps them, so it sees every level 0..N once,
+    in order.
+    """
     state = initialize(spec, tmesh, smesh)
-    for n in range(2, tmesh.N + 1):
-        step(state, n)
+    if observe is not None:
+        observe(state, 0, 2)
+    for lo in range(2, tmesh.N + 1, _BLOCK):
+        hi = min(lo + _BLOCK, tmesh.N + 1)
+        for n in range(lo, hi):
+            step(state, n)
+        if observe is not None:
+            observe(state, lo, hi)
     return state
 
 
-def apriori_bound_report(state):
-    """Stability quantity ||v^n||_L2 + ||grad ubar^n||_L2 per level.
+def apriori_bound_report(state, lo, hi):
+    """Stability quantity ||v^n||_L2 + ||grad ubar^n||_L2 at the solved,
+    kept levels n = lo..hi-1, as an array.
 
     The continuous-level energy argument bounds exactly this combination,
     so a healthy run shows values that stay bounded as the mesh refines.
-    Both are taken in the sine basis.  Returns an array over levels 0..n_done.
+    Both are taken in the sine basis.
     """
     basis = state.smesh.sine_basis
-    out = np.zeros(state.n_done + 1)
-    for n in range(state.n_done + 1):
-        vn = state.v[n]
-        un = state.ubar[n]
+    ubar, v = state.rows(lo, hi)
+    out = np.zeros(hi - lo)
+    for i, (un, vn) in enumerate(zip(ubar, v)):
         v_l2 = math.sqrt(max(float(vn @ basis.mass(vn)), 0.0))
         u_h1 = math.sqrt(max(float(un @ (basis.stiffness_symbol * un)), 0.0))
-        out[n] = v_l2 + u_h1
+        out[i] = v_l2 + u_h1
     return out

@@ -12,15 +12,19 @@ matching the L-infinity-in-time estimate the scheme satisfies.
 Refinement couples the meshes so one error component cannot mask the
 other: temporal studies set Ms ~ N**(2-beta) (coupled_ms), spatial
 studies set N ~ Ms**(2/(2-beta)) (coupled_n).  run_single_case is the one
-solve path: it returns the error row and the finished state, from which
-trajectory_rows and apriori_bound_report read their diagnostics.  The
-driver that plans the refinements, runs every solve through it and
-attaches the observed orders is fracwave.cli.
+solve path: it observes each block of levels as solve_all solves it, with
+_h1_errors, trajectory_rows or apriori_bound_report, each a function of a
+level range, and returns the error row, the finished state and the
+per-level report.  A run on the sum of exponentials keeps only its last
+levels, so no report reads the finished state.  The study pipeline that
+plans the refinements, runs every solve through it and attaches the
+observed orders is fracwave.cli.
 """
 
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -199,26 +203,48 @@ def coupled_n(Ms, beta):
     return round_even(float(Ms) ** (2.0 / (2.0 - beta)))
 
 
-def run_single_case(case, N, Ms, r=None):
-    """Solve one (N, Ms) pairing and measure the max-in-time H1 error.
+def run_single_case(case, N, Ms, r=None, report="error"):
+    """Solve one (N, Ms) pairing and report on each block of levels as it
+    is solved (solve_all's observe), so a streamed run keeps no level for
+    a report after the solve.
 
-    r defaults to the recommended grading.  The solve and the error
-    integral both use the rule DEFAULT_QUAD_ORDER.  Returns (row, state):
-    a ReportRow without an order entry, its seconds covering the solve and
-    the error, and the finished SolverState for any further report.
+    r defaults to the recommended grading.  report names what each level
+    gives: "error" its H1 error (_h1_errors), "trajectory" its
+    trajectory_rows entry, which holds the same error, and "bound" its
+    apriori_bound_report value alone, for which no H1 error is evaluated.
+    The solve and the error integral both use the rule DEFAULT_QUAD_ORDER.
+    Returns (row, state, levels): levels lists the report of levels 0..N
+    in order; row is a ReportRow without an order entry whose error is the
+    max-in-time H1 error over levels 1..N, or the max bound quantity over
+    0..N for "bound", and whose seconds cover the solve and the report;
+    state is the finished SolverState.
     """
+    if report not in ("error", "trajectory", "bound"):
+        raise ValueError(f"report must be error, trajectory or bound, got {report!r}")
     beta = 0.5 * case.alpha
     if r is None:
         r = recommended_grading(beta)
     start = time.perf_counter()
     tmesh = build_graded_mesh(case.T, N, r)
     smesh = build_spatial_mesh(case.domain, Ms)
-    state = solve_all(case.problem_spec(), tmesh, smesh)
-    worst = max(_h1_errors(case, state)[1:], default=0.0)
+    if report == "bound":
+        def observe(state, lo, hi):
+            return apriori_bound_report(state, lo, hi).tolist()
+    else:
+        observe = partial(trajectory_rows if report == "trajectory" else _h1_errors, case,
+                          split=_ritz_split(case, smesh))
+    levels = []
+    state = solve_all(case.problem_spec(), tmesh, smesh,
+                      lambda *block: levels.extend(observe(*block)))
+    if report == "bound":
+        error = max(levels)
+    else:
+        errors = [level[2] for level in levels] if report == "trajectory" else levels
+        error = max(errors[1:], default=0.0)
     elapsed = time.perf_counter() - start
-    row = ReportRow(case.alpha, int(N), int(Ms), float(r), worst, seconds=elapsed,
+    row = ReportRow(case.alpha, int(N), int(Ms), float(r), error, seconds=elapsed,
                     cg_iters=max(state.cg_iters, default=0))
-    return row, state
+    return row, state, levels
 
 
 def observed_order(pairs):
@@ -240,50 +266,62 @@ def observed_order(pairs):
     return [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
 
 
-def _h1_errors(case, state):
-    """H1-seminorm errors of the recovered solution at levels 0..n_done.
+def _ritz_split(case, smesh):
+    """(C_0, T k, T R) of _h1_errors for the case's shape on smesh, once per run."""
+    g, grad_shape = case.grad_parts
+    to_sine = smesh.sine_basis.to_sine
+    ritz = ritz_projection(smesh, grad_shape)
+    c0 = h1_seminorm_error(ritz, grad_shape) ** 2
+    return c0, to_sine(ritz_residual(ritz, grad_shape)), to_sine(ritz.coeffs)
+
+
+def _h1_errors(case, state, lo, hi, split=None):
+    """H1-seminorm errors of the recovered solution at the solved, kept
+    levels lo..hi-1.
 
     With grad u = g(t) grad s (grad_parts), R the Ritz projection of s and
     phi_n = g(t_n) R - U^n, the error under the rule DEFAULT_QUAD_ORDER
     splits (Wheeler 1973) as g(t_n)^2 C_0 + 2 g(t_n) k . phi_n + phi_n . A
     phi_n, with C_0 = |grad (s - R)|^2 and k = ritz_residual(R, s).  It is
     exact for any R: grad R and grad phi_n are constant on each element,
-    whose weights sum to its measure.  phi_n is taken on the state's sine
-    coefficients, with T R and T k, so its energy is a sum over the
-    stiffness symbols; blocks of _LEVEL_BLOCK_ENTRIES coefficients bound
-    the temporaries.
+    whose weights sum to its measure.  split is _ritz_split(case,
+    state.smesh), computed here if not given.  phi_n is taken on the
+    state's sine coefficients, with T R and T k, so its energy is a sum
+    over the stiffness symbols; blocks of _LEVEL_BLOCK_ENTRIES coefficients
+    bound the temporaries.
     """
-    g, grad_shape = case.grad_parts
-    to_sine = state.smesh.sine_basis.to_sine
+    g = case.grad_parts[0]
+    c0, k, ritz = _ritz_split(case, state.smesh) if split is None else split
     symbols = state.smesh.sine_basis.stiffness_symbol
-    ritz = ritz_projection(state.smesh, grad_shape)
-    c0 = h1_seminorm_error(ritz, grad_shape) ** 2
-    k = to_sine(ritz_residual(ritz, grad_shape))
-    ritz = to_sine(ritz.coeffs)
-    t = state.tmesh.t[: state.n_done + 1]
+    ubar, _ = state.rows(lo, hi)
+    t = state.tmesh.t[lo:hi]
     size = max(1, _LEVEL_BLOCK_ENTRIES // state.smesh.num_interior)
     errors = []
-    for lo in range(0, t.size, size):
-        block = slice(lo, min(lo + size, t.size))
+    for i in range(0, t.size, size):
+        block = slice(i, min(i + size, t.size))
         gn = g(t[block])
         # phi_n for the rows of state.recovered(n), n in the block
-        phi = gn[:, None] * ritz - state.ubar[block] - t[block, None] * state.phu1
+        phi = gn[:, None] * ritz - ubar[block] - t[block, None] * state.phu1
         energy = np.einsum("ij,ij->i", phi, symbols * phi)
         squares = gn**2 * c0 + 2.0 * gn * (phi @ k) + energy
         errors.extend(np.sqrt(np.maximum(squares, 0.0)).tolist())
     return errors
 
 
-def trajectory_rows(case, state):
-    """Per-level diagnostics for a finished run.
+def trajectory_rows(case, state, lo, hi, split=None):
+    """Per-level diagnostics at the solved, kept levels lo..hi-1.
 
-    Returns (n, t_n, h1_error, l2_error, bound_quantity) for n = 0..N,
-    both errors integrated with the rule DEFAULT_QUAD_ORDER.
+    Returns (n, t_n, h1_error, l2_error, bound_quantity) for each level,
+    both errors integrated with the rule DEFAULT_QUAD_ORDER, the H1 error
+    from _h1_errors with its split, and the levels recovered by one
+    transform.
     """
-    bound = apriori_bound_report(state)
+    t = state.tmesh.t
+    h1 = _h1_errors(case, state, lo, hi, split)
+    bound = apriori_bound_report(state, lo, hi)
+    nodal = state.recovered(lo, hi)
     out = []
-    for n, h1 in enumerate(_h1_errors(case, state)):
-        tn = state.tmesh.t[n]
-        l2 = l2_error(FeFunction(state.recovered(n), state.smesh), lambda *x: case.u(*x, tn))
-        out.append((n, tn, h1, l2, bound[n]))
+    for i, n in enumerate(range(lo, hi)):
+        l2 = l2_error(FeFunction(nodal[i], state.smesh), lambda *x: case.u(*x, t[n]))
+        out.append((n, t[n], h1[i], l2, bound[i]))
     return out

@@ -259,7 +259,7 @@ def test_criterion_3_tables_2d():
     # the default-rule rows are the errors the CLI prints, which it takes
     # through the Ritz split of the same seminorm, equal to rounding
     first = spatial[DEFAULT_RULE][0]
-    row, _ = run_single_case(get_case("ex2", first["alpha"]), first["N"], first["Ms"])
+    row, _, _ = run_single_case(get_case("ex2", first["alpha"]), first["N"], first["Ms"])
     if abs(row.error - first["error"]) > 1e-12 * first["error"]:
         failures.append(
             f"3-point error {first['error']!r} differs from run_single_case {row.error!r}"

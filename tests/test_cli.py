@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -550,12 +551,38 @@ def test_histories_beyond_physical_memory_are_refused_before_any_solve(tmp_path,
     out = tmp_path / "report.csv"
     assert main(line.split() + ["threads=2", f"output={out}"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: alpha=1.5 N=16 Ms=32 needs 8,432 bytes")
+    assert err.startswith("config error: alpha=1.5 N=16 Ms=32 needs 8,432 bytes of dense level")
     assert "10,304 bytes exceed the 9,000 bytes" in err
     assert not out.exists()
-    # the 2D histories count (Ms - 1)^2 unknowns: 16 * 4097 * 511^2 bytes
+    # the 2D histories count (Ms - 1)^2 unknowns: 16 * 65 * 511^2 bytes dense,
+    # and 16 * (18 + 82) * 511^2 on the 82 exponentials of a long run
+    assert main("command=solve example=ex2 alpha=1.5 N=64 Ms=512".split()) == 2
+    assert "needs 271,565,840 bytes of dense level histories" in capsys.readouterr().err
     assert main("command=solve example=ex2 alpha=1.5 N=4096 Ms=512".split()) == 2
-    assert "needs 17,117,003,792 bytes" in capsys.readouterr().err
+    assert ("needs 417,793,600 bytes of level histories streamed on 82 exponentials;"
+            in capsys.readouterr().err)
+
+
+def test_the_memory_check_charges_a_streamed_task_its_kept_rows(tmp_path, capsys, monkeypatch):
+    # ex1 alpha = 1.8, N = 4096, Ms = 128 keeps 16 (16 + 2 + 69) 127 = 176,784
+    # bytes on its 69 exponentials, and 16 * 4097 * 127 = 8,325,104 dense
+    import fracwave.cli as cli_module
+    import fracwave.kirchhoff_solver as ks
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a case was solved")
+
+    monkeypatch.setattr(cli_module, "run_single_case", must_not_run)
+    _physical_memory(monkeypatch, 1_000_000)
+    line = "command=solve example=ex1 alpha=1.8 N=4096 Ms=128"
+    planned = cli_module._plan(parse_config(line))
+    assert planned == [(1.8, 4096, 128, cli_module.recommended_grading(0.9), False)]
+    monkeypatch.setattr(ks, "_SOE_LEVELS_PER_TERM", math.inf)
+    out = tmp_path / "trajectory.csv"
+    assert main(line.split() + [f"output={out}"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: alpha=1.8 N=4096 Ms=128 needs 8,325,104 bytes of dense level histories")
+    assert not out.exists()
 
 
 def test_plan_skips_the_memory_check_where_the_platform_has_no_page_count(monkeypatch):
@@ -589,6 +616,34 @@ def test_an_allocation_that_fails_names_its_task(line, tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line, calls",
+    [("command=temporal-study example=ex1 alpha=1.5 N=8,16", 1),
+     ("command=spatial-study example=ex2 alpha=1.5 Ms=4,8", 1),
+     ("command=solve example=ex2 alpha=1.5 N=8", 1),
+     ("command=bound-report example=ex1 alpha=1.5 N=8,16", 0)],
+    ids=["temporal", "spatial", "solve", "bound-report"],
+)
+def test_a_task_takes_the_ritz_projection_of_its_h1_errors_once(line, calls, monkeypatch):
+    # solve builds its trajectory from the errors of the run's one H1
+    # observer; bound-report prints the bound and evaluates no H1 error
+    from fracwave import mms_harness
+
+    counted = []
+    project = mms_harness.ritz_projection
+
+    def counting(*args, **kwargs):
+        counted.append(args)
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(mms_harness, "ritz_projection", counting)
+    cfg = parse_config(line)
+    for task in cli_module._plan(cfg):
+        before = len(counted)
+        cli_module._study_task((cfg, task))
+        assert len(counted) - before == calls
+
+
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
@@ -620,9 +675,9 @@ errors = []
 solve = cli.run_single_case
 
 def recording(*args, **kwargs):
-    row, state = solve(*args, **kwargs)
+    row, state, levels = solve(*args, **kwargs)
     errors.append(repr(row.error))
-    return row, state
+    return row, state, levels
 
 cli.run_single_case = recording
 out = sys.argv[1]

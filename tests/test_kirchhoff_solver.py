@@ -1,6 +1,7 @@
 """Time-stepping engine for the order-reduced Kirchhoff system."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -133,7 +134,7 @@ def test_zero_data_stays_zero():
     state = solve_all(spec, tmesh, smesh)
     np.testing.assert_allclose(state.ubar, 0.0, atol=1e-14)
     np.testing.assert_allclose(state.v, 0.0, atol=1e-14)
-    np.testing.assert_allclose(apriori_bound_report(state), 0.0, atol=1e-14)
+    np.testing.assert_allclose(apriori_bound_report(state, 0, 7), 0.0, atol=1e-14)
 
 
 def test_single_step_matches_scalar_oracle():
@@ -467,7 +468,7 @@ def test_bound_report_finite_and_nonnegative():
     tmesh = build_graded_mesh(1.0, 16, 1.666666666666667)
     smesh = build_spatial_mesh(case.domain, 16)
     state = solve_all(case.problem_spec(), tmesh, smesh)
-    bound = apriori_bound_report(state)
+    bound = apriori_bound_report(state, 0, state.n_done + 1)
     assert bound.shape == (17,)
     assert np.all(np.isfinite(bound))
     assert np.all(bound >= 0.0)
@@ -482,9 +483,8 @@ def test_blocked_history_sums_match_the_direct_contraction():
     tmesh = build_graded_mesh(1.0, 37, recommended_grading(beta))
     v_true = rng.standard_normal((38, 5))
     u_true = rng.standard_normal((38, 5))
-    state = SimpleNamespace(
-        tmesh=tmesh, spec=SimpleNamespace(beta=beta), v=np.zeros((38, 5)), ubar=np.zeros((38, 5))
-    )
+    state = SimpleNamespace(tmesh=tmesh, spec=SimpleNamespace(beta=beta), soe=(), first=0,
+                            v=np.zeros((38, 5)), ubar=np.zeros((38, 5)))
     state.v[:2] = v_true[:2]
     state.ubar[:2] = u_true[:2]
     truth = SimpleNamespace(tmesh=tmesh, spec=state.spec, v=v_true, ubar=u_true)
@@ -504,9 +504,9 @@ def test_blocked_history_sums_match_the_direct_contraction():
 )
 def test_blocked_solve_matches_the_direct_contraction(example, alpha, N, Ms, monkeypatch):
     case = example(alpha)
-    blocked, _ = run_single_case(case, N, Ms)
+    blocked, _, _ = run_single_case(case, N, Ms)
     monkeypatch.setattr(ks, "_history_sums", direct_history_sums)
-    direct, _ = run_single_case(case, N, Ms)
+    direct, _, _ = run_single_case(case, N, Ms)
     assert blocked.error == pytest.approx(direct.error, rel=1e-12)
 
 
@@ -547,15 +547,16 @@ def test_soe_far_sums_match_the_dense_ones(r, monkeypatch):
     beta, N, M = 0.8, 300, 4
     tmesh = build_graded_mesh(1.0, N, r)
     truth = {name: rng.standard_normal((N + 1, M)) for name in ("v", "ubar")}
-    soe, dense = (SimpleNamespace(tmesh=tmesh, spec=SimpleNamespace(beta=beta),
+    # the sum of exponentials the run would take if the rule allowed it
+    monkeypatch.setattr(ks, "_SOE_LEVELS_PER_TERM", 0)
+    s, w = ks._soe_terms(beta, tmesh)
+    soe, dense = (SimpleNamespace(tmesh=tmesh, spec=SimpleNamespace(beta=beta), soe=terms, first=0,
                                   v=np.zeros((N + 1, M)), ubar=np.zeros((N + 1, M)))
-                  for _ in range(2))
+                  for terms in ((s, w, np.zeros((2, s.size, M))), ()))
     worst = 0.0
     for lo in range(2, N + 1, ks._BLOCK):
         hi = min(lo + ks._BLOCK, N + 1)
-        for state, factor in ((soe, 0), (dense, math.inf)):
-            # the run's path is chosen at lo = 2
-            monkeypatch.setattr(ks, "_SOE_LEVELS_PER_TERM", factor)
+        for state in (soe, dense):
             for name, x in truth.items():
                 getattr(state, name)[:lo] = x[:lo]
             ks._far_sums(state, lo)
@@ -574,14 +575,19 @@ def _graded_run(case, N, Ms):
     return solve_all(case.problem_spec(), tmesh, build_spatial_mesh(case.domain, Ms))
 
 
-def test_the_soe_is_built_at_the_first_far_block():
+def test_the_far_sum_path_is_chosen_at_initialize():
     case = example1_case(1.8)
+    smesh = build_spatial_mesh(case.domain, 8)
     tmesh = build_graded_mesh(case.T, 4096, recommended_grading(0.9))
-    state = initialize(case.problem_spec(), tmesh, build_spatial_mesh(case.domain, 8))
-    assert state.soe == () and state.n_exp == 0
-    step(state, 2)
+    state = initialize(case.problem_spec(), tmesh, smesh)
     assert 0 < state.n_exp <= 4096 / ks._SOE_LEVELS_PER_TERM
     assert state.soe[2].shape == (2, state.n_exp, 7)
+    assert state.ubar.shape == state.v.shape == (ks._BLOCK + 2, 7) and state.first == 0
+    # a run short of the rule is dense from the start and keeps every level
+    tmesh = build_graded_mesh(case.T, 512, recommended_grading(0.9))
+    state = initialize(case.problem_spec(), tmesh, smesh)
+    assert state.soe == () and state.n_exp == 0
+    assert state.ubar.shape == state.v.shape == (513, 7)
 
 
 @pytest.mark.parametrize(
@@ -592,12 +598,77 @@ def test_a_long_run_matches_the_dense_run_within_1e_10(alpha, N, Ms, monkeypatch
     # ex1 alpha = 1.8 as in the spatial study, measured 2.3e-12 and 1.4e-13;
     # alpha = 1.02 (beta = 0.51) takes 122 exponentials, measured 4.4e-14
     case = example1_case(alpha)
-    soe = _graded_run(case, N, Ms)
+    soe, soe_state, _ = run_single_case(case, N, Ms)
     monkeypatch.setattr(ks, "_SOE_LEVELS_PER_TERM", math.inf)
-    dense = _graded_run(case, N, Ms)
-    assert soe.n_exp > 0 and dense.n_exp == 0
-    errors = [max(mms_harness._h1_errors(case, state)[1:]) for state in (soe, dense)]
-    assert errors[0] == pytest.approx(errors[1], rel=1e-10)
+    dense, dense_state, _ = run_single_case(case, N, Ms)
+    assert soe_state.n_exp > 0 and dense_state.n_exp == 0
+    assert soe.error == pytest.approx(dense.error, rel=1e-10)
+
+
+@pytest.mark.parametrize("N, streamed", [(546, False), (1922, True)], ids=["dense", "soe"])
+def test_the_observer_sees_every_level_once_in_order(N, streamed):
+    # the streamed levels equal, bit for bit, those of the same run stepped
+    # on histories that keep every row
+    case = example1_case(1.8)
+    spec, smesh = case.problem_spec(), build_spatial_mesh(case.domain, 16)
+    tmesh = build_graded_mesh(case.T, N, recommended_grading(0.9))
+    seen, rows, observed = [], [], {}
+
+    def observe(state, lo, hi):
+        seen.extend(range(lo, hi))
+        rows.append(len(state.ubar))
+        for n, u, v in zip(range(lo, hi), *state.rows(lo, hi)):
+            observed[n] = u.copy(), v.copy()
+
+    state = solve_all(spec, tmesh, smesh, observe)
+    assert seen == list(range(N + 1))
+    assert (state.n_exp > 0) == streamed
+    assert max(rows) == (ks._BLOCK + 2 if streamed else N + 1)
+    full = initialize(spec, tmesh, smesh)
+    for name in ("ubar", "v"):
+        kept = getattr(full, name)
+        setattr(full, name, np.zeros((N + 1, kept.shape[1])))
+        getattr(full, name)[:2] = kept[:2]
+    for n in range(2, N + 1):
+        step(full, n)
+    for n, (u, v) in observed.items():
+        assert np.array_equal(u, full.ubar[n]) and np.array_equal(v, full.v[n]), n
+
+
+@pytest.mark.parametrize(
+    "N, Ms, error", [(1922, 64, 0.035532414540526816), (4096, 128, 0.01776352287114845)],
+    ids=["1922-64", "4096-128"],
+)
+def test_streamed_runs_keep_the_max_h1_error_bits(N, Ms, error):
+    # the reprs of the runs that kept every level, ex1 alpha = 1.8
+    row, state, _ = run_single_case(example1_case(1.8), N, Ms)
+    assert state.n_exp > 0
+    assert repr(row.error) == repr(error)
+
+
+def test_a_streamed_run_keeps_a_block_of_rows():
+    # the dense histories alone took 1.85 MiB (16 * 1923 * 63 bytes), the
+    # traced run 2.35 MiB; streamed, the run peaked at 0.31 MiB
+    case = example1_case(1.8)
+    run_single_case(case, 8, 8)
+    tracemalloc.start()
+    try:
+        _, state, levels = run_single_case(case, 1922, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(levels) == 1923
+    assert state.ubar.shape == state.v.shape == (ks._BLOCK + 2, 63)
+    assert peak < 16 * 1923 * 63
+    # the last block opened at level 1922, keeping 1920 and 1921 below it
+    assert state.first == 1920
+    assert np.isfinite(state.recovered(1920)).all()
+    for bad in (1919, 0):
+        with pytest.raises(ValueError, match=rf"level {bad} was dropped; the kept levels are "
+                                             rf"1920\.\.n_done = 1922"):
+            state.recovered(bad)
+    with pytest.raises(ValueError, match=r"level 2 was dropped"):
+        apriori_bound_report(state, 2, 18)
 
 
 @pytest.mark.parametrize(
@@ -755,7 +826,7 @@ def test_sine_basis_errors_and_bounds_match_the_nodal_formulas(case, N, ms, forc
     state = solve_all(spec, tmesh, smesh)
     # measured: at most 3.5e-14 relative (1d-128) for the errors, 1.2e-14
     # for the bound quantity; levels 0 and 1 are zero in both
-    got = mms_harness._h1_errors(case, state)
+    got = mms_harness._h1_errors(case, state, 0, N + 1)
     assert got == pytest.approx(_nodal_h1_errors(case, state), rel=1e-12, abs=0.0)
-    got = list(apriori_bound_report(state))
+    got = list(apriori_bound_report(state, 0, N + 1))
     assert got == pytest.approx(_nodal_bound_report(state), rel=1e-12, abs=0.0)

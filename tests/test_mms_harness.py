@@ -146,9 +146,12 @@ def test_observed_order_rejects_bad_sequences():
 
 def test_run_single_case_populates_row():
     case = example1_case(1.5)
-    row, state = run_single_case(case, 16, 24)
+    row, state, levels = run_single_case(case, 16, 24)
     assert row.N == 16 and row.Ms == 24
     assert state.n_done == 16 and state.smesh.num_interior == 23
+    assert len(levels) == 17 and row.error == max(levels[1:])
+    with pytest.raises(ValueError, match="report must be error, trajectory or bound"):
+        run_single_case(case, 16, 24, report="errors")
     assert row.r == pytest.approx((2.0 - 0.75) / 0.75, rel=1e-13)
     assert row.error > 0.0
     assert row.oc is None
@@ -158,8 +161,8 @@ def test_run_single_case_populates_row():
 
 def test_errors_shrink_under_coupled_refinement():
     case = example1_case(1.5)
-    coarse, _ = run_single_case(case, 8, coupled_ms(8, 0.75))
-    fine, _ = run_single_case(case, 16, coupled_ms(16, 0.75))
+    coarse, _, _ = run_single_case(case, 8, coupled_ms(8, 0.75))
+    fine, _, _ = run_single_case(case, 16, coupled_ms(16, 0.75))
     assert fine.error < coarse.error
 
 
@@ -168,7 +171,7 @@ def test_trajectory_rows_cover_all_levels():
     tmesh = build_graded_mesh(1.0, 4, 1.6)
     smesh = build_spatial_mesh(case.domain, 8)
     state = solve_all(case.problem_spec(), tmesh, smesh)
-    rows = trajectory_rows(case, state)
+    rows = trajectory_rows(case, state, 0, state.n_done + 1)
     assert len(rows) == 5
     n0, t0, h1_0, l2_0, bound0 = rows[0]
     assert (n0, t0) == (0, 0.0)
@@ -212,13 +215,14 @@ def test_cached_gradient_errors_match_the_callable_path(case, ms):
     tmesh = build_graded_mesh(case.T, 4, 1.6)
     smesh = build_spatial_mesh(case.domain, ms)
     state = solve_all(case.problem_spec(), tmesh, smesh)
-    for n, tn, h1, _, _ in trajectory_rows(case, state):
+    rows = trajectory_rows(case, state, 0, state.n_done + 1)
+    for n, tn, h1, _, _ in rows:
         uh = FeFunction(state.recovered(n), smesh)
         expected = h1_seminorm_error(uh, closed_form_gradient(tn))
         assert h1 == pytest.approx(expected, rel=SPLIT_RTOL, abs=0.0)
-    worst = max(row[2] for row in trajectory_rows(case, state)[1:])
-    row, _ = run_single_case(case, 4, ms, r=1.6)
-    assert row.error == worst
+    worst = max(row[2] for row in rows[1:])
+    row, _, levels = run_single_case(case, 4, ms, r=1.6, report="trajectory")
+    assert row.error == worst and levels == rows
 
 
 @pytest.mark.parametrize(
@@ -241,7 +245,7 @@ def test_split_h1_errors_match_the_per_level_errors(case, ms, n_done, monkeypatc
     # the default blocks, then blocks of 7 levels that leave a partial one
     for entries in (mms_harness._LEVEL_BLOCK_ENTRIES, 7 * smesh.num_interior):
         monkeypatch.setattr(mms_harness, "_LEVEL_BLOCK_ENTRIES", entries)
-        got = mms_harness._h1_errors(case, state)
+        got = mms_harness._h1_errors(case, state, 0, state.n_done + 1)
         assert len(got) == len(expected)
         assert got == pytest.approx(expected, rel=SPLIT_RTOL, abs=0.0)
 
@@ -268,7 +272,7 @@ def test_split_is_an_identity_for_any_coefficients(case, ms):
         noise = rng.standard_normal(smesh.num_interior)
         state.ubar[n] = g(tmesh.t[n]) * ritz + scale * noise
     state.n_done = N
-    got = mms_harness._h1_errors(case, state)
+    got = mms_harness._h1_errors(case, state, 0, N + 1)
     assert got == pytest.approx(_per_level_errors(case, state), rel=1e-11, abs=0.0)
 
 
@@ -283,7 +287,7 @@ def test_h1_error_evaluation_peak_memory():
     state = solve_all(case.problem_spec(), tmesh, build_spatial_mesh(case.domain, 182))
     tracemalloc.start()
     try:
-        mms_harness._h1_errors(case, state)
+        mms_harness._h1_errors(case, state, 0, state.n_done + 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
