@@ -14,7 +14,7 @@ from .fem_space import (
     assemble_load,
     build_spatial_mesh,
     h1_seminorm_error,
-    l2_error,
+    l2_errors,
     l2_projection,
     ritz_projection,
     spd_solve,
@@ -75,7 +75,7 @@ __all__ = [
     "kernel_triangle",
     "l1_row",
     "l1_rows",
-    "l2_error",
+    "l2_errors",
     "l2_projection",
     "observed_order",
     "recommended_grading",

@@ -2,12 +2,12 @@
 
 Every element is a simplex: a 2-vertex interval in 1D, a 3-vertex triangle
 in 2D.  Loads, projections and error norms run one code path for both
-dimensions, on the element measures and scaled P1 basis gradients each
-mesh computes once, and on quadrature points each mesh builds once per
-rule.  Every element loop runs over blocks of at most _ELEMENT_BLOCK
-elements and adds in element order, so its temporaries scale with the
-block (the H1 error evaluation on 66,248 triangles: 3.01 MB traced,
-10.07 MB unblocked) and its results do not depend on it.
+dimensions.  A mesh keeps only its grid; every element loop runs over
+blocks of at most _ELEMENT_BLOCK elements, forms the element measures,
+scaled P1 basis gradients and quadrature points of the block it reads
+(element_geometry), and adds in element order, so its temporaries scale
+with the block (the H1 error evaluation on 66,248 triangles: 3.01 MB
+traced, 10.07 MB unblocked) and its results do not depend on it.
 
 Meshes carry homogeneous Dirichlet conditions by elimination: load vectors
 and coefficients live on the interior unknowns only.  The 2D mesh is the
@@ -28,10 +28,9 @@ import numpy as np
 
 
 def _read_only(*arrays):
-    """Mark arrays read-only and return them as a tuple."""
+    """Mark arrays read-only."""
     for arr in arrays:
         arr.flags.writeable = False
-    return arrays
 
 
 def dst1(x):
@@ -102,40 +101,18 @@ class SpatialMesh:
 
     SpatialMesh(domain, subdivisions) takes its vertices, elements and
     boundary from _grid(domain, Ms); it raises ValueError on an empty
-    interval, on Ms < 2 and on an unknown descriptor.  Every element is positively oriented, so its
-    Jacobian determinant is its measure times dimension!.  The element
-    geometry is computed on construction, the quadrature points on first
-    use of each rule and the sine basis on first use; every cached array
-    is read-only.
+    interval, on Ms < 2 and on an unknown descriptor.  Every element is
+    positively oriented, so its Jacobian determinant is its measure times
+    dimension!.  The mesh keeps its grid and, from first use, its sine
+    basis, all read-only; element_geometry forms the measures, gradients
+    and quadrature points of a block of elements where a kernel reads them.
 
-    Attributes
-    ----------
-    dimension : int
-        1 or 2.
-    vertices : ndarray
-        Node coordinates, shape (n_nodes,) in 1D or (n_nodes, 2) in 2D.
-    elements : ndarray of int
-        Connectivity, shape (n_elements, 2) or (n_elements, 3).
-    boundary : ndarray of bool
-        True on Dirichlet nodes.
-    interior_nodes : ndarray of int
-        Global indices of the unknowns, in ascending order.
-    num_interior : int
-        Number of unknowns.
-    domain : tuple
-        Descriptor, ("interval", a, b) with float ends or ("unit_square",).
-    subdivisions : int
-        Ms, the per-direction element count.
-    measure : ndarray
-        Element lengths or areas, shape (n_elements,).
-    scaled_gradients : ndarray
-        P1 basis gradients times dimension! * measure, shape
-        (n_elements, dimension + 1, dimension): the gradient of the basis
-        function of node elements[e, s] is scaled_gradients[e, s] /
-        (dimension! * measure[e]).  They are (-1, 1) in 1D and the opposite
-        edges turned by 90 degrees in 2D.  Dividing by the measure once per
-        use, as the closed-form element matrices do, keeps the 1D loads
-        exact to the last bit.
+    Attributes: dimension, 1 or 2; vertices, the node coordinates, shape
+    (n_nodes,) in 1D or (n_nodes, 2) in 2D; elements, the connectivity,
+    shape (n_elements, dimension + 1), ints; boundary, True on Dirichlet
+    nodes; interior_nodes, the global indices of the unknowns, ascending;
+    num_interior, their number; domain, the descriptor ("interval", a, b)
+    with float ends or ("unit_square",); subdivisions, Ms.
     """
 
     def __init__(self, domain, subdivisions):
@@ -148,79 +125,84 @@ class SpatialMesh:
         ms = int(subdivisions)
         if ms < 2:
             raise ValueError(f"need at least 2 elements per direction, got {subdivisions}")
-        self.dimension = d = 1 if domain[0] == "interval" else 2
+        self.dimension = 1 if domain[0] == "interval" else 2
         self.vertices, self.elements, self.boundary = _grid(domain, ms)
         self.interior_nodes = np.flatnonzero(~self.boundary)
         self.num_interior = int(self.interior_nodes.size)
         self.domain = domain
         self.subdivisions = ms
-        # rows of the Jacobian J are the edges leaving vertex 0, so the
-        # edges of axis k are column k, J[s, k] for s < d; column k of
-        # adj(J) / det(J) is the gradient of barycentric coordinate k + 1,
-        # and det(J) > 0 on the grid's elements.  Writing out the 1 x 1 and
-        # 2 x 2 cofactors keeps them exact, which np.linalg.det is not even
-        # for 1 x 1
-        columns = [edges for _, edges in self._edges()]
-        if d == 1:
-            ((det,),) = columns
-            adj_t = np.ones((1, 1, det.size))
-        else:
-            (j00, j10), (j01, j11) = columns
-            det = j00 * j11 - j01 * j10
-            adj_t = np.array([[j11, -j10], [-j01, j00]])
-        self.measure = det / math.factorial(d)
-        scaled = np.moveaxis(adj_t, -1, 0)
-        self.scaled_gradients = np.concatenate(
-            [-scaled.sum(axis=1, keepdims=True), scaled], axis=1
-        )
         _read_only(self.vertices, self.elements, self.boundary, self.interior_nodes)
-        _read_only(self.measure, self.scaled_gradients)
-        self._quadrature = {}
-
-    def _edges(self):
-        """Per axis, vertex 0 of every element and the edges leaving it.
-
-        Yields (p0, edges) with p0 of shape (n_elements,) and edges of shape
-        (dimension, n_elements): edges[s] is the axis's coordinate of vertex
-        s + 1 minus that of vertex 0.  One contiguous gather per axis and
-        vertex, in place of an (n_elements, dimension + 1, dimension) copy.
-        """
-        for coord in self.vertices.reshape(self.vertices.shape[0], -1).T:
-            p = coord[self.elements.T]
-            yield p[0], p[1:] - p[0]
-
-    def quadrature(self, npoints):
-        """Cached rule with npoints points per element.
-
-        Returns (lam, xq, wq): the barycentric points lam of shape
-        (nq, dimension + 1) from QUADRATURE_RULES, the physical points xq
-        of shape (dimension, n_elements, nq), one coordinate array per
-        axis so that g(*xq) evaluates a callable at every point, and the
-        weights wq of shape (n_elements, nq).
-        """
-        if npoints not in self._quadrature:
-            rules = QUADRATURE_RULES[self.dimension]
-            if npoints not in rules:
-                raise ValueError(
-                    f"no {npoints}-point rule on {self.dimension}D elements; "
-                    f"available: {sorted(rules)}"
-                )
-            lam, w = rules[npoints]
-            # x = p_0 + sum over s >= 1 of lam_s (p_s - p_0), per axis k and
-            # point q; each coordinate array xq[k] is contiguous, which the
-            # callables evaluate fastest
-            xq = np.empty((self.dimension, self.elements.shape[0], lam.shape[0]))
-            for k, (p0, edges) in enumerate(self._edges()):
-                for q, lam_q in enumerate(lam[:, 1:]):
-                    xq[k, :, q] = _dot(edges, lam_q) + p0
-            wq = self.measure[:, None] * w[None, :]
-            self._quadrature[npoints] = _read_only(lam, xq, wq)
-        return self._quadrature[npoints]
 
     @functools.cached_property
     def sine_basis(self):
         """The mesh's SineBasis, built on first use."""
         return SineBasis(self)
+
+
+def _rule(dimension, npoints):
+    """The (barycentric points, weights) of QUADRATURE_RULES with npoints
+    points per element; ValueError names the available rules."""
+    rules = QUADRATURE_RULES[dimension]
+    if npoints not in rules:
+        raise ValueError(f"no {npoints}-point rule on {dimension}D elements; "
+                         f"available: {sorted(rules)}")
+    return rules[npoints]
+
+
+def element_geometry(mesh, blk, npoints, gradients=True):
+    """(measure, scaled_gradients, rule) of the n elements blk (a slice;
+    slice(None) for all), formed from the grid's per-axis gathers on each
+    call, elementwise, so a block's values equal those rows of the whole
+    mesh's bit for bit.  measure holds the lengths or areas, shape (n,).
+    scaled_gradients, None unless gradients, of shape (n, dimension + 1,
+    dimension), are the P1 basis gradients times dimension! * measure:
+    (-1, 1) in 1D, the opposite edges turned by 90 degrees in 2D.  Dividing
+    by the measure once per use, as the closed-form element matrices do,
+    keeps the 1D loads exact to the last bit.  rule, for npoints per
+    element, is (lam, xq, wq): the points lam (nq, dimension + 1) of
+    QUADRATURE_RULES, the physical points xq (dimension, n, nq), one
+    coordinate array per axis for g(*xq), and the weights wq (n, nq).
+    """
+    d = mesh.dimension
+    lam, w = _rule(d, npoints)
+    # one contiguous row of indices per vertex, so each gather is contiguous
+    corners = np.ascontiguousarray(mesh.elements[blk].T)
+    # per axis, vertex 0 of every element and the edges leaving it: column
+    # k of the Jacobian J, whose rows are the edges leaving vertex 0
+    points = (coord[corners] for coord in mesh.vertices.reshape(mesh.vertices.shape[0], -1).T)
+    axes = [(p[0], p[1:] - p[0]) for p in points]
+    # column k of adj(J) / det(J), det(J) > 0, is the gradient of barycentric
+    # coordinate k + 1; the written-out cofactors are exact, np.linalg.det not
+    if d == 1:
+        ((_, (det,)),) = axes
+    else:
+        (_, (j00, j10)), (_, (j01, j11)) = axes
+        det = j00 * j11 - j01 * j10
+    measure = det / math.factorial(d)
+    scaled_gradients = None
+    if gradients:
+        # g[s, k], component k at vertex s: rows 1..d are adj(J)^T, row 0
+        # minus their sum; each component is one contiguous array
+        g = np.empty((d + 1, d, det.size))
+        if d == 1:
+            g[1, 0], g[0, 0] = 1.0, -1.0
+        else:
+            g[1, 0], g[2, 1] = j11, j00
+            np.negative(j10, out=g[1, 1])
+            np.negative(j01, out=g[2, 0])
+            np.negative(g[1] + g[2], out=g[0])
+        scaled_gradients = g.transpose(2, 0, 1)
+    # x = p_0 + sum over s >= 1 of lam_s (p_s - p_0); xq[k] is contiguous,
+    # which callables evaluate fastest, and wq is filled a column per point,
+    # 5 times faster than broadcasting over the short point axis
+    xq = np.empty((d, det.size, lam.shape[0]))
+    for k, (p0, edges) in enumerate(axes):
+        for q, lam_q in enumerate(lam[:, 1:]):
+            np.add(_dot(edges, lam_q), p0, out=xq[k, :, q])
+    wq = np.empty(xq.shape[1:])
+    for q, w_q in enumerate(w):
+        np.multiply(measure, w_q, out=wq[:, q])
+    return measure, scaled_gradients, (lam, xq, wq)
 
 
 class SineBasis:
@@ -267,6 +249,7 @@ class SineBasis:
             self.mass_symbol = ((6.0 + 2.0 * ci + 2.0 * cj + 2.0 * ci * cj) / (12 * ms**2)).ravel()
             self.stiffness_symbol = (s[:, None] + s[None, :]).ravel()
             self._fold_scale = 1.0 / (24.0 * ms**2)
+            self._work = tuple(np.empty(self.mass_symbol.size) for _ in range(3))
             # B = S_odd D S_even^T; row i of D Y is row i + 1 minus row i - 1 of Y
             padded = np.pad(self.sine[ms // 2 :].T, ((1, 1), (0, 0)))
             self.block = self.sine[: ms // 2] @ (padded[2:] - padded[:-2])
@@ -306,13 +289,14 @@ class SineBasis:
     def system(self, a, b):
         """T (a M + b A) T^T as a function for spd_solve, and the inverse of
         its diagonal as the preconditioner: the exact inverse in 1D.  In 2D
-        both write into buffers of their own, overwritten on the next call."""
+        both write into the basis's work arrays, overwritten on the next call
+        of any system's functions, so a level allocates none of them."""
         symbols = a * self.mass_symbol + b * self.stiffness_symbol
         inverse = 1.0 / symbols
         if self.block is None:
             return lambda e: symbols * e, lambda r: inverse * r
         scale = a * self._fold_scale
-        out, term, z = (np.empty(symbols.size) for _ in range(3))
+        out, term, z = self._work
         return (lambda e: np.add(np.multiply(self._fold(e, out), scale, out=out),
                                  np.multiply(symbols, e, out=term), out=out),
                 lambda r: np.multiply(inverse, r, out=z))
@@ -380,15 +364,16 @@ def _axes(fn, xb):
     return values if isinstance(values, (tuple, list)) else np.reshape(values, xb.shape)
 
 
-def _interior_sum(mesh, local):
+def _interior_sum(mesh, local, gradients=True):
     """Add per-element vertex values into the nodes and keep the interior
-    unknowns; local(blk) gives those of the elements in blk, one array per
-    vertex."""
+    unknowns; local(blk, geometry) gives those of the elements in blk, one
+    array per vertex, from their element_geometry under DEFAULT_QUAD_ORDER."""
     vec = np.zeros(mesh.vertices.shape[0])
     for blk in _element_blocks(mesh):
+        values = local(blk, element_geometry(mesh, blk, DEFAULT_QUAD_ORDER, gradients))
         # np.add.at adds one by one from 0.0 in the order of elements.ravel(),
         # as one bincount over all elements does
-        np.add.at(vec, mesh.elements[blk].ravel(), np.column_stack(local(blk)).ravel())
+        np.add.at(vec, mesh.elements[blk].ravel(), np.column_stack(values).ravel())
     return vec[mesh.interior_nodes]
 
 
@@ -399,25 +384,22 @@ def assemble_load(mesh, g):
     The callable receives one coordinate array per dimension, g(x) in 1D
     and g(x, y) in 2D.
     """
-    lam, xq, wq = mesh.quadrature(DEFAULT_QUAD_ORDER)
-
-    def local(blk):
-        weighted = (wq[blk] * g(*xq[:, blk])).T
+    def local(blk, geometry):
+        _, _, (lam, xq, wq) = geometry
+        weighted = (wq * g(*xq)).T
         return [_dot(weighted, lam_s) for lam_s in lam.T]
 
-    return _interior_sum(mesh, local)
+    return _interior_sum(mesh, local, gradients=False)
 
 
 def _grad_load(mesh, integrals):
-    """(c, grad phi_i) on the interior unknowns for a field c given by
-    integrals(blk), its integral over every element of blk, one array per
-    axis."""
-    scale = math.factorial(mesh.dimension) * mesh.measure
-    gradients = mesh.scaled_gradients.transpose(1, 2, 0)
-
-    def local(blk):
-        c = integrals(blk)
-        return [_dot(g_s[:, blk], c) / scale[blk] for g_s in gradients]
+    """(c, grad phi_i) on the interior unknowns for a field c whose integral
+    over every element of blk, one array per axis, is integrals(blk, geometry)."""
+    def local(blk, geometry):
+        measure, gradients, _ = geometry
+        c = integrals(blk, geometry)
+        scale = math.factorial(mesh.dimension) * measure
+        return [_dot(g_s, c) / scale for g_s in gradients.transpose(1, 2, 0)]
 
     return _interior_sum(mesh, local)
 
@@ -428,10 +410,11 @@ def assemble_grad_load(mesh, grad):
     grad receives one coordinate array per dimension and returns g' in 1D,
     (gx, gy) in 2D.
     """
-    _, xq, wq = mesh.quadrature(DEFAULT_QUAD_ORDER)
-    return _grad_load(
-        mesh, lambda blk: [_dot(wq[blk].T, c.T) for c in _axes(grad, xq[:, blk])]
-    )
+    def integrals(blk, geometry):
+        _, _, (_, xq, wq) = geometry
+        return [_dot(wq.T, c.T) for c in _axes(grad, xq)]
+
+    return _grad_load(mesh, integrals)
 
 
 @dataclass(frozen=True)
@@ -548,12 +531,27 @@ def ritz_projection(mesh, grad):
     return _project(mesh, 0.0, 1.0, assemble_grad_load(mesh, grad))
 
 
-def _element_gradients(mesh, nodal, blk):
-    """Gradient of the P1 function with nodal values nodal on the elements
-    of blk, one array per axis."""
-    zs = nodal[mesh.elements[blk]].T
-    scale = math.factorial(mesh.dimension) * mesh.measure[blk]
-    return [_dot(zs, g_k) / scale for g_k in mesh.scaled_gradients[blk].transpose(2, 1, 0)]
+def _h1_squares(mesh, nodal, blk, geometry, exact, out):
+    """Write wq |grad u - exact|^2 at every point of the elements blk, of the
+    given geometry, into out, u with the nodal values nodal; return grad u
+    per axis.  The products and sums of _dot(diffs, diffs) are formed in
+    place, so no array beyond one difference per axis is held."""
+    measure, scaled_gradients, (_, _, wq) = geometry
+    zs = nodal[np.ascontiguousarray(mesh.elements[blk].T)]
+    scale = math.factorial(mesh.dimension) * measure
+    gradients = [_dot(zs, g_k) / scale for g_k in scaled_gradients.transpose(2, 1, 0)]
+    acc = None
+    for grad_k, exact_k in zip(gradients, exact):
+        diff = grad_k[:, None] - exact_k
+        diff *= diff
+        acc = diff if acc is None else np.add(acc, diff, out=acc)
+    np.multiply(acc, wq, out=out)
+    return gradients
+
+
+def _squares(mesh, npoints):
+    """An empty (n_elements, npoints) array for an error's squares."""
+    return np.empty((mesh.elements.shape[0], _rule(mesh.dimension, npoints)[1].size))
 
 
 def h1_seminorm_error(u, exact_grad, quad_order=DEFAULT_QUAD_ORDER):
@@ -563,43 +561,47 @@ def h1_seminorm_error(u, exact_grad, quad_order=DEFAULT_QUAD_ORDER):
     derivative in 1D, the pair of partial derivatives in 2D.
     """
     mesh, nodal = u.mesh, u.nodal_values()
-    _, xq, wq = mesh.quadrature(quad_order)
-    squares = np.empty(wq.shape)
+    squares = _squares(mesh, quad_order)
     for blk in _element_blocks(mesh):
-        axes = zip(_element_gradients(mesh, nodal, blk), _axes(exact_grad, xq[:, blk]))
-        # the products and sums of _dot(diffs, diffs), formed in place so that
-        # no array beyond one difference per axis is held
-        acc = None
-        for grad_k, exact_k in axes:
-            diff = grad_k[:, None] - exact_k
-            diff *= diff
-            acc = diff if acc is None else np.add(acc, diff, out=acc)
-        np.multiply(acc, wq[blk], out=squares[blk])
+        geometry = element_geometry(mesh, blk, quad_order)
+        _h1_squares(mesh, nodal, blk, geometry, _axes(exact_grad, geometry[2][1]), squares[blk])
     return math.sqrt(max(float(squares.sum()), 0.0))
 
 
 def ritz_residual(u, grad):
     """(grad g - grad u, grad phi_i) on the interior unknowns, under the rule
     of ritz_projection: zero up to rounding when u is g's projection.  The
-    difference per element keeps digits that the load minus A u loses."""
+    difference per element keeps digits that the load minus A u loses.
+    Returns (residual, h1_seminorm_error(u, grad)) from one pass of grad.
+    """
     mesh, nodal = u.mesh, u.nodal_values()
-    _, xq, wq = mesh.quadrature(DEFAULT_QUAD_ORDER)
+    squares = _squares(mesh, DEFAULT_QUAD_ORDER)
 
-    def integrals(blk):
-        axes = zip(_axes(grad, xq[:, blk]), _element_gradients(mesh, nodal, blk))
-        return [_dot(wq[blk].T, g.T) - mesh.measure[blk] * gu for g, gu in axes]
+    def integrals(blk, geometry):
+        measure, _, (_, xq, wq) = geometry
+        exact = _axes(grad, xq)
+        grads = _h1_squares(mesh, nodal, blk, geometry, exact, squares[blk])
+        return [_dot(wq.T, g.T) - measure * gu for g, gu in zip(exact, grads)]
 
-    return _grad_load(mesh, integrals)
+    return _grad_load(mesh, integrals), math.sqrt(max(float(squares.sum()), 0.0))
 
 
-def l2_error(u, exact):
-    """L2 norm of u minus a pointwise-evaluable function of one coordinate
-    array per dimension."""
-    mesh, nodal = u.mesh, u.nodal_values()
-    lam, xq, wq = mesh.quadrature(DEFAULT_QUAD_ORDER)
-    squares = np.empty(wq.shape)
-    for blk in _element_blocks(mesh):
-        zs = nodal[mesh.elements[blk]].T
-        diff = np.column_stack([_dot(zs, lam_q) for lam_q in lam]) - exact(*xq[:, blk])
-        np.multiply(wq[blk], diff**2, out=squares[blk])
-    return math.sqrt(max(float(squares.sum()), 0.0))
+def l2_errors(functions, exacts):
+    """L2 norms of P1 functions on one mesh minus their exact functions,
+    callables of one coordinate array per axis.  One pass forms the blocks'
+    quadrature, held while the functions are taken one at a time (4.8 MB on
+    66,248 triangles, 25 MB for 16 functions' squares), so each norm sums
+    its own squares at once."""
+    mesh = functions[0].mesh
+    blocks = [(blk, element_geometry(mesh, blk, DEFAULT_QUAD_ORDER, gradients=False)[2])
+              for blk in _element_blocks(mesh)]
+    errors = []
+    for u, exact in zip(functions, exacts):
+        nodal = u.nodal_values()
+        squares = _squares(mesh, DEFAULT_QUAD_ORDER)
+        for blk, (lam, xq, wq) in blocks:
+            zs = nodal[np.ascontiguousarray(mesh.elements[blk].T)]
+            diff = np.column_stack([_dot(zs, lam_q) for lam_q in lam]) - exact(*xq)
+            np.multiply(wq, diff**2, out=squares[blk])
+        errors.append(math.sqrt(max(float(squares.sum()), 0.0)))
+    return errors

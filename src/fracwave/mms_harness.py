@@ -28,7 +28,8 @@ from functools import partial
 
 import numpy as np
 
-from .fem_space import FeFunction, build_spatial_mesh, h1_seminorm_error, l2_error
+# h1_seminorm_error stays a name here, which bench/tracer.py wraps
+from .fem_space import FeFunction, build_spatial_mesh, h1_seminorm_error, l2_errors
 from .fem_space import ritz_projection, ritz_residual
 from .graded_time import build_graded_mesh, recommended_grading
 from .kirchhoff_solver import ProblemSpec, apriori_bound_report, solve_all
@@ -267,12 +268,13 @@ def observed_order(pairs):
 
 
 def _ritz_split(case, smesh):
-    """(C_0, T k, T R) of _h1_errors for the case's shape on smesh, once per run."""
-    g, grad_shape = case.grad_parts
+    """(C_0, T k, T R) of _h1_errors for the case's shape on smesh, once per
+    run; C_0 and k come from one pass of ritz_residual."""
+    grad_shape = case.grad_parts[1]
     to_sine = smesh.sine_basis.to_sine
     ritz = ritz_projection(smesh, grad_shape)
-    c0 = h1_seminorm_error(ritz, grad_shape) ** 2
-    return c0, to_sine(ritz_residual(ritz, grad_shape)), to_sine(ritz.coeffs)
+    k, error = ritz_residual(ritz, grad_shape)
+    return error**2, to_sine(k), to_sine(ritz.coeffs)
 
 
 def _h1_errors(case, state, lo, hi, split=None):
@@ -282,13 +284,13 @@ def _h1_errors(case, state, lo, hi, split=None):
     With grad u = g(t) grad s (grad_parts), R the Ritz projection of s and
     phi_n = g(t_n) R - U^n, the error under the rule DEFAULT_QUAD_ORDER
     splits (Wheeler 1973) as g(t_n)^2 C_0 + 2 g(t_n) k . phi_n + phi_n . A
-    phi_n, with C_0 = |grad (s - R)|^2 and k = ritz_residual(R, s).  It is
-    exact for any R: grad R and grad phi_n are constant on each element,
-    whose weights sum to its measure.  split is _ritz_split(case,
-    state.smesh), computed here if not given.  phi_n is taken on the
-    state's sine coefficients, with T R and T k, so its energy is a sum
-    over the stiffness symbols; blocks of _LEVEL_BLOCK_ENTRIES coefficients
-    bound the temporaries.
+    phi_n, with C_0 = |grad (s - R)|^2 and k the residual of
+    ritz_residual(R, s).  It is exact for any R: grad R and grad phi_n are
+    constant on each element, whose weights sum to its measure.  split is
+    _ritz_split(case, state.smesh), computed here if not given.  phi_n is
+    taken on the state's sine coefficients, with T R and T k, so its energy
+    is a sum over the stiffness symbols; blocks of _LEVEL_BLOCK_ENTRIES
+    coefficients bound the temporaries.
     """
     g = case.grad_parts[0]
     c0, k, ritz = _ritz_split(case, state.smesh) if split is None else split
@@ -312,16 +314,12 @@ def trajectory_rows(case, state, lo, hi, split=None):
     """Per-level diagnostics at the solved, kept levels lo..hi-1.
 
     Returns (n, t_n, h1_error, l2_error, bound_quantity) for each level,
-    both errors integrated with the rule DEFAULT_QUAD_ORDER, the H1 error
-    from _h1_errors with its split, and the levels recovered by one
-    transform.
+    both errors under the rule DEFAULT_QUAD_ORDER: the H1 error from
+    _h1_errors with its split, the L2 errors from one l2_errors call.
     """
-    t = state.tmesh.t
+    t = state.tmesh.t[lo:hi]
     h1 = _h1_errors(case, state, lo, hi, split)
     bound = apriori_bound_report(state, lo, hi)
-    nodal = state.recovered(lo, hi)
-    out = []
-    for i, n in enumerate(range(lo, hi)):
-        l2 = l2_error(FeFunction(nodal[i], state.smesh), lambda *x: case.u(*x, t[n]))
-        out.append((n, t[n], h1[i], l2, bound[i]))
-    return out
+    levels = [FeFunction(x, state.smesh) for x in state.recovered(lo, hi)]
+    l2 = l2_errors(levels, [lambda *x, tn=tn: case.u(*x, tn) for tn in t])
+    return list(zip(range(lo, hi), t, h1, l2, bound))

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from fracwave.fem_space import element_geometry
+
 
 @functools.cache
 def interior_matrix(mesh, which):
@@ -20,12 +22,12 @@ def interior_matrix(mesh, which):
 
     el = mesh.elements
     nv = mesh.dimension + 1
+    measure, g, _ = element_geometry(mesh, slice(None), 1)
     if which == "mass":
         local = (np.ones((nv, nv)) + np.eye(nv)) / (nv * (nv + 1))
-        vals = mesh.measure[:, None, None] * local
+        vals = measure[:, None, None] * local
     else:
-        g = mesh.scaled_gradients
-        scale = math.factorial(mesh.dimension) ** 2 * mesh.measure
+        scale = math.factorial(mesh.dimension) ** 2 * measure
         vals = (g @ g.transpose(0, 2, 1)) / scale[:, None, None]
     rows = np.repeat(el, nv, axis=1).ravel()
     cols = np.tile(el, (1, nv)).ravel()

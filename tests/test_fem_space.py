@@ -15,8 +15,9 @@ from fracwave.fem_space import (
     assemble_load,
     build_spatial_mesh,
     dst1,
+    element_geometry,
     h1_seminorm_error,
-    l2_error,
+    l2_errors,
     l2_projection,
     ritz_projection,
     spd_solve,
@@ -126,12 +127,10 @@ def test_stiffness_2d_is_five_point_laplacian():
 def test_mass_total_is_domain_area():
     # the element measures are what every local mass matrix, whose entries
     # sum to 1, is scaled by
-    interval = build_spatial_mesh(("interval", 0.0, math.pi), 7)
-    assert interval.measure.sum() == pytest.approx(math.pi, rel=1e-13)
-    square = build_spatial_mesh(("unit_square",), 3)
-    assert square.measure.sum() == pytest.approx(1.0, rel=1e-13)
-    for mesh in (interval, square):
-        assert (mesh.measure > 0).all()
+    for domain, ms, total in ((("interval", 0.0, math.pi), 7, math.pi), (("unit_square",), 3, 1.0)):
+        measure, _, _ = element_geometry(build_spatial_mesh(domain, ms), slice(None), 1)
+        assert measure.sum() == pytest.approx(total, rel=1e-13)
+        assert (measure > 0).all()
 
 
 @pytest.mark.parametrize("domain,ms", [(("interval", 0.0, 1.0), 9), (("unit_square",), 4)])
@@ -184,7 +183,7 @@ def _exact_quadratic_load(mesh, g):
     unit = np.eye(nv, dtype=int)
     points = mesh.vertices.reshape(mesh.vertices.shape[0], -1)
     vec = np.zeros(mesh.vertices.shape[0])
-    for nodes, measure in zip(mesh.elements, mesh.measure):
+    for nodes, measure in zip(mesh.elements, element_geometry(mesh, slice(None), 1)[0]):
         p = points[nodes]
         # (exponents alpha, coefficient) of the Lagrange form
         terms = []
@@ -233,19 +232,53 @@ def test_quadrature_rule_is_exact_to_its_degree(dimension, npoints, degree):
     mesh = build_spatial_mesh(("interval", 0.0, 1.0) if dimension == 1 else ("unit_square",), 4)
     for missing in (2, 7):
         with pytest.raises(ValueError, match="available: \\[1, 3\\]"):
-            mesh.quadrature(missing)
+            element_geometry(mesh, slice(None), missing)
+
+
+def _blocked_geometry(mesh, npoints=1):
+    """element_geometry of every element block, joined along the elements."""
+    parts = [element_geometry(mesh, blk, npoints) for blk in fem_space._element_blocks(mesh)]
+    measure = np.concatenate([m for m, _, _ in parts])
+    gradients = np.concatenate([g for _, g, _ in parts])
+    xq = np.concatenate([rule[1] for _, _, rule in parts], axis=1)
+    wq = np.concatenate([rule[2] for _, _, rule in parts])
+    return measure, gradients, (parts[0][2][0], xq, wq)
 
 
 @pytest.mark.parametrize("domain", [("interval", 0.0, 1.0), ("unit_square",)])
-def test_quadrature_is_built_once_per_rule(domain):
+def test_a_mesh_holds_only_its_grid(domain):
+    # every kernel forms the geometry and quadrature of the block it reads,
+    # so no run leaves a per-element float array on the mesh: its arrays
+    # are the grid and the interior node list, also after every kernel
     mesh = build_spatial_mesh(domain, 4)
-    first = mesh.quadrature(3)
     g = lambda *x: np.ones_like(x[0])
+    zero_grad = lambda *x: [np.zeros_like(c) for c in x]
+    u = FeFunction(np.ones(mesh.num_interior), mesh)
     assemble_load(mesh, g)
-    l2_error(FeFunction(np.zeros(mesh.num_interior), mesh), g)
-    again = mesh.quadrature(3)
-    assert all(a is b for a, b in zip(first, again))
-    assert mesh.quadrature(1)[1] is not first[1]
+    l2_errors([u], [g])
+    for rule in QUADRATURE_RULES[mesh.dimension]:
+        h1_seminorm_error(u, zero_grad, rule)
+    fem_space.ritz_residual(ritz_projection(mesh, zero_grad), zero_grad)
+    arrays = {name: a for name, a in vars(mesh).items() if isinstance(a, np.ndarray)}
+    assert set(arrays) == {"vertices", "elements", "boundary", "interior_nodes"}
+    grid_bytes = sum(a.nbytes for a in fem_space._grid(mesh.domain, mesh.subdivisions))
+    assert sum(a.nbytes for a in arrays.values()) == grid_bytes + mesh.interior_nodes.nbytes
+
+
+def test_building_a_2d_mesh_peaks_at_the_scale_of_its_grid():
+    # with the element geometry stored, building Ms = 182 peaked at 12.0 MB
+    # traced (66.8 MB at Ms = 430); the grid alone holds 2.4 MB and its
+    # build peaks at 2.8 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        mesh = SpatialMesh(("unit_square",), 182)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mesh.elements.shape == (2 * 182**2, 3)
+    assert peak <= 3_200_000
 
 
 @pytest.mark.parametrize(
@@ -253,17 +286,23 @@ def test_quadrature_is_built_once_per_rule(domain):
     [(("interval", 0.0, math.pi), 37), (("interval", 0.0, math.pi), 8192),
      (("unit_square",), 8), (("unit_square",), 182)],
 )
-def test_scaled_gradients_satisfy_the_barycentric_identity(domain, ms):
+def test_scaled_gradients_satisfy_the_barycentric_identity(monkeypatch, domain, ms):
     # lambda_s is affine with lambda_s(p_t) = delta_st, so its gradient
-    # dotted with the edge p_t - p_0 is delta_st - delta_s0
+    # dotted with the edge p_t - p_0 is delta_st - delta_s0; checked on the
+    # joined blocks, also of 7 elements, and on slice(None)
     mesh = build_spatial_mesh(domain, ms)
     d = mesh.dimension
     p = mesh.vertices.reshape(mesh.vertices.shape[0], -1)[mesh.elements]
-    products = np.einsum("esk,etk->est", mesh.scaled_gradients, p - p[:, :1])
-    got = products / (math.factorial(d) * mesh.measure[:, None, None])
     eye = np.eye(d + 1)
-    expected = np.broadcast_to(eye - eye[:, :1], got.shape)
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    whole = element_geometry(mesh, slice(None), 1)
+    for size in (fem_space._ELEMENT_BLOCK, 7):
+        monkeypatch.setattr(fem_space, "_ELEMENT_BLOCK", size)
+        measure, gradients, _ = _blocked_geometry(mesh)
+        assert np.array_equal(measure, whole[0]) and np.array_equal(gradients, whole[1])
+        products = np.einsum("esk,etk->est", gradients, p - p[:, :1])
+        got = products / (math.factorial(d) * measure[:, None, None])
+        expected = np.broadcast_to(eye - eye[:, :1], got.shape)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -271,9 +310,10 @@ def test_scaled_gradients_satisfy_the_barycentric_identity(domain, ms):
     [(("interval", 0.0, math.pi), 37), (("interval", 0.0, math.pi), 8192),
      (("unit_square",), 8), (("unit_square",), 76), (("unit_square",), 182)],
 )
-def test_geometry_equals_the_per_element_jacobian_reference(domain, ms):
-    # the mesh takes its Jacobian from per-axis gathers; the reference
-    # gathers every element's vertices, shape (n_elements, d + 1, d)
+def test_geometry_equals_the_per_element_jacobian_reference(monkeypatch, domain, ms):
+    # element_geometry takes its Jacobian from per-axis gathers; the
+    # reference gathers every element's vertices, shape (n_elements, d + 1,
+    # d).  The joined blocks, also of 7 elements, equal it bit for bit
     mesh = build_spatial_mesh(domain, ms)
     d = mesh.dimension
     p = mesh.vertices.reshape(mesh.vertices.shape[0], -1)[mesh.elements]
@@ -286,19 +326,40 @@ def test_geometry_equals_the_per_element_jacobian_reference(domain, ms):
         det = j00 * j11 - j01 * j10
         adj_t = np.array([[j11, -j10], [-j01, j00]])
     scaled = np.moveaxis(adj_t, -1, 0) * np.sign(det)[:, None, None]
-    np.testing.assert_array_equal(mesh.measure, np.abs(det) / math.factorial(d))
-    np.testing.assert_array_equal(
-        mesh.scaled_gradients, np.concatenate([-scaled.sum(axis=1, keepdims=True), scaled], axis=1)
-    )
+    for size in (fem_space._ELEMENT_BLOCK, 7):
+        monkeypatch.setattr(fem_space, "_ELEMENT_BLOCK", size)
+        measure, gradients, _ = _blocked_geometry(mesh)
+        np.testing.assert_array_equal(measure, np.abs(det) / math.factorial(d))
+        np.testing.assert_array_equal(
+            gradients, np.concatenate([-scaled.sum(axis=1, keepdims=True), scaled], axis=1)
+        )
 
 
 @pytest.mark.parametrize("domain", [("interval", 0.0, 1.0), ("unit_square",)])
-def test_cached_geometry_and_quadrature_are_read_only(domain):
+def test_grid_is_read_only_and_geometry_is_formed_per_call(domain):
     mesh = build_spatial_mesh(domain, 4)
-    for arr in (mesh.measure, mesh.scaled_gradients, *mesh.quadrature(3)):
+    for arr in (mesh.vertices, mesh.elements, mesh.boundary, mesh.interior_nodes):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            arr[0] = 0.0
+            arr[0] = 0
+    first, again = (element_geometry(mesh, slice(None), 3) for _ in range(2))
+    for a, b in zip((*first[:2], *first[2][1:]), (*again[:2], *again[2][1:])):
+        assert a is not b and np.array_equal(a, b)
+    measure, gradients, (_, xq, wq) = element_geometry(mesh, slice(1, 3), 1, gradients=False)
+    assert measure.shape == (2,) and gradients is None
+    assert xq.shape == (mesh.dimension, 2, 1) and np.array_equal(wq[:, 0], measure)
+
+
+@pytest.mark.parametrize(
+    "domain,ms", [(("interval", 0.0, math.pi), 37), (("unit_square",), 32)]
+)
+def test_blocked_quadrature_equals_the_whole_mesh_rule_bit_for_bit(monkeypatch, domain, ms):
+    mesh = build_spatial_mesh(domain, ms)
+    monkeypatch.setattr(fem_space, "_ELEMENT_BLOCK", 7)
+    for q in QUADRATURE_RULES[mesh.dimension]:
+        _, _, whole = element_geometry(mesh, slice(None), q)
+        _, _, (lam, xq, wq) = _blocked_geometry(mesh, q)
+        assert lam is whole[0] and np.array_equal(xq, whole[1]) and np.array_equal(wq, whole[2])
 
 
 def test_l2_projection_idempotent_on_p1():
@@ -387,7 +448,7 @@ def test_l2_error_of_itself_vanishes_2d():
     mesh = build_spatial_mesh(("unit_square",), 4)
     rng = np.random.default_rng(9)
     u = FeFunction(rng.standard_normal(mesh.num_interior), mesh)
-    assert l2_error(u, lambda x, y: _eval_p1(u, x, y)) <= 1e-12
+    assert l2_errors([u], [lambda x, y: _eval_p1(u, x, y)])[0] <= 1e-12
 
 
 def _eval_p1(u, x, y):
@@ -451,7 +512,7 @@ def test_l2_error_second_order_for_interpolant():
     for ms in (16, 32, 64):
         mesh = build_spatial_mesh(("interval", 0.0, math.pi), ms)
         interp = FeFunction(np.sin(mesh.vertices[mesh.interior_nodes]), mesh)
-        errs.append(l2_error(interp, np.sin))
+        errs.append(l2_errors([interp], [np.sin])[0])
     rates = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert all(1.9 < rate < 2.1 for rate in rates)
 
@@ -471,31 +532,31 @@ def _reference_interior_sum(mesh, local):
 
 
 def _reference_load(mesh, g, q):
-    lam, xq, wq = mesh.quadrature(q)
+    _, _, (lam, xq, wq) = element_geometry(mesh, slice(None), q)
     weighted = wq * g(*xq)
     return _reference_interior_sum(mesh, np.sum(weighted[:, None, :] * lam.T, axis=2))
 
 
 def _reference_grad_load(mesh, grad, q):
-    _, xq, wq = mesh.quadrature(q)
+    measure, gradients, (_, xq, wq) = element_geometry(mesh, slice(None), q)
     integral = np.sum(wq * np.reshape(grad(*xq), xq.shape), axis=2)
-    scale = math.factorial(mesh.dimension) * mesh.measure
-    local = np.einsum("esk,ke->es", mesh.scaled_gradients, integral) / scale[:, None]
+    scale = math.factorial(mesh.dimension) * measure
+    local = np.einsum("esk,ke->es", gradients, integral) / scale[:, None]
     return _reference_interior_sum(mesh, local)
 
 
 def _reference_h1_error(u, exact_grad, q):
     mesh = u.mesh
-    _, xq, wq = mesh.quadrature(q)
+    measure, gradients, (_, xq, wq) = element_geometry(mesh, slice(None), q)
     zs = u.nodal_values()[mesh.elements]
-    scale = math.factorial(mesh.dimension) * mesh.measure
-    grads = np.einsum("es,esk->ek", zs, mesh.scaled_gradients) / scale[:, None]
+    scale = math.factorial(mesh.dimension) * measure
+    grads = np.einsum("es,esk->ek", zs, gradients) / scale[:, None]
     diff = grads.T[:, :, None] - np.reshape(exact_grad(*xq), xq.shape)
     return math.sqrt(max(np.sum(wq * np.sum(diff**2, axis=0)), 0.0))
 
 
 def _reference_l2_error(u, exact, q):
-    lam, xq, wq = u.mesh.quadrature(q)
+    _, _, (lam, xq, wq) = element_geometry(u.mesh, slice(None), q)
     uh = np.sum(u.nodal_values()[u.mesh.elements][:, None, :] * lam, axis=2)
     diff = uh - exact(*xq)
     return math.sqrt(max(np.sum(wq * diff**2), 0.0))
@@ -517,18 +578,26 @@ def test_quadrature_kernels_equal_the_broadcast_formulation_bit_for_bit(domain, 
     q = fem_space.DEFAULT_QUAD_ORDER
     mesh = build_spatial_mesh(domain, ms)
     case = example1_case(1.5) if mesh.dimension == 1 else example2_case(1.5)
-    u = FeFunction(np.random.default_rng(ms).standard_normal(mesh.num_interior), mesh)
+    rng = np.random.default_rng(ms)
+    u = FeFunction(rng.standard_normal(mesh.num_interior), mesh)
+    exacts = []
     for t in (0.3, 1.0):
         f = lambda *x: case.f(*x, t)
         grad = lambda *x: case.grad_u(*x, t)
         stacked_grad = lambda *x: np.array(case.grad_u(*x, t))
-        exact = lambda *x: case.u(*x, t)
+        exact = lambda *x, t=t: case.u(*x, t)
         assert np.array_equal(assemble_load(mesh, f), _reference_load(mesh, f, q))
         for g in (grad, stacked_grad):
             assert np.array_equal(assemble_grad_load(mesh, g), _reference_grad_load(mesh, g, q))
             for rule in QUADRATURE_RULES[mesh.dimension]:
                 assert h1_seminorm_error(u, g, rule) == _reference_h1_error(u, g, rule)
-        assert l2_error(u, exact) == _reference_l2_error(u, exact, q)
+            assert fem_space.ritz_residual(u, g)[1] == _reference_h1_error(u, g, q)
+        assert l2_errors([u], [exact]) == [_reference_l2_error(u, exact, q)]
+        exacts.append(exact)
+    # one pass of l2_errors over several functions gives each one's error
+    others = [u, FeFunction(rng.standard_normal(mesh.num_interior), mesh)]
+    expected = [_reference_l2_error(v, exact, q) for v, exact in zip(others, exacts)]
+    assert l2_errors(others, exacts) == expected
 
 
 @pytest.mark.parametrize(
@@ -546,9 +615,11 @@ def test_quadrature_kernels_in_blocks_of_7_elements_change_no_bit(monkeypatch, d
     u = FeFunction(np.random.default_rng(ms).standard_normal(mesh.num_interior), mesh)
     case = example1_case(1.5) if mesh.dimension == 1 else example2_case(1.5)
     grad = case.grad_parts[1]
-    residual = fem_space.ritz_residual(u, grad)
+    residual, error = fem_space.ritz_residual(u, grad)
+    assert error == h1_seminorm_error(u, grad)
     monkeypatch.setattr(fem_space, "_ELEMENT_BLOCK", 7)
-    assert np.array_equal(fem_space.ritz_residual(u, grad), residual)
+    blocked_residual, blocked_error = fem_space.ritz_residual(u, grad)
+    assert np.array_equal(blocked_residual, residual) and blocked_error == error
     test_quadrature_kernels_equal_the_broadcast_formulation_bit_for_bit(domain, ms)
 
 
@@ -567,7 +638,7 @@ def test_quadrature_points_equal_the_einsum_bit_for_bit(domain, ms):
     for q, (lam, _) in QUADRATURE_RULES[mesh.dimension].items():
         expected = np.einsum("esd,qs->deq", p[:, 1:] - p[:, :1], lam[:, 1:])
         expected += p[:, 0].T[:, :, None]
-        assert np.array_equal(mesh.quadrature(q)[1], expected)
+        assert np.array_equal(element_geometry(mesh, slice(None), q)[2][1], expected)
 
 
 def _jacobi_cg(matrix, rhs, target, **kwargs):
@@ -783,7 +854,8 @@ def test_sine_mass_and_stiffness_symbols_are_the_assembled_matrices(domain, ms):
     # which linspace's nodes miss by up to 6.8e-13 relative at Ms = 8192
     mesh = build_spatial_mesh(domain, ms)
     basis = mesh.sine_basis
-    spread = np.abs(mesh.measure / mesh.measure.mean() - 1.0).max()
+    measure = element_geometry(mesh, slice(None), 1)[0]
+    spread = np.abs(measure / measure.mean() - 1.0).max()
     x = np.random.default_rng(ms).standard_normal(mesh.num_interior)
     sine = basis.to_sine(x)
     for product, matrix in ((basis.mass(sine), assemble_mass(mesh)),
@@ -901,7 +973,7 @@ def test_every_mesh_is_the_uniform_grid(domain, ms):
     mesh = SpatialMesh(domain, ms)
     grid = fem_space._grid(domain, ms)
     assert all(map(np.array_equal, (mesh.vertices, mesh.elements, mesh.boundary), grid))
-    assert (mesh.measure > 0).all()
+    assert (element_geometry(mesh, slice(None), 1)[0] > 0).all()
 
 
 @pytest.mark.parametrize("ms", [2, 3, 8, 9, 76, 182])
@@ -943,7 +1015,7 @@ def test_gauss_rules_equal_leggauss_bit_for_bit():
     for missing in (0, 2, 8):
         assert missing not in rules
         with pytest.raises(ValueError, match="available: \\[1, 3\\]"):
-            build_spatial_mesh(("interval", 0.0, 1.0), 4).quadrature(missing)
+            element_geometry(build_spatial_mesh(("interval", 0.0, 1.0), 4), slice(None), missing)
 
 
 _NO_POLYNOMIAL_SCRIPT = """
@@ -1046,3 +1118,19 @@ def test_nodal_values_zero_on_boundary():
     assert z.shape == (16,)
     assert np.all(z[mesh.boundary] == 0.0)
     assert np.all(z[mesh.interior_nodes] == 1.0)
+
+
+def test_every_2d_system_writes_into_the_basis_work_arrays():
+    # a level allocates no operator or preconditioner buffer: the functions
+    # of every system return the basis's three work arrays, and each call
+    # computes its own result afresh
+    mesh = build_spatial_mesh(("unit_square",), 9)
+    basis = mesh.sine_basis
+    e = np.random.default_rng(9).standard_normal(mesh.num_interior)
+    first, second = basis.system(1.0, 0.5), basis.system(2.0, 0.25)
+    expected = [fn(e).copy() for fn in (*first, *second)]
+    got = [fn(e) for fn in (*first, *second)]
+    assert got[0] is got[2] and got[1] is got[3]
+    assert {id(a) for a in got} <= {id(a) for a in basis._work}
+    for fn, want in zip((*first, *second), expected):
+        assert np.array_equal(fn(e), want)

@@ -2,17 +2,20 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fracwave import mms_harness
+from fracwave import fem_space, mms_harness
 from fracwave.caputo_l1 import exact_caputo_power
 from fracwave.fem_space import (
     FeFunction,
     build_spatial_mesh,
     h1_seminorm_error,
+    l2_errors,
     ritz_projection,
+    ritz_residual,
 )
 from fracwave.graded_time import build_graded_mesh
 from fracwave.kirchhoff_solver import initialize, solve_all, step
@@ -216,10 +219,12 @@ def test_cached_gradient_errors_match_the_callable_path(case, ms):
     smesh = build_spatial_mesh(case.domain, ms)
     state = solve_all(case.problem_spec(), tmesh, smesh)
     rows = trajectory_rows(case, state, 0, state.n_done + 1)
-    for n, tn, h1, _, _ in rows:
+    for n, tn, h1, l2, _ in rows:
         uh = FeFunction(state.recovered(n), smesh)
         expected = h1_seminorm_error(uh, closed_form_gradient(tn))
         assert h1 == pytest.approx(expected, rel=SPLIT_RTOL, abs=0.0)
+        # the one pass of l2_errors over the levels gives each level's bits
+        assert [l2] == l2_errors([uh], [lambda *x: case.u(*x, tn)])
     worst = max(row[2] for row in rows[1:])
     row, _, levels = run_single_case(case, 4, ms, r=1.6, report="trajectory")
     assert row.error == worst and levels == rows
@@ -274,6 +279,34 @@ def test_split_is_an_identity_for_any_coefficients(case, ms):
     state.n_done = N
     got = mms_harness._h1_errors(case, state, 0, N + 1)
     assert got == pytest.approx(_per_level_errors(case, state), rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("case_of, ms", [(example1_case, 8192), (example2_case, 76)])
+@pytest.mark.parametrize("block", [None, 7])
+def test_ritz_split_evaluates_the_shape_gradient_twice_per_element_block(
+        monkeypatch, case_of, ms, block):
+    # once for the projection's load and once for C_0 and k together; C_0
+    # took a pass of its own before, 3 evaluations per block.  Both keep
+    # the bits of their own passes
+    if block is not None:
+        monkeypatch.setattr(fem_space, "_ELEMENT_BLOCK", block)
+    case = case_of(1.5)
+    g, grad_shape = case.grad_parts
+    calls = []
+
+    def spy(*x):
+        calls.append(x[0].shape)
+        return grad_shape(*x)
+
+    smesh = build_spatial_mesh(case.domain, ms)
+    c0, k, ritz = mms_harness._ritz_split(replace(case, grad_parts=(g, spy)), smesh)
+    blocks = fem_space._element_blocks(smesh)
+    assert len(blocks) > 1 and len(calls) == 2 * len(blocks)
+    projection = ritz_projection(smesh, grad_shape)
+    to_sine = smesh.sine_basis.to_sine
+    assert c0 == h1_seminorm_error(projection, grad_shape) ** 2
+    assert np.array_equal(k, to_sine(ritz_residual(projection, grad_shape)[0]))
+    assert np.array_equal(ritz, to_sine(projection.coeffs))
 
 
 def test_h1_error_evaluation_peak_memory():
