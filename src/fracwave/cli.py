@@ -272,7 +272,8 @@ def _check_history_memory(cfg, tasks):
     """Refuse tasks whose kept level histories overfill physical memory
     with those threads= runs at once (no check where the platform does not
     report it).  A task keeps kirchhoff_solver.history_bytes for M
-    unknowns: 16 (N + 1) M bytes on the dense far sums, and 16 (_BLOCK + 2 + n_exp)
+    unknowns: 16 (N + 1) M bytes on the dense far sums, less with M > N,
+    where v's history gives way to the L1 matrix, and 16 (_BLOCK + 2 + n_exp)
     M on n_exp exponentials, whose levels stream."""
     if "SC_PHYS_PAGES" not in getattr(os, "sysconf_names", {}):
         return
@@ -283,10 +284,7 @@ def _check_history_memory(cfg, tasks):
                      (alpha, N, Ms)) for alpha, N, Ms, r, _ in tasks), reverse=True)
     total = sum(size for (size, _), _ in sizes[: _workers(cfg.threads, len(tasks))])
     if total > physical:
-        (size, n_exp), (alpha, N, Ms) = sizes[0]
-        kept = "dense level histories"
-        if n_exp:
-            kept = f"level histories streamed on {n_exp} exponentials"
+        (size, kept), (alpha, N, Ms) = sizes[0]
         raise ConfigError(
             f"alpha={alpha:g} N={N} Ms={Ms} needs {size:,} bytes of {kept}; with the tasks run "
             f"at once, {total:,} bytes exceed the {physical:,} bytes of physical memory"

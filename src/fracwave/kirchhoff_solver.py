@@ -20,13 +20,18 @@ level adds the near part, the at most _BLOCK - 1 levels of its block
 before it, with weights from the leading coefficients of its L1 row alone.
 A level's own work is thus O(_BLOCK) coefficients, one mass product and
 one spd_solve.  The far part of a short run is one GEMM over the whole
-history per block, 2 N^2 M flops a run, so such a run keeps every level.
-A run of N >= _SOE_LEVELS_PER_TERM n_exp levels takes it from a sum of
+history per block, 2 N^2 M flops a run, so such a run keeps every level
+of ubar.  Since v^n is the L1 image sum_i C[n, i] ubar^i of ubar's history,
+a short run with more unknowns than levels (M > N) keeps the run's L1
+matrix C, (N + 1)^2, in place of v's history: v's far sums are
+(W C) ubar, W the block's far weights, and v keeps only the open block.
+Other short runs keep every level of both histories.  A run of
+N >= _SOE_LEVELS_PER_TERM n_exp levels takes the far part from a sum of
 n_exp exponentials of the L1 kernel (caputo_l1.soe_kernel; Jiang, Zhang,
 Zhang & Zhang 2017), O(n_exp M) a block, which reads only the last block:
 it keeps _BLOCK + 2 rows of each history and drops the older levels.
 solve_all hands each block of levels to an observer as it is solved, so
-the reports read every level either way.
+the reports read every level on every path.
 """
 
 import math
@@ -127,22 +132,26 @@ class SolverState:
     """Mutable per-run state: meshes and the kept level histories.
 
     Every vector is held as the sine coefficients T x of nodal interior
-    coefficients x, T = smesh.sine_basis.  Row i of ubar and v holds the
-    shifted displacement and the fractional velocity at level first + i.
-    A run whose far history sums are dense keeps every level (first = 0,
-    N + 1 rows), since each block's GEMM reads them all.  A run on the sum
-    of exponentials keeps _BLOCK + 2 rows: levels lo - 2 .. hi - 1 while
-    the block lo..hi-1 is open, the rows shifting down when the next block
-    opens (see _soe_far_sums).  Kept levels above n_done are not
-    solutions: the rows of the current block of levels hold their far L1
-    history sums, later rows are zero or stale.  rows and recovered read
-    the solved kept levels and raise outside them.  kappa[n] records the
-    frozen coefficient used at level n (levels 0 and 1 come from
-    initialization and have none).  loads holds, for a separable forcing,
-    the c_k and the (k, M) stack of the loads b_k of the phi_k, and is
-    empty when f is a callable.  soe, set by initialize, is empty on a run
-    whose far history sums are dense and holds the nodes s, weights w and
-    stacked sums U of the sum of exponentials otherwise (see
+    coefficients x, T = smesh.sine_basis.  Row i of ubar holds the shifted
+    displacement at level first + i, row i of v the fractional velocity at
+    level v_first + i.  A run whose far history sums are dense keeps every
+    level of ubar (first = 0, N + 1 rows), since each block's GEMM reads
+    them all.  If it has more unknowns than levels (M > N), l1 holds the
+    run's L1 matrix C, (N + 1)^2, row n of which gives v^n = sum_i C[n, i]
+    ubar^i, and v keeps min(N + 1, _BLOCK + 2) rows (see _l1_far_sums);
+    otherwise l1 is None and v keeps every level too.  A run on the sum of
+    exponentials keeps _BLOCK + 2 rows of each: levels lo - 2 .. hi - 1
+    while the block lo..hi-1 is open, the rows shifting down when the next
+    block opens (see _soe_far_sums; first = v_first).  Kept levels above
+    n_done are not solutions: the rows of the current block of levels hold
+    their far L1 history sums, later rows are zero or stale.  rows,
+    ubar_rows and recovered read the solved kept levels and raise outside
+    them.  kappa[n] records the frozen coefficient used at level n (levels
+    0 and 1 come from initialization and have none).  loads holds, for a
+    separable forcing, the c_k and the (k, M) stack of the loads b_k of the
+    phi_k, and is empty when f is a callable.  soe, set by initialize, is
+    empty on a run whose far history sums are dense and holds the nodes s,
+    weights w and stacked sums U of the sum of exponentials otherwise (see
     _soe_far_sums); n_exp, the number of exponentials, reads 0 on a dense
     run.
     """
@@ -160,27 +169,35 @@ class SolverState:
     n_done: int = 0
     soe: tuple = ()
     first: int = 0
+    l1: np.ndarray = None
+    v_first: int = 0
 
     @property
     def n_exp(self):
         return self.soe[0].size if self.soe else 0
 
+    def _kept(self, lo, hi, first, of=""):
+        for n in (lo, hi - 1):
+            if not first <= n <= self.n_done:
+                how = "was dropped" if 0 <= n < first else "is not solved"
+                raise ValueError(
+                    f"level {n} {how}; the kept levels{of} are {first}..n_done = {self.n_done}")
+        return slice(lo - first, hi - first)
+
+    def ubar_rows(self, lo, hi):
+        """View of the rows of ubar at the solved, kept levels lo..hi-1."""
+        return self.ubar[self._kept(lo, hi, self.first)]
+
     def rows(self, lo, hi):
         """Views of the rows of ubar and v at the solved, kept levels lo..hi-1."""
-        for n in (lo, hi - 1):
-            if not self.first <= n <= self.n_done:
-                how = "was dropped" if 0 <= n < self.first else "is not solved"
-                raise ValueError(
-                    f"level {n} {how}; the kept levels are {self.first}..n_done = {self.n_done}")
-        kept = slice(lo - self.first, hi - self.first)
-        return self.ubar[kept], self.v[kept]
+        return self.ubar_rows(lo, hi), self.v[self._kept(lo, hi, self.v_first, " of v")]
 
     def recovered(self, lo, hi=None):
         """Nodal interior coefficients of the recovered displacement at the
         solved, kept level lo, or stacked over levels lo..hi-1 by one transform."""
         if hi is None:
             return self.recovered(lo, lo + 1)[0]
-        ubar, _ = self.rows(lo, hi)
+        ubar = self.ubar_rows(lo, hi)
         return self.smesh.sine_basis.from_sine(ubar + self.tmesh.t[lo:hi, None] * self.phu1)
 
 
@@ -194,14 +211,21 @@ def _soe_terms(beta, tmesh):
 
 
 def history_bytes(beta, tmesh, m):
-    """(bytes, n_exp): the bytes a run of order beta on tmesh with m
-    unknowns keeps for its level histories, and its n_exp, 0 on a dense
-    run.  That is 16 (N + 1) m dense, and 16 (_BLOCK + 2 + n_exp) m on the
-    sum of exponentials: _BLOCK + 2 rows of ubar and v, and U."""
+    """(bytes, kept): the bytes a run of order beta on tmesh with m
+    unknowns keeps for its level histories, and what they are.  That is
+    16 (N + 1) m dense; 8 (N + 1) m + 8 min(N + 1, _BLOCK + 2) m + 8 (N + 1)^2
+    dense with m > N, for ubar, the kept rows of v and the L1 matrix; and
+    16 (_BLOCK + 2 + n_exp) m on the sum of exponentials: _BLOCK + 2 rows
+    of ubar and v, and U (see SolverState)."""
     terms = _soe_terms(beta, tmesh)
-    n_exp = 0 if terms is None else terms[0].size
-    rows = tmesh.N + 1 if terms is None else _BLOCK + 2 + n_exp
-    return 16 * rows * m, n_exp
+    levels = tmesh.N + 1
+    if terms is not None:
+        n_exp = terms[0].size
+        return 16 * (_BLOCK + 2 + n_exp) * m, f"level histories streamed on {n_exp} exponentials"
+    if m > tmesh.N:
+        return (8 * (levels + min(levels, _BLOCK + 2)) * m + 8 * levels**2,
+                "the ubar history, a block of v and the L1 matrix")
+    return 16 * levels * m, "dense level histories"
 
 
 def initialize(spec, tmesh, smesh):
@@ -212,11 +236,11 @@ def initialize(spec, tmesh, smesh):
     Taylor start U^1 = U^0 + tau_1 * P_h u1.  In the shifted variable this
     makes ubar^1 equal ubar^0 exactly, and feeding that through the L1
     formula gives v^1 = 0 exactly as well; both are computed, not assumed.
-    The run takes its far sums densely and keeps every level, or from the
-    sum of exponentials of _soe_terms and keeps _BLOCK + 2 rows (see
-    SolverState).  Loads and projections take the fem_space defaults
-    DEFAULT_QUAD_ORDER and DEFAULT_TOL, and are transformed once; no
-    matrix is assembled.
+    The run takes its far sums densely and keeps every level of ubar, and
+    of v or, if m > N, the L1 matrix; or from the sum of exponentials of
+    _soe_terms and keeps _BLOCK + 2 rows (see SolverState).  Loads and
+    projections take the fem_space defaults DEFAULT_QUAD_ORDER and
+    DEFAULT_TOL, and are transformed once; no matrix is assembled.
     """
     to_sine = smesh.sine_basis.to_sine
     m = smesh.num_interior
@@ -240,15 +264,17 @@ def initialize(spec, tmesh, smesh):
 
     terms = _soe_terms(spec.beta, tmesh)
     soe = () if terms is None else (*terms, np.zeros((2, terms[0].size, m)))
-    rows = _BLOCK + 2 if soe else tmesh.N + 1
-    ubar = np.zeros((rows, m))
-    v = np.zeros((rows, m))
+    l1 = np.zeros((tmesh.N + 1, tmesh.N + 1)) if terms is None and m > tmesh.N else None
+    ubar = np.zeros((_BLOCK + 2 if soe else tmesh.N + 1, m))
+    v = np.zeros((len(ubar) if l1 is None else min(tmesh.N + 1, _BLOCK + 2), m))
     kappa = np.full(tmesh.N + 1, np.nan)
     ubar[0] = u0
     u1_level = u0 + tmesh.tau[0] * phu1
     ubar[1] = u1_level - tmesh.t[1] * phu1
     d11 = l1_row(tmesh, spec.beta, 1)[0]
     v[1] = d11 * (ubar[1] - ubar[0])
+    if l1 is not None:
+        l1[1, :2] = -d11, d11
 
     return SolverState(
         spec=spec,
@@ -262,6 +288,7 @@ def initialize(spec, tmesh, smesh):
         loads=loads,
         n_done=1,
         soe=soe,
+        l1=l1,
     )
 
 
@@ -270,9 +297,9 @@ def _far_sums(state, lo):
 
     The row of level m, unset until solved, gets level m's L1 weights times
     the history levels j < lo: from the sum of exponentials state.soe if
-    initialize chose it (see _soe_far_sums), else densely, the weights of
-    all the block's levels at once and one GEMM over every kept level per
-    history.
+    initialize chose it (see _soe_far_sums), else densely, the weights W of
+    all the block's levels at once and one GEMM over every kept level of
+    ubar, and of v or, if state.l1 is set, of ubar again (see _l1_far_sums).
     """
     tmesh, beta = state.tmesh, state.spec.beta
     hi = min(lo + _BLOCK, tmesh.N + 1)
@@ -283,9 +310,34 @@ def _far_sums(state, lo):
     weights = np.empty((hi - lo, lo))
     weights[:, 0] = -d[:, 0]
     np.subtract(d[:, : lo - 1], d[:, 1:lo], out=weights[:, 1:])
+    if state.l1 is None:
+        np.matmul(weights, state.v[:lo], out=state.v[lo:hi])
+    else:
+        _l1_far_sums(state, lo, hi, d, weights)
     del d
-    np.matmul(weights, state.v[:lo], out=state.v[lo:hi])
     np.matmul(weights, state.ubar[:lo], out=state.ubar[lo:hi])
+
+
+def _l1_far_sums(state, lo, hi, d, weights):
+    """v's far sums of _far_sums from ubar's history through the L1 matrix.
+
+    Row m of C = state.l1 holds the L1 weights of v^m = sum_{i <= m} C[m, i]
+    ubar^i: C[m, 0] = -d_{m,m}, C[m, i] = d_{m,m-i+1} - d_{m,m-i} and
+    C[m, m] = d_{m,1}, written for the block from W and its L1 rows d =
+    l1_rows(lo, hi); row 1, (-d_{1,1}, d_{1,1}), comes from initialize.  The
+    far sums W v[:lo] are then (W C[:lo, :lo]) ubar[:lo], a product of its
+    own: stacked with W ubar[:lo], it would move that one's bits.  v keeps the
+    open block as on the sum of exponentials: once the block passes its
+    rows, they shift down to levels lo - 2 .. hi - 1 (state.v_first = lo - 2).
+    """
+    c, v = state.l1, state.v
+    c[lo:hi, :lo] = weights
+    c[lo:hi, lo:hi] = -np.diff(d[:, lo - 1 :], append=0.0, axis=1)
+    f = state.v_first
+    if hi - f > len(v):
+        v[:2] = v[lo - 2 - f : lo - f]
+        state.v_first = f = lo - 2
+    np.matmul(weights @ c[:lo, :lo], state.ubar[:lo], out=v[lo - f : hi - f])
 
 
 def _soe_far_sums(state, lo, hi):
@@ -300,7 +352,8 @@ def _soe_far_sums(state, lo, hi):
     product with that block's increments; the boundary coefficient is exact.
     Once U has read the last block, histories too short for the new block
     shift down to keep levels lo - 2 and lo - 1, which the extrapolant and
-    the boundary term read, and drop the older ones (state.first = lo - 2).
+    the boundary term read, and drop the older ones (state.first =
+    state.v_first = lo - 2).
     """
     s, w, u = state.soe
     t, tau = state.tmesh.t, state.tmesh.tau
@@ -316,7 +369,7 @@ def _soe_far_sums(state, lo, hi):
     u += gain @ dx
     if hi - f > len(v):
         v[:2], ubar[:2] = v[lo - 2 - f : lo - f], ubar[lo - 2 - f : lo - f]
-        state.first = f = lo - 2
+        state.first = state.v_first = f = lo - 2
     far = (w * np.exp(s * (t[lo - 1] - t[lo:hi, None]))) @ u
     edge = l1_rows(state.tmesh, state.spec.beta, lo, hi, first=lo - 1)[:, :1]
     np.subtract(far[0], edge * v[lo - 1 - f], out=v[lo - f : hi - f])
@@ -340,8 +393,9 @@ def _history_sums(state, n):
     # w_j = row[j-lo] - row[j-lo+1] for lo <= j < n and row[-1] = d_{n,1}
     row = l1_row(state.tmesh, state.spec.beta, n, n - lo + 1)[::-1]
     near = row[:-1] - row[1:]
-    f = state.first  # read after _far_sums, which may shift the rows
-    g_hist = state.v[n - f] + near @ state.v[lo - f : n - f]
+    # read after _far_sums, which may shift the rows
+    f, fv = state.first, state.v_first
+    g_hist = state.v[n - fv] + near @ state.v[lo - fv : n - fv]
     h_hist = state.ubar[n - f] + near @ state.ubar[lo - f : n - f]
     return row[-1], g_hist, h_hist
 
@@ -414,9 +468,9 @@ def step(state, n):
     del rhs
     e, iters = spd_solve(state.smesh, d1, c, load, DEFAULT_TOL * math.sqrt(rr))
 
-    row = n - state.first
-    x = np.subtract(e, np.divide(y, d1, out=y), out=state.ubar[row])
-    np.add(np.multiply(d1, x, out=state.v[row]), h_hist, out=state.v[row])
+    x = np.subtract(e, np.divide(y, d1, out=y), out=state.ubar[n - state.first])
+    v = state.v[n - state.v_first]
+    np.add(np.multiply(d1, x, out=v), h_hist, out=v)
     state.kappa[n] = kap
     state.cg_iters.append(iters)
     state.n_done = n

@@ -295,7 +295,7 @@ def _h1_errors(case, state, lo, hi, split=None):
     g = case.grad_parts[0]
     c0, k, ritz = _ritz_split(case, state.smesh) if split is None else split
     symbols = state.smesh.sine_basis.stiffness_symbol
-    ubar, _ = state.rows(lo, hi)
+    ubar = state.ubar_rows(lo, hi)
     t = state.tmesh.t[lo:hi]
     size = max(1, _LEVEL_BLOCK_ENTRIES // state.smesh.num_interior)
     errors = []

@@ -543,21 +543,28 @@ def test_histories_beyond_physical_memory_are_refused_before_any_solve(tmp_path,
 
     monkeypatch.setattr(cli_module, "run_single_case", must_not_run)
     monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 4)
-    # 16 (N + 1) (Ms - 1) bytes: 1,872 at N = 8, Ms = 14 and 8,432 at
-    # N = 16, Ms = 32; one task at a time fits in 9,000, two do not
-    _physical_memory(monkeypatch, 9000)
+    # with more unknowns M = Ms - 1 than levels, 8 (N + 1) M for ubar,
+    # 8 min(N + 1, 18) M for v and 8 (N + 1)^2 for the L1 matrix: 2,520 at
+    # N = 8, Ms = 14 and 10,744 at N = 16, Ms = 32; one task at a time fits
+    # in 12,000, two do not
+    _physical_memory(monkeypatch, 12000)
     line = "command=temporal-study example=ex1 alpha=1.5 N=8,16"
     assert len(cli_module._plan(parse_config(line))) == 2
     out = tmp_path / "report.csv"
     assert main(line.split() + ["threads=2", f"output={out}"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: alpha=1.5 N=16 Ms=32 needs 8,432 bytes of dense level")
-    assert "10,304 bytes exceed the 9,000 bytes" in err
+    assert err.startswith("config error: alpha=1.5 N=16 Ms=32 needs 10,744 bytes of the ubar "
+                          "history, a block of v and the L1 matrix")
+    assert "13,264 bytes exceed the 12,000 bytes" in err
     assert not out.exists()
-    # the 2D histories count (Ms - 1)^2 unknowns: 16 * 65 * 511^2 bytes dense,
-    # and 16 * (18 + 82) * 511^2 on the 82 exponentials of a long run
+    # M <= N keeps both histories: 16 * 65 * 31 bytes
+    assert main("command=solve example=ex1 alpha=1.5 N=64 Ms=32".split()) == 2
+    assert "needs 32,240 bytes of dense level histories" in capsys.readouterr().err
+    # the 2D histories count (Ms - 1)^2 unknowns: 8 (65 + 18) 511^2 + 8 * 65^2
+    # bytes dense, and 16 * (18 + 82) * 511^2 on the 82 exponentials of a long run
     assert main("command=solve example=ex2 alpha=1.5 N=64 Ms=512".split()) == 2
-    assert "needs 271,565,840 bytes of dense level histories" in capsys.readouterr().err
+    assert ("needs 173,418,144 bytes of the ubar history, a block of v and the L1 matrix"
+            in capsys.readouterr().err)
     assert main("command=solve example=ex2 alpha=1.5 N=4096 Ms=512".split()) == 2
     assert ("needs 417,793,600 bytes of level histories streamed on 82 exponentials;"
             in capsys.readouterr().err)
